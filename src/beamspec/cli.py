@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 
 from . import __version__
 from .config import ConfigError, load_system
 from .fem import assemble, compare, solve_generalized
-from .quasi import IntegrationError
+from .quasi import REL_TOL_MAX, REL_TOL_MIN, IntegrationError
 from .spectrum import det_slope, solve_modes, verify
 
 EXIT_OK = 0
@@ -111,8 +112,9 @@ def cmd_modes(args):
     system = load_system(args.config)
     start = time.perf_counter()
     stations = args.stations if args.stations % 2 == 1 else args.stations + 1
+    stations = max(stations, 129)   # eigenpair needs an odd count >= 129
     pairs = solve_modes(system, args.modes, rel_tol=args.tol,
-                        stations_per_side=max(stations, 129))
+                        stations_per_side=stations)
     rows = []
     for pair in pairs:
         for xs, mode in ((pair.xs_left, pair.mode_left),
@@ -199,7 +201,8 @@ def _build_parser():
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         if stations:
             p.add_argument("--stations", type=int, default=129,
-                           help="sample stations per side (>= 65)")
+                           help="sample stations per side (>= 65; raised to an "
+                                "odd count >= 129)")
         if masses:
             p.add_argument("--mass-list", default="0,0.5,1,10",
                            help="comma-separated masses to sweep")
@@ -230,6 +233,10 @@ def main(argv=None):
     if args.modes < 1:
         print("error: --modes must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
+    if not REL_TOL_MIN <= args.tol <= REL_TOL_MAX:   # also rejects NaN
+        print(f"error: --tol must lie in [{REL_TOL_MIN:g}, {REL_TOL_MAX:g}]",
+              file=sys.stderr)
+        return EXIT_CONFIG
     if getattr(args, "stations", 65) < 65:
         print("error: --stations must be >= 65", file=sys.stderr)
         return EXIT_CONFIG
@@ -238,6 +245,13 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         return _HANDLERS[args.command](args)
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head`); drop the rest of the
+        # output, and point stdout at devnull so the final flush cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (ConfigError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

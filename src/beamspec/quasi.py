@@ -9,11 +9,20 @@ Tu = (sigma*u'')' - q*u'.  In these variables the fourth-order equation
 and no derivative of sigma or q is ever evaluated.  u'' is recovered as
 w3/sigma when needed.
 
-Integration uses DOP853 (adaptive 8th-order embedded pair with dense
-output).  The scaled variant renormalizes the state to unit max-norm
-whenever it exceeds 1e100, accumulating the removed factors as a log, so
-the exponential growth at large lam never overflows and determinant signs
-stay exact.
+Two drivers integrate it:
+
+* scalar (one lam): DOP853, adaptive 8th-order embedded pair with dense
+  output, used for single-lam work (root refinement, determinant slope,
+  fundamental pairs and mode assembly);
+* batched (many lam at once): a Dormand-Prince 5(4) pair stepped with
+  numpy over a lam axis, used by the determinant scan.  All lam share one
+  step sequence, and the step error is a max over every component, so the
+  hardest lam of the batch sets the step.
+
+Both renormalize the state to unit max-norm whenever it exceeds 1e100
+(the batched driver per lam), accumulating the removed factors as a log,
+so the exponential growth at large lam never overflows and determinant
+signs stay exact.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .config import horner
+from .config import eval_coeff, horner
 
 OVERFLOW_LIMIT = 1e100
 REL_TOL_MIN = 1e-13
@@ -116,7 +125,7 @@ def _rhs(profile, lam, ncols):
 
 
 def _check_args(profile, lam, x_from, x_to, rel_tol):
-    if lam < 0:
+    if np.min(lam) < 0:
         raise ValueError("lam must be >= 0")
     if not (REL_TOL_MIN <= rel_tol <= REL_TOL_MAX):
         raise ValueError(f"rel_tol must lie in [{REL_TOL_MIN:g}, {REL_TOL_MAX:g}]")
@@ -245,3 +254,91 @@ def integrate_scaled(profile, lam, x_from, x_to, init, rel_tol=DEFAULT_REL_TOL,
         raise ValueError("need at least 64 stations")
     return _trajectories(profile, lam, x_from, x_to, [init], rel_tol,
                          n_stations, scaled=True)[0]
+
+
+# Dormand-Prince 5(4) tableau; the last stage of a step is the first of the
+# next (FSAL), and _DP_E gives the embedded error from all seven stages.
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+_DP_A = (
+    None,
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+)
+_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
+                  -22 / 525, 1 / 40])
+
+
+def _batch_final_states(profile, lams, x_from, x_to, inits,
+                        rel_tol=DEFAULT_REL_TOL):
+    """Endpoint states of k initial states for N values of lam at once.
+
+    All lam share one adaptive step sequence.  The step error is the max
+    over every component of every lam (an RMS would average away the error
+    of the largest lam).  Each lam carries its own overflow log scale.
+    Returns (finals (N, k, 4), log_scale (N,)): the true endpoint state of
+    column j at lams[i] is finals[i, j] * exp(log_scale[i]).
+    """
+    lams = np.asarray(lams, dtype=float)
+    _check_args(profile, lams, x_from, x_to, rel_tol)
+    inits = np.atleast_2d(np.asarray(inits, dtype=float))
+    rtol = max(rel_tol / 10.0, 2.3e-14)
+    atol = rel_tol * 1e-6
+    # component-major layout (4, N, k): every RHS row is one contiguous slice
+    y = np.empty((4, lams.size, inits.shape[0]))
+    y[:] = inits.T[:, None, :]
+    lam = lams[:, None]
+    log_scale = np.zeros(lams.size)
+    stages = np.empty((7,) + y.shape)
+    # stage sums use einsum, not tensordot: the BLAS matrix-vector product
+    # goes multithreaded past ~1000 lam and then ran 8x slower per step on
+    # two cores shared with another process
+
+    def rhs(w, sig, q, rho, out):
+        out[0] = w[1]
+        np.divide(w[2], sig, out=out[1])
+        np.multiply(w[1], q, out=out[2])
+        out[2] += w[3]
+        np.multiply(w[0], lam * rho, out=out[3])
+
+    coeffs = [eval_coeff(profile, name, x_from) for name in ("sigma", "q", "rho")]
+    rhs(y, *coeffs, stages[0])
+    x = x_from
+    span = abs(x_to - x_from)
+    direction = 1.0 if x_to > x_from else -1.0
+    h = 0.01 * span   # first trial; the controller shrinks it as needed
+    while x != x_to:
+        last = h >= abs(x_to - x)
+        if last:
+            h = abs(x_to - x)
+        hs = direction * h
+        if x + hs == x:
+            raise IntegrationError("step size underflow", x)
+        xs = x + _DP_C[1:] * hs
+        sig, q, rho = (eval_coeff(profile, name, xs) for name in ("sigma", "q", "rho"))
+        for i in range(1, 6):
+            rhs(y + hs * np.einsum("i,i...->...", _DP_A[i], stages[:i]),
+                sig[i - 1], q[i - 1], rho[i - 1], stages[i])
+        y_new = y + hs * np.einsum("i,i...->...", _DP_B, stages[:6])
+        rhs(y_new, sig[4], q[4], rho[4], stages[6])
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = float(np.max(np.abs(np.einsum("i,i...->...", _DP_E, stages)) / scale)) * h
+        if err <= 1.0:
+            x = x_to if last else x + hs
+            y = y_new
+            stages[0] = stages[6]
+            if np.max(np.abs(y)) > OVERFLOW_LIMIT:
+                big = np.abs(y).max(axis=2).max(axis=0)
+                over = big > OVERFLOW_LIMIT
+                # rescale the state and the carried FSAL stage alike
+                y[:, over] /= big[over][:, None]
+                stages[0][:, over] /= big[over][:, None]
+                log_scale[over] += np.log(big[over])
+            grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
+        else:
+            grow = max(0.2, 0.9 * err ** -0.2)
+        h *= grow
+    return y.transpose(1, 2, 0), log_scale

@@ -12,7 +12,11 @@ fixed row order
 Eigenvalues are the zeros of its determinant.  The determinant is tracked
 as (sign, log magnitude) so the sign survives the exponential growth of the
 fundamental solutions at large lam.  The scan runs on a uniform grid in
-s = lam**(1/4), where the roots are asymptotically equispaced.
+s = lam**(1/4), where the roots are asymptotically equispaced; it
+integrates every grid point of a span in one batched pass and reads all
+determinant signs from one stacked determinant.  Refinement (Brent), the
+simplicity slope and mode assembly evaluate one lam at a time on the
+scalar DOP853 path.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .fundamental import (
     right_fundamental,
     subwronskians,
 )
-from .quasi import DEFAULT_REL_TOL, _final_states
+from .quasi import DEFAULT_REL_TOL, _batch_final_states, _final_states
 
 DEFAULT_DS = 0.02
 DEFAULT_MODE_STATIONS = 257   # per side; keeps Simpson quadrature error ~1e-8
@@ -92,20 +96,13 @@ def _endpoint_columns(system, lam, rel_tol):
 
 
 def _build_matrix(left_states, right_states, mass, lam):
-    a = np.empty((4, 4))
-    for j in range(2):
-        w = left_states[j]
-        a[0, j] = w[0]
-        a[1, j] = w[1]
-        a[2, j] = w[2]
-        a[3, j] = w[3] + mass * lam * w[0]
-    for j in range(2):
-        w = right_states[j]
-        a[0, 2 + j] = -w[0]
-        a[1, 2 + j] = -w[1]
-        a[2, 2 + j] = -w[2]
-        a[3, 2 + j] = -w[3]
-    return a
+    """Joint matrix from the endpoint pairs; stacks over leading axes.
+
+    left_states and right_states have shape (..., 2, 4) and lam shape (...).
+    """
+    left = np.swapaxes(left_states, -1, -2).copy()
+    left[..., 3, :] += mass * np.asarray(lam)[..., None] * left[..., 0, :]
+    return np.concatenate([left, -np.swapaxes(right_states, -1, -2)], axis=-1)
 
 
 def interface_matrix(system, lam, rel_tol=DEFAULT_REL_TOL):
@@ -121,21 +118,29 @@ def interface_matrix(system, lam, rel_tol=DEFAULT_REL_TOL):
     )
 
 
-def _det_of(imat):
-    norms = np.max(np.abs(imat.matrix), axis=0)
-    if np.any(norms == 0.0):
-        return 0, -math.inf
-    d = float(np.linalg.det(imat.matrix / norms))
-    if d == 0.0:
-        return 0, -math.inf
-    log_abs = math.log(abs(d)) + float(np.sum(np.log(norms) + imat.col_log_scale))
-    return (1 if d > 0 else -1), log_abs
+def _signed_log_det(matrices, col_log_scale):
+    """(sign, log |det|) of stacked joint matrices (..., 4, 4).
+
+    Columns are normalized to unit max-norm before the determinant, and the
+    removed norms join the per-column log scales (..., 4) in the magnitude.
+    """
+    norms = np.max(np.abs(matrices), axis=-2)
+    singular = np.any(norms == 0.0, axis=-1)
+    norms = np.where(norms == 0.0, 1.0, norms)
+    d = np.linalg.det(matrices / norms[..., None, :])
+    d[singular] = 0.0
+    sign = np.sign(d).astype(int)
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(d)) + np.sum(np.log(norms) + col_log_scale, axis=-1)
+    log_abs[sign == 0] = -math.inf
+    return sign, log_abs
 
 
 def _det_at_s(system, s, rel_tol):
     lam = s ** 4
-    sign, log_abs = _det_of(interface_matrix(system, lam, rel_tol))
-    return DeterminantSample(s=s, lam=lam, sign=sign, log_abs=log_abs)
+    imat = interface_matrix(system, lam, rel_tol)
+    sign, log_abs = _signed_log_det(imat.matrix[None], imat.col_log_scale[None])
+    return DeterminantSample(s=s, lam=lam, sign=int(sign[0]), log_abs=float(log_abs[0]))
 
 
 def char_det(system, lam, rel_tol=DEFAULT_REL_TOL):
@@ -145,32 +150,62 @@ def char_det(system, lam, rel_tol=DEFAULT_REL_TOL):
     return _det_at_s(system, lam ** 0.25, rel_tol)
 
 
+class _Brackets(list):
+    """Sign-change brackets of a scan, plus what extending its grid needs.
+
+    n is the number of grid points s = j*ds scanned so far and last the
+    (s, sign) of the last one with a nonzero determinant.
+    """
+
+    n = 0
+    last = None
+
+
+def _grid_signs(system, s, rel_tol):
+    """Determinant signs at every s of a grid, in one batched pass per span."""
+    lams = s ** 4
+    left, log_l = _batch_final_states(system.left, lams, -1.0, 0.0,
+                                      [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR], rel_tol)
+    right, log_r = _batch_final_states(system.right, lams, 1.0, 0.0,
+                                       [RIGHT_UNIT_SLOPE, RIGHT_UNIT_SHEAR], rel_tol)
+    col_log = np.stack([log_l, log_l, log_r, log_r], axis=-1)
+    sign, _ = _signed_log_det(_build_matrix(left, right, system.mass, lams), col_log)
+    return sign
+
+
+def _extend_scan(system, brackets, s_max, ds, rel_tol):
+    """Add the grid points in (previous ceiling, s_max] to brackets, in place.
+
+    Only the new points are integrated; the signs already found are kept.
+    """
+    n = int(math.floor(s_max / ds + 1e-9))
+    if n <= brackets.n:
+        return brackets
+    s = ds * np.arange(brackets.n + 1, n + 1)
+    for s_j, sign in zip(s.tolist(), _grid_signs(system, s, rel_tol).tolist()):
+        if sign == 0:
+            # exact zero on a grid point: vanishingly unlikely; skip the point
+            # and let the neighbours bracket the root
+            continue
+        if brackets.last is not None and sign != brackets.last[1]:
+            brackets.append((brackets.last[0], s_j))
+        brackets.last = (s_j, sign)
+    brackets.n = n
+    return brackets
+
+
 def scan(system, s_max, ds=DEFAULT_DS, rel_tol=DEFAULT_REL_TOL):
     """Sign-change brackets of the determinant on the uniform s-grid.
 
     Roots of fourth-order problems are asymptotically equispaced in
-    s = lam**(1/4), so a fine enough ds skips none.
+    s = lam**(1/4), so a fine enough ds skips none.  All grid points are
+    integrated together (see quasi._batch_final_states).
     """
     if s_max <= 0:
         raise ValueError("s_max must be > 0")
     if ds <= 0:
         raise ValueError("ds must be > 0")
-    n = int(math.floor(s_max / ds + 1e-9))
-    brackets = []
-    prev_s = None
-    prev_sign = None
-    for j in range(1, n + 1):
-        s = j * ds
-        sample = _det_at_s(system, s, rel_tol)
-        sign = sample.sign
-        if sign == 0:
-            # exact zero on a grid point: vanishingly unlikely; skip the point
-            # and let the neighbours bracket the root
-            continue
-        if prev_sign is not None and sign != prev_sign:
-            brackets.append((prev_s, s))
-        prev_s, prev_sign = s, sign
-    return brackets
+    return _extend_scan(system, _Brackets(), s_max, ds, rel_tol)
 
 
 def refine(system, bracket, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_TOL):
@@ -220,10 +255,6 @@ class Eigenpair:
     def sv_gap(self):
         sv = self.singular_values
         return float(sv[2] / max(sv[3], 1e-300))
-
-
-def _quadrature_weights_ok(xs):
-    return len(xs) >= 3 and len(xs) % 2 == 1
 
 
 def _coeff_samples(profile, xs, name):
@@ -403,7 +434,7 @@ def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL, ds=DEFAULT_DS,
     tries = 0
     while len(brackets) < count and tries < 6:
         s_max *= 1.3
-        brackets = scan(system, s_max, ds, rel_tol)
+        brackets = _extend_scan(system, brackets, s_max, ds, rel_tol)
         tries += 1
     if len(brackets) < count:
         raise RuntimeError(

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from beamspec.cli import main
 
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 CONFIG_DIR = "configs"
 UNIFORM_M0 = f"{CONFIG_DIR}/uniform_m0.json"
 UNIFORM_M1 = f"{CONFIG_DIR}/uniform_m1.json"
@@ -79,6 +84,10 @@ def test_modes_csv(capsys):
     assert code == 0
     header, rows = csv_rows(out)
     assert header == ["x", "n", "u", "du", "moment", "shear_q"]
+    # 65 is raised to the 129 stations per side the mode assembly needs,
+    # and the manifest reports what was used
+    assert "# stations_per_side: 129" in out.splitlines()
+    assert len(rows) == 2 * 129
     xs = np.array([float(r[0]) for r in rows])
     us = np.array([float(r[2]) for r in rows])
     moments = np.array([float(r[4]) for r in rows])
@@ -136,6 +145,32 @@ def test_modes_zero_is_usage_error(capsys):
     code, _, err = run(capsys, ["spectrum", UNIFORM_M0, "--modes", "0"])
     assert code == 2
     assert "modes" in err
+
+
+@pytest.mark.parametrize("tol", ["1e-3", "1e-14", "nan"])
+def test_tol_out_of_range_is_usage_error(capsys, tol):
+    code, out, err = run(capsys, ["spectrum", UNIFORM_M0, "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    # ~400 kB of CSV: far more than a pipe buffers, so the writer meets the
+    # closed pipe mid-output, as under `beamspec modes ... | head -1`
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "beamspec.cli", "modes", UNIFORM_M0,
+             "--modes", "2", "--stations", "1025"],
+            stdout=subprocess.PIPE, stderr=err, env=env)
+        assert proc.stdout.readline().startswith(b"# command: modes")
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert err_path.read_text() == ""
+    assert code == 0
 
 
 def test_bad_config_exit_2(tmp_path, capsys):

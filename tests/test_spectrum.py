@@ -6,8 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import beamspec.spectrum as spectrum
 from beamspec.config import uniform_system, variable_system
+from beamspec.fundamental import (
+    LEFT_UNIT_SHEAR,
+    LEFT_UNIT_SLOPE,
+    RIGHT_UNIT_SHEAR,
+    RIGHT_UNIT_SLOPE,
+)
+from beamspec.quasi import DEFAULT_REL_TOL, _batch_final_states, _final_states
 from beamspec.spectrum import (
+    DEFAULT_DS,
     BracketError,
     char_det,
     det_slope,
@@ -131,6 +140,54 @@ def test_scan_counts_stable_under_refinement(uniform_m0):
     coarse = scan(uniform_m0, s_max, ds=0.02)
     fine = scan(uniform_m0, s_max, ds=0.01)
     assert len(coarse) == len(fine)
+
+
+@pytest.mark.parametrize("name", ["uniform_m0", "variable_m1"])
+def test_batched_signs_match_scalar_determinant(shipped_systems, name):
+    # every grid point of the scan, not only the brackets
+    system = shipped_systems[name]
+    n = int(math.floor(suggest_s_max(system, 6) / DEFAULT_DS + 1e-9))
+    s = DEFAULT_DS * np.arange(1, n + 1)
+    batched = spectrum._grid_signs(system, s, DEFAULT_REL_TOL)
+    scalar = [char_det(system, lam).sign for lam in (s ** 4).tolist()]
+    assert batched.tolist() == scalar
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_mixed_batch_matches_scalar_endpoints(side):
+    # 240**4 overflows past 1e100 and is rescaled; 10 in the same batch is not
+    profile = getattr(variable_system(), side)
+    if side == "left":
+        x_from, inits = -1.0, [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR]
+    else:
+        x_from, inits = 1.0, [RIGHT_UNIT_SLOPE, RIGHT_UNIT_SHEAR]
+    lams = [10.0, 240.0 ** 4]
+    finals, log_scale = _batch_final_states(profile, lams, x_from, 0.0, inits)
+    assert log_scale[0] == 0.0 and log_scale[1] > 200.0
+    for i, lam in enumerate(lams):
+        ref, ref_log = _final_states(profile, lam, x_from, 0.0, inits)
+        big, ref_big = np.max(np.abs(finals[i])), np.max(np.abs(ref))
+        np.testing.assert_allclose(finals[i] / big, ref / ref_big, rtol=0, atol=1e-12)
+        assert abs(log_scale[i] + math.log(big) - ref_log - math.log(ref_big)) <= 5e-9
+
+
+def test_retry_extends_grid_with_new_points_only(monkeypatch, uniform_m0_modes):
+    # a ceiling of 3.15 ends the first grid at 3.14, just below the root at
+    # pi; the retries must bracket it across the old ceiling
+    seen = []
+    real = spectrum._grid_signs
+
+    def spy(system, s, rel_tol):
+        seen.append(s)
+        return real(system, s, rel_tol)
+
+    monkeypatch.setattr(spectrum, "_grid_signs", spy)
+    monkeypatch.setattr(spectrum, "suggest_s_max", lambda system, count: 3.15)
+    pairs = solve_modes(UNIFORM, 4)
+    assert [p.lam for p in pairs] == [p.lam for p in uniform_m0_modes[:4]]
+    assert len(seen) > 1
+    grid = np.concatenate(seen)
+    np.testing.assert_array_equal(grid, DEFAULT_DS * np.arange(1, len(grid) + 1))
 
 
 def test_eigenpair_mode1_closed_form(uniform_m0_modes):
