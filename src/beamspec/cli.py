@@ -19,7 +19,7 @@ from . import __version__
 from .config import ConfigError, load_system
 from .fem import assemble, compare, solve_generalized
 from .quasi import REL_TOL_MAX, REL_TOL_MIN, IntegrationError
-from .spectrum import det_slope, solve_modes, verify
+from .spectrum import probe, solve_modes, verify
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,11 +66,9 @@ def cmd_spectrum(args):
     system = load_system(args.config)
     start = time.perf_counter()
     pairs = solve_modes(system, args.modes, rel_tol=args.tol)
-    rows = []
-    for pair in pairs:
-        slope, _ = det_slope(system, pair.lam, args.tol)
-        rows.append((pair.index, pair.lam, pair.lam ** 0.25, pair.u0,
-                     slope, pair.sv_gap))
+    slopes, _, _ = probe(system, [pair.lam for pair in pairs], args.tol)
+    rows = [(pair.index, pair.lam, pair.lam ** 0.25, pair.u0, float(slope), pair.sv_gap)
+            for pair, slope in zip(pairs, slopes)]
     wall = time.perf_counter() - start
     out, close = _open_out(args.out)
     try:

@@ -9,15 +9,15 @@ Tu = (sigma*u'')' - q*u'.  In these variables the fourth-order equation
 and no derivative of sigma or q is ever evaluated.  u'' is recovered as
 w3/sigma when needed.
 
-Two drivers integrate it:
+Two drivers integrate it, both with the DOP853 tableau:
 
-* scalar (one lam): DOP853, adaptive 8th-order embedded pair with dense
-  output, used for single-lam work (root refinement, determinant slope,
-  fundamental pairs and mode assembly);
-* batched (many lam at once): a Dormand-Prince 5(4) pair stepped with
-  numpy over a lam axis, used by the determinant scan.  All lam share one
-  step sequence, and the step error is a max over every component, so the
-  hardest lam of the batch sets the step.
+* scalar (one lam): scipy's solve_ivp with dense output, used for single
+  brackets (refine), fundamental pairs and mode assembly;
+* batched (many lam at once): the same tableau stepped with numpy over a
+  lam axis, used for every endpoint-only evaluation of a solve (the
+  determinant scan, lock-step root refinement and the simplicity probe).
+  Each lam takes its own steps, its step error being a max over its
+  components, so its result does not depend on the rest of the batch.
 
 Both renormalize the state to unit max-norm whenever it exceeds 1e100
 (the batched driver per lam), accumulating the removed factors as a log,
@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from .config import eval_coeff, horner
 
@@ -256,29 +257,30 @@ def integrate_scaled(profile, lam, x_from, x_to, init, rel_tol=DEFAULT_REL_TOL,
                          n_stations, scaled=True)[0]
 
 
-# Dormand-Prince 5(4) tableau; the last stage of a step is the first of the
-# next (FSAL), and _DP_E gives the embedded error from all seven stages.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_DP_A = (
-    None,
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-)
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_DP_E = np.array([-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200,
-                  -22 / 525, 1 / 40])
+# DOP853 tableau (Hairer, Norsett & Wanner), taken from the (private)
+# module that scipy's solve_ivp(method="DOP853") reads, so both drivers step
+# the same method and the coefficients have one source.  Stages 0..11 make
+# a step; f(x + h, y_new) of an accepted step is the next step's stage 0
+# (FSAL).  E5 and E3 give the 5th- and 3rd-order error estimates from
+# stages 0..11.
+_DOP_A = _dop853.A[:_dop853.N_STAGES, :_dop853.N_STAGES]
+_DOP_B = _dop853.B
+_DOP_C = _dop853.C[:_dop853.N_STAGES]
+_DOP_E5 = _dop853.E5[:_dop853.N_STAGES]
+_DOP_E3 = _dop853.E3[:_dop853.N_STAGES]
 
 
 def _batch_final_states(profile, lams, x_from, x_to, inits,
                         rel_tol=DEFAULT_REL_TOL):
     """Endpoint states of k initial states for N values of lam at once.
 
-    All lam share one adaptive step sequence.  The step error is the max
-    over every component of every lam (an RMS would average away the error
-    of the largest lam).  Each lam carries its own overflow log scale.
+    Every lam takes its own adaptive DOP853 steps, advanced together as
+    numpy operations over a lam axis, so the result for one lam does not
+    depend on which other lam share the batch; a lam leaves the batch when
+    it reaches x_to.  The step error of a lam is DOP853's combined
+    5th/3rd-order estimate, taken per component and maxed over all its
+    components (an RMS would average away the error of the fastest-growing
+    one).  Each lam carries its own overflow log scale.
     Returns (finals (N, k, 4), log_scale (N,)): the true endpoint state of
     column j at lams[i] is finals[i, j] * exp(log_scale[i]).
     """
@@ -287,58 +289,86 @@ def _batch_final_states(profile, lams, x_from, x_to, inits,
     inits = np.atleast_2d(np.asarray(inits, dtype=float))
     rtol = max(rel_tol / 10.0, 2.3e-14)
     atol = rel_tol * 1e-6
-    # component-major layout (4, N, k): every RHS row is one contiguous slice
-    y = np.empty((4, lams.size, inits.shape[0]))
-    y[:] = inits.T[:, None, :]
-    lam = lams[:, None]
+    n_stages = _DOP_C.size
+    # layout (4 components, k columns, N lam): lam is the contiguous axis,
+    # so every per-lam factor broadcasts along it
+    finals = np.empty((4, inits.shape[0], lams.size))
+    final_log = np.zeros(lams.size)
+    # the running lam: their index, parameter, position, next trial step,
+    # state, log scale and FSAL stage
+    idx = np.arange(lams.size)
+    lam = lams
+    x = np.full(lams.size, float(x_from))
+    h = np.full(lams.size, 0.01 * abs(x_to - x_from))   # first trial
+    y = np.empty_like(finals)
+    y[:] = inits.T[:, :, None]
     log_scale = np.zeros(lams.size)
-    stages = np.empty((7,) + y.shape)
-    # stage sums use einsum, not tensordot: the BLAS matrix-vector product
-    # goes multithreaded past ~1000 lam and then ran 8x slower per step on
-    # two cores shared with another process
+    direction = 1.0 if x_to > x_from else -1.0
 
-    def rhs(w, sig, q, rho, out):
+    def rhs(w, sig, q, lam_rho, out):
         out[0] = w[1]
         np.divide(w[2], sig, out=out[1])
         np.multiply(w[1], q, out=out[2])
         out[2] += w[3]
-        np.multiply(w[0], lam * rho, out=out[3])
+        np.multiply(w[0], lam_rho, out=out[3])
 
-    coeffs = [eval_coeff(profile, name, x_from) for name in ("sigma", "q", "rho")]
-    rhs(y, *coeffs, stages[0])
-    x = x_from
-    span = abs(x_to - x_from)
-    direction = 1.0 if x_to > x_from else -1.0
-    h = 0.01 * span   # first trial; the controller shrinks it as needed
-    while x != x_to:
-        last = h >= abs(x_to - x)
-        if last:
-            h = abs(x_to - x)
+    def coeffs(x):
+        # sigma, q and lam*rho at points x (..., N)
+        return (eval_coeff(profile, "sigma", x), eval_coeff(profile, "q", x),
+                lam * eval_coeff(profile, "rho", x))
+
+    def combine(weights, upto):
+        # stage sums use einsum, not tensordot: the BLAS matrix-vector
+        # product goes multithreaded past ~1000 lam and then ran 8x slower
+        # per step on two cores shared with another process
+        return np.einsum("i,i...->...", weights[:upto], stages[:upto])
+
+    f0 = np.empty_like(y)
+    rhs(y, *coeffs(x), f0)
+    while idx.size:
+        stages = np.empty((n_stages,) + y.shape)
+        stages[0] = f0
+        rest = np.abs(x_to - x)
+        last = h >= rest
+        h = np.where(last, rest, h)
         hs = direction * h
-        if x + hs == x:
-            raise IntegrationError("step size underflow", x)
-        xs = x + _DP_C[1:] * hs
-        sig, q, rho = (eval_coeff(profile, name, xs) for name in ("sigma", "q", "rho"))
-        for i in range(1, 6):
-            rhs(y + hs * np.einsum("i,i...->...", _DP_A[i], stages[:i]),
-                sig[i - 1], q[i - 1], rho[i - 1], stages[i])
-        y_new = y + hs * np.einsum("i,i...->...", _DP_B, stages[:6])
-        rhs(y_new, sig[4], q[4], rho[4], stages[6])
+        stuck = x + hs == x
+        if stuck.any():
+            raise IntegrationError("step size underflow", float(x[stuck][0]))
+        # the last abscissa is x + h (C[11] = 1), where f0 of the next step
+        # is taken too
+        sig, q, lam_rho = coeffs(x + _DOP_C[1:, None] * hs)
+        for i in range(1, n_stages):
+            rhs(y + hs * combine(_DOP_A[i], i), sig[i - 1], q[i - 1], lam_rho[i - 1],
+                stages[i])
+        y_new = y + hs * combine(_DOP_B, n_stages)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.max(np.abs(np.einsum("i,i...->...", _DP_E, stages)) / scale)) * h
-        if err <= 1.0:
-            x = x_to if last else x + hs
-            y = y_new
-            stages[0] = stages[6]
-            if np.max(np.abs(y)) > OVERFLOW_LIMIT:
-                big = np.abs(y).max(axis=2).max(axis=0)
-                over = big > OVERFLOW_LIMIT
-                # rescale the state and the carried FSAL stage alike
-                y[:, over] /= big[over][:, None]
-                stages[0][:, over] /= big[over][:, None]
-                log_scale[over] += np.log(big[over])
-            grow = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.2)
-        else:
-            grow = max(0.2, 0.9 * err ** -0.2)
-        h *= grow
-    return y.transpose(1, 2, 0), log_scale
+        err5 = combine(_DOP_E5, n_stages) / scale
+        err3 = combine(_DOP_E3, n_stages) / scale
+        err5 *= err5
+        denom = np.sqrt(err5 + 0.01 * err3 * err3)
+        err = np.max(np.divide(err5, denom, out=np.zeros_like(err5), where=denom > 0.0),
+                     axis=(0, 1)) * h
+        ok = err <= 1.0
+        x = np.where(ok, np.where(last, x_to, x + hs), x)
+        y = np.where(ok, y_new, y)
+        # stage 11 is spent once the error is known: its slot takes f(x + h, y_new)
+        rhs(y_new, sig[-1], q[-1], lam_rho[-1], stages[-1])
+        f0 = np.where(ok, stages[-1], f0)
+        big = np.abs(y).max(axis=(0, 1))
+        over = big > OVERFLOW_LIMIT
+        if over.any():
+            # rescale the state and the carried FSAL stage alike
+            y[..., over] /= big[over]
+            f0[..., over] /= big[over]
+            log_scale[over] += np.log(big[over])
+        with np.errstate(divide="ignore"):
+            h = h * np.clip(0.9 * err ** -0.125, 0.2, 10.0)
+        done = ok & last
+        if done.any():
+            finals[..., idx[done]] = y[..., done]
+            final_log[idx[done]] = log_scale[done]
+            keep = ~done
+            idx, lam, x, h = idx[keep], lam[keep], x[keep], h[keep]
+            y, f0, log_scale = y[..., keep], f0[..., keep], log_scale[keep]
+    return finals.transpose(2, 1, 0), final_log

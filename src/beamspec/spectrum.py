@@ -13,10 +13,13 @@ Eigenvalues are the zeros of its determinant.  The determinant is tracked
 as (sign, log magnitude) so the sign survives the exponential growth of the
 fundamental solutions at large lam.  The scan runs on a uniform grid in
 s = lam**(1/4), where the roots are asymptotically equispaced; it
-integrates every grid point of a span in one batched pass and reads all
-determinant signs from one stacked determinant.  Refinement (Brent), the
-simplicity slope and mode assembly evaluate one lam at a time on the
-scalar DOP853 path.
+integrates every grid point of a span in one batched DOP853 pass and reads
+all determinant signs from one stacked determinant.  The paper's theorem
+(every eigenvalue is simple) makes each bracket hold one root, so
+solve_modes refines all brackets in lock step, one batched pass per
+iteration, and verify reads the simplicity slope and the joint step class
+of every mode from one batched probe.  The scalar DOP853 path serves
+refine on single brackets and mode assembly.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
-from .config import GRID_POINTS, horner
+from .config import GRID_POINTS, eval_coeff
 from .fundamental import (
     LEFT_UNIT_SHEAR,
     LEFT_UNIT_SLOPE,
@@ -37,7 +41,6 @@ from .fundamental import (
     RIGHT_UNIT_SLOPE,
     left_fundamental,
     right_fundamental,
-    subwronskians,
 )
 from .quasi import DEFAULT_REL_TOL, _batch_final_states, _final_states
 
@@ -161,16 +164,20 @@ class _Brackets(list):
     last = None
 
 
-def _grid_signs(system, s, rel_tol):
-    """Determinant signs at every s of a grid, in one batched pass per span."""
-    lams = s ** 4
+def _batch_dets(system, lams, rel_tol):
+    """Endpoint pairs of both spans and (sign, log |det|) at every lam, batched."""
     left, log_l = _batch_final_states(system.left, lams, -1.0, 0.0,
                                       [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR], rel_tol)
     right, log_r = _batch_final_states(system.right, lams, 1.0, 0.0,
                                        [RIGHT_UNIT_SLOPE, RIGHT_UNIT_SHEAR], rel_tol)
     col_log = np.stack([log_l, log_l, log_r, log_r], axis=-1)
-    sign, _ = _signed_log_det(_build_matrix(left, right, system.mass, lams), col_log)
-    return sign
+    sign, log_abs = _signed_log_det(_build_matrix(left, right, system.mass, lams), col_log)
+    return left, right, sign, log_abs
+
+
+def _grid_signs(system, s, rel_tol):
+    """Determinant signs at every s of a grid, in one batched pass per span."""
+    return _batch_dets(system, s ** 4, rel_tol)[2]
 
 
 def _extend_scan(system, brackets, s_max, ds, rel_tol):
@@ -209,7 +216,17 @@ def scan(system, s_max, ds=DEFAULT_DS, rel_tol=DEFAULT_REL_TOL):
 
 
 def refine(system, bracket, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_TOL):
-    """Root of the determinant inside a sign-change bracket, to tol_lambda_rel in lam."""
+    """Root of the determinant inside a sign-change bracket, to tol_lambda_rel in lam.
+
+    Brent's method on the scalar DOP853 path, one determinant at a time.
+    solve_modes refines all its brackets together with refine_brackets;
+    this scalar path stays for single brackets at large lam, where the
+    answer above mode 12 of the uniform system is set by cancellation noise
+    in the determinant: routed through the batched integrator or
+    find_root, mode 16 of uniform M=0 moved from 2.1e-8 to about 2.3e-7
+    relative error, past the 1e-7 acceptance bound.  A determinant without
+    that cancellation (compound matrices) would let one path serve both.
+    """
     s_lo, s_hi = bracket
     d_lo = _det_at_s(system, s_lo, rel_tol)
     d_hi = _det_at_s(system, s_hi, rel_tol)
@@ -227,6 +244,51 @@ def refine(system, bracket, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_TOL):
     s_root = brentq(descaled, s_lo, s_hi, xtol=1e-14,
                     rtol=max(tol_lambda_rel / 4.0, 4e-16))
     return s_root ** 4
+
+
+def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_TOL):
+    """Roots inside many sign-change brackets at once, to tol_lambda_rel in lam.
+
+    Eigenvalues are simple, so each bracket holds one root and the brackets
+    are independent: all are refined in lock step by Chandrupatla's method
+    (scipy.optimize.elementwise.find_root), and every pass evaluates the
+    determinant at one new s per unfinished bracket in one batched
+    integration.  Returns the eigenvalues in bracket order.
+    """
+    s_lo, s_hi = (np.array(ends, dtype=float) for ends in zip(*brackets))
+    n = s_lo.size
+    ends = np.concatenate([s_lo, s_hi])
+    _, _, sign, log_abs = _batch_dets(system, ends ** 4, rel_tol)
+    bad = np.flatnonzero(sign[:n] * sign[n:] >= 0)
+    if bad.size:
+        i = bad[0]
+        raise BracketError(
+            f"determinant does not change sign on [{s_lo[i]:g}, {s_hi[i]:g}]")
+    ref = np.maximum(log_abs[:n], log_abs[n:])
+    # find_root evaluates the bracket ends again before it iterates; serve
+    # those calls from this pass instead of integrating twice more
+    at_ends = dict(zip(ends.tolist(), zip(sign.tolist(), log_abs.tolist())))
+
+    def descaled(s, ref):
+        points = s.tolist()
+        if all(x in at_ends for x in points):
+            sign, log_abs = (np.array(v) for v in zip(*(at_ends[x] for x in points)))
+        else:
+            _, _, sign, log_abs = _batch_dets(system, s ** 4, rel_tol)
+        return sign * np.exp(np.minimum(log_abs - ref, 700.0))
+
+    # xrtol is relative in s, and lam = s**4 has four times the relative
+    # error: /4 would just meet tol_lambda_rel, /40 keeps the shipped
+    # eigenvalues at least as accurate as refine (Brent overshoots its
+    # tolerance on the last step)
+    res = find_root(descaled, (s_lo, s_hi), args=(ref,),
+                    tolerances={"xatol": 1e-14,
+                                "xrtol": max(tol_lambda_rel / 40.0, 4e-16)})
+    if not np.all(res.success):
+        i = int(np.flatnonzero(~res.success)[0])
+        raise RuntimeError(f"root refinement failed on [{s_lo[i]:g}, {s_hi[i]:g}] "
+                           f"(status {int(res.status[i])})")
+    return (res.x ** 4).tolist()
 
 
 @dataclass(frozen=True)
@@ -258,7 +320,8 @@ class Eigenpair:
 
 
 def _coeff_samples(profile, xs, name):
-    return np.polynomial.polynomial.polyval(xs, getattr(profile, name))
+    # eigenpair's name for config.eval_coeff (the one coefficient evaluator)
+    return eval_coeff(profile, name, xs)
 
 
 def eigenpair(system, lam, rel_tol=DEFAULT_REL_TOL,
@@ -346,8 +409,8 @@ def _check_same_stations(phi, psi):
 def h_inner(system, phi, psi):
     """Weighted product int(rho_l u u) + int(rho_r v v) + M u(0) u(0)."""
     _check_same_stations(phi, psi)
-    rho_l = _coeff_samples(system.left, phi.xs_left, "rho")
-    rho_r = _coeff_samples(system.right, phi.xs_right, "rho")
+    rho_l = eval_coeff(system.left, "rho", phi.xs_left)
+    rho_r = eval_coeff(system.right, "rho", phi.xs_right)
     return float(
         simpson(rho_l * phi.mode_left[:, 0] * psi.mode_left[:, 0], x=phi.xs_left)
         + simpson(rho_r * phi.mode_right[:, 0] * psi.mode_right[:, 0], x=phi.xs_right)
@@ -363,49 +426,64 @@ def energy_form(system, phi, psi):
         (system.left, phi.xs_left, phi.mode_left, psi.mode_left),
         (system.right, phi.xs_right, phi.mode_right, psi.mode_right),
     ):
-        sig = _coeff_samples(side, xs, "sigma")
-        q = np.maximum(_coeff_samples(side, xs, "q"), 0.0)
+        sig = eval_coeff(side, "sigma", xs)
+        q = eval_coeff(side, "q", xs)
         out += simpson(m_phi[:, 2] * m_psi[:, 2] / sig, x=xs)
         out += simpson(q * m_phi[:, 1] * m_psi[:, 1], x=xs)
     return float(out)
 
 
-def det_slope(system, lam, rel_tol=DEFAULT_REL_TOL, rel_step=1e-4):
-    """Centred-difference slope of the descaled determinant in s at lam.
+def probe(system, lams, rel_tol=DEFAULT_REL_TOL, rel_step=1e-4, vanish_rel=1e-6):
+    """Simplicity slope, margin and joint step class at every lam, batched.
 
-    Returns (slope, margin) where margin = |f+ - f-| / (|f+| + |f-|) is a
-    dimensionless simplicity indicator: ~1 at a simple root (the two side
-    values have opposite signs), ~0 at a double root.
+    One batched integration covers s - h, s and s + h for every lam
+    (s = lam**0.25, h = max(s, 1) * rel_step).  Returns three arrays:
+
+    * slope: centred difference in s of the determinant, descaled by the
+      larger of its two log magnitudes;
+    * margin = |f+ - f-| / (|f+| + |f-|), a dimensionless simplicity
+      indicator: ~1 at a simple root (the two side values have opposite
+      signs), ~0 at a double root;
+    * step class, the regime of the slope subwronskians at the joint, read
+      from the endpoint pairs at lam: 1 when both spans' slope pairings are
+      nonzero at x = 0, 2 when both vanish (relative to their own triple's
+      scale), 3 when exactly one vanishes.
     """
-    s = lam ** 0.25
-    h = max(s, 1.0) * rel_step
-    lo = _det_at_s(system, s - h, rel_tol)
-    hi = _det_at_s(system, s + h, rel_tol)
-    ref = max(lo.log_abs, hi.log_abs)
-    f_lo = lo.sign * math.exp(min(lo.log_abs - ref, 700.0))
-    f_hi = hi.sign * math.exp(min(hi.log_abs - ref, 700.0))
+    lams = np.asarray(lams, dtype=float)
+    n = lams.size
+    s = lams ** 0.25
+    h = np.maximum(s, 1.0) * rel_step
+    left, right, sign, log_abs = _batch_dets(
+        system, np.concatenate([(s - h) ** 4, lams, (s + h) ** 4]), rel_tol)
+    ref = np.maximum(log_abs[:n], log_abs[2 * n:])
+    f_lo = sign[:n] * np.exp(np.minimum(log_abs[:n] - ref, 700.0))
+    f_hi = sign[2 * n:] * np.exp(np.minimum(log_abs[2 * n:] - ref, 700.0))
     slope = (f_hi - f_lo) / (2.0 * h)
-    margin = abs(f_hi - f_lo) / (abs(f_hi) + abs(f_lo) + 1e-300)
-    return slope, margin
+    margin = np.abs(f_hi - f_lo) / (np.abs(f_hi) + np.abs(f_lo) + 1e-300)
+
+    vanished = 0
+    for profile, pair in ((system.left, left[n:2 * n]), (system.right, right[n:2 * n])):
+        # pairings of the two columns at x = 0; their common overflow scale
+        # cancels in the relative test
+        wa, wb = pair[:, 0].T, pair[:, 1].T
+        slope_pairing = wa[0] * wb[1] - wb[0] * wa[1]
+        curvature = (wa[0] * wb[2] - wb[0] * wa[2]) / eval_coeff(profile, "sigma", 0.0)
+        shear = wa[0] * wb[3] - wb[0] * wa[3]
+        scale = np.max(np.abs([slope_pairing, curvature, shear]), axis=0)
+        vanished = vanished + (np.abs(slope_pairing) <= vanish_rel * scale)
+    step_class = np.array([1, 3, 2])[vanished]
+    return slope, margin, step_class
+
+
+def det_slope(system, lam, rel_tol=DEFAULT_REL_TOL, rel_step=1e-4):
+    """(slope, margin) of the determinant at lam: the one-lam case of probe."""
+    slope, margin, _ = probe(system, [lam], rel_tol, rel_step)
+    return float(slope[0]), float(margin[0])
 
 
 def step_classify(system, lam, rel_tol=DEFAULT_REL_TOL, vanish_rel=1e-6):
-    """Regime of the slope subwronskians at the joint: 1, 2 or 3.
-
-    1: both spans' slope pairings are nonzero at x = 0;
-    2: both vanish (relative to their own triple's scale);
-    3: exactly one vanishes.
-    """
-    vanished = []
-    for build in (left_fundamental, right_fundamental):
-        t = subwronskians(build(system, lam, rel_tol), 0.0)
-        scale = max(abs(t.slope), abs(t.curvature), abs(t.shear))
-        vanished.append(abs(t.slope) <= vanish_rel * scale)
-    if not vanished[0] and not vanished[1]:
-        return 1
-    if vanished[0] and vanished[1]:
-        return 2
-    return 3
+    """Step class (1, 2 or 3) of the joint at lam: the one-lam case of probe."""
+    return int(probe(system, [lam], rel_tol, vanish_rel=vanish_rel)[2][0])
 
 
 def suggest_s_max(system, count):
@@ -418,15 +496,15 @@ def suggest_s_max(system, count):
     for profile in (system.left, system.right):
         lo, hi = profile.interval
         xs = np.linspace(lo, hi, GRID_POINTS)
-        sig = np.polynomial.polynomial.polyval(xs, profile.sigma)
-        rho = np.polynomial.polynomial.polyval(xs, profile.rho)
+        sig = eval_coeff(profile, "sigma", xs)
+        rho = eval_coeff(profile, "rho", xs)
         ratio = max(ratio, float(np.max(sig / rho)))
     return (count + 2) * (math.pi / 2.0) * ratio ** 0.25
 
 
 def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL, ds=DEFAULT_DS,
                 stations_per_side=DEFAULT_MODE_STATIONS):
-    """First `count` eigenpairs, ascending, via scan + refine + assembly."""
+    """First `count` eigenpairs, ascending, via scan + refine_brackets + assembly."""
     if count < 1:
         raise ValueError("count must be >= 1")
     s_max = suggest_s_max(system, count)
@@ -439,11 +517,9 @@ def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL, ds=DEFAULT_DS,
     if len(brackets) < count:
         raise RuntimeError(
             f"found only {len(brackets)} determinant roots below s={s_max:g}")
-    pairs = []
-    for i, bracket in enumerate(brackets[:count]):
-        lam = refine(system, bracket, rel_tol=rel_tol)
-        pairs.append(eigenpair(system, lam, rel_tol, stations_per_side, index=i + 1))
-    return pairs
+    lams = refine_brackets(system, brackets[:count], rel_tol=rel_tol)
+    return [eigenpair(system, lam, rel_tol, stations_per_side, index=i + 1)
+            for i, lam in enumerate(lams)]
 
 
 @dataclass(frozen=True)
@@ -513,9 +589,9 @@ def verify(system, eigenpairs, rel_tol=DEFAULT_REL_TOL):
     if len(eigenpairs) < 2:
         raise ValueError("need at least two eigenpairs")
     n = len(eigenpairs)
+    slopes, margins, classes = probe(system, [p.lam for p in eigenpairs], rel_tol)
     modes = []
     for k, pair in enumerate(eigenpairs):
-        slope, margin = det_slope(system, pair.lam, rel_tol)
         sv = pair.singular_values
         p_left = float(pair.mode_left[0, 1] * pair.mode_left[0, 3])
         p_right = float(pair.mode_right[-1, 1] * pair.mode_right[-1, 3])
@@ -523,14 +599,14 @@ def verify(system, eigenpairs, rel_tol=DEFAULT_REL_TOL):
         modes.append(ModeVerification(
             index=pair.index if pair.index is not None else k + 1,
             lam=pair.lam,
-            det_derivative=slope,
-            det_margin=margin,
+            det_derivative=float(slopes[k]),
+            det_margin=float(margins[k]),
             sv_smallest=float(sv[3]),
             sv_second=float(sv[2]),
             sv_gap=pair.sv_gap,
             product_left=p_left,
             product_right=p_right,
-            step_class=step_classify(system, pair.lam, rel_tol),
+            step_class=int(classes[k]),
             rayleigh_residual=abs(pair.lam - energy),
         ))
 

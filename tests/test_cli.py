@@ -78,6 +78,15 @@ def test_verify_json(capsys):
     assert doc["orthogonality_max_offdiag"] <= 1e-7
 
 
+
+def test_spectrum_slopes_match_verify(capsys):
+    # both commands read det_derivative from the same batched probe
+    _, out, _ = run(capsys, ["spectrum", UNIFORM_M1, "--modes", "4"])
+    _, rows = csv_rows(out)
+    _, doc, _ = run(capsys, ["verify", UNIFORM_M1, "--modes", "4"])
+    verified = [m["det_derivative"] for m in json.loads(doc)["simplicity"]]
+    assert [float(row[4]) for row in rows] == verified
+
 def test_modes_csv(capsys):
     code, out, _ = run(capsys, ["modes", UNIFORM_M0, "--modes", "1",
                                 "--stations", "65"])

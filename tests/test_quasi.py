@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from beamspec.config import CoefficientProfile, uniform_system
-from beamspec.quasi import integrate, integrate_scaled, vector_field
+from beamspec.config import CoefficientProfile, uniform_system, variable_system
+from beamspec.quasi import _batch_final_states, integrate, integrate_scaled, vector_field
 
 UNIFORM_LEFT = uniform_system().left
 
@@ -155,3 +155,18 @@ def test_right_to_left_direction():
     np.testing.assert_allclose(traj.final_state, [1, -1, 0, 0], atol=1e-13)
     assert traj.xs[0] == 1.0 and traj.xs[-1] == 0.0
     assert np.all(np.diff(traj.xs) < 0)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_batch_result_does_not_depend_on_the_batch(side):
+    # every lam steps on its own, so a lam integrated alone gives the same
+    # bits as inside any batch (scipy's find_root needs an elementwise f)
+    profile = getattr(variable_system(), side)
+    x_from = -1.0 if side == "left" else 1.0
+    inits = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
+    lams = [10.0, 3e3, 240.0 ** 4, 77.7, 1.5e5]
+    finals, log_scale = _batch_final_states(profile, lams, x_from, 0.0, inits)
+    for i, lam in enumerate(lams):
+        alone, alone_log = _batch_final_states(profile, [lam], x_from, 0.0, inits)
+        np.testing.assert_array_equal(alone[0], finals[i])
+        assert alone_log[0] == log_scale[i]

@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 import beamspec.spectrum as spectrum
+import conftest
 from beamspec.config import uniform_system, variable_system
 from beamspec.fundamental import (
     LEFT_UNIT_SHEAR,
     LEFT_UNIT_SLOPE,
     RIGHT_UNIT_SHEAR,
     RIGHT_UNIT_SLOPE,
+    left_fundamental,
+    right_fundamental,
+    subwronskians,
 )
 from beamspec.quasi import DEFAULT_REL_TOL, _batch_final_states, _final_states
 from beamspec.spectrum import (
@@ -24,7 +28,9 @@ from beamspec.spectrum import (
     energy_form,
     h_inner,
     interface_matrix,
+    probe,
     refine,
+    refine_brackets,
     scan,
     solve_modes,
     step_classify,
@@ -134,6 +140,56 @@ def test_refine_rejects_bad_bracket():
     with pytest.raises(BracketError):
         refine(UNIFORM, (0.5, 0.6))
 
+
+
+def test_refine_brackets_rejects_bad_bracket():
+    with pytest.raises(BracketError):
+        refine_brackets(UNIFORM, [(1.56, 1.58), (0.5, 0.6)])
+
+
+@pytest.mark.parametrize("name", sorted(conftest.SHIPPED_BUILDERS))
+def test_refine_brackets_matches_scalar_refine(shipped_systems, name):
+    # every bracket of the scan solve_modes makes, lock step against Brent
+    system = shipped_systems[name]
+    brackets = scan(system, suggest_s_max(system, 6))
+    lock_step = refine_brackets(system, brackets)
+    scalar = [refine(system, b) for b in brackets]
+    np.testing.assert_allclose(lock_step, scalar, rtol=5e-11, atol=0)
+
+
+def test_uniform_m0_closed_form_to_1e11(uniform_m0_modes):
+    exact = [(n * math.pi / 2) ** 4 for n in range(1, 7)]
+    np.testing.assert_allclose([p.lam for p in uniform_m0_modes], exact,
+                               rtol=1e-11, atol=0)
+
+
+def test_solve_modes_bit_identical(variable_m1):
+    first = solve_modes(variable_m1, 6)
+    again = solve_modes(variable_m1, 6)
+    assert [p.lam for p in first] == [p.lam for p in again]
+    for a, b in zip(first, again):
+        np.testing.assert_array_equal(a.coeffs, b.coeffs)
+
+
+# upper grid index j of every bracket (s_(j-1), s_j) of scan(system,
+# suggest_s_max(system, 6), ds=0.01), as the Dormand-Prince 5(4) scan found
+# them; the scan's brackets must not depend on its integrator
+BRACKETS_DS_001 = {
+    "uniform_m0": [158, 315, 472, 629, 786, 943, 1100],
+    "uniform_m05": [142, 315, 438, 629, 741, 943, 1048],
+    "uniform_m1": [132, 315, 424, 629, 729, 943, 1038],
+    "uniform_m10": [86, 315, 398, 629, 710, 943, 1023],
+    "variable_m0": [162, 319, 469, 631, 779, 944, 1089, 1257, 1400],
+    "variable_m1": [142, 319, 429, 628, 732, 938, 1040, 1247, 1352],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRACKETS_DS_001))
+def test_scan_brackets_unchanged_at_ds_001(shipped_systems, name):
+    system = shipped_systems[name]
+    brackets = scan(system, suggest_s_max(system, 6), ds=0.01)
+    assert [(round(lo / 0.01), round(hi / 0.01)) for lo, hi in brackets] == \
+        [(j - 1, j) for j in BRACKETS_DS_001[name]]
 
 def test_scan_counts_stable_under_refinement(uniform_m0):
     s_max = 9.42
@@ -270,6 +326,39 @@ def test_det_slope_margin(uniform_m0_modes):
         assert margin >= 1e-6
         assert slope != 0.0
 
+
+
+def dense_probe(system, lam, rel_step=1e-4, vanish_rel=1e-6):
+    """Slope, margin and step class the scalar way: one determinant per side
+    point on the scalar path, and subwronskians of the dense fundamental
+    pairs at x = 0."""
+    s = lam ** 0.25
+    h = max(s, 1.0) * rel_step
+    lo = spectrum._det_at_s(system, s - h, DEFAULT_REL_TOL)
+    hi = spectrum._det_at_s(system, s + h, DEFAULT_REL_TOL)
+    ref = max(lo.log_abs, hi.log_abs)
+    f_lo = lo.sign * math.exp(lo.log_abs - ref)
+    f_hi = hi.sign * math.exp(hi.log_abs - ref)
+    vanished = 0
+    for build in (left_fundamental, right_fundamental):
+        t = subwronskians(build(system, lam), 0.0)
+        scale = max(abs(t.slope), abs(t.curvature), abs(t.shear))
+        vanished += abs(t.slope) <= vanish_rel * scale
+    return ((f_hi - f_lo) / (2.0 * h),
+            abs(f_hi - f_lo) / (abs(f_hi) + abs(f_lo)),
+            (1, 3, 2)[vanished])
+
+
+@pytest.mark.parametrize("name", ["uniform_m1", "variable_m1", "uniform_m10"])
+def test_probe_matches_dense_route(shipped_systems, shipped_modes, name):
+    system = shipped_systems[name]
+    lams = [p.lam for p in shipped_modes[name]]
+    slopes, margins, classes = probe(system, lams)
+    for lam, slope, margin, step_class in zip(lams, slopes, margins, classes):
+        ref_slope, ref_margin, ref_class = dense_probe(system, lam)
+        assert step_class == ref_class
+        assert abs(margin - ref_margin) <= 1e-9
+        assert slope == pytest.approx(ref_slope, rel=1e-6)
 
 def test_verify_uniform_m0(uniform_m0_modes):
     report = verify(UNIFORM, uniform_m0_modes[:4])
