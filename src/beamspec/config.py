@@ -132,10 +132,49 @@ def eval_coeff(profile, which, x):
     inside = (lo - 1e-12 <= xs) & (xs <= hi + 1e-12)
     if not np.all(inside):
         raise ValueError(f"x={xs[~inside][0]:g} outside span [{lo:g}, {hi:g}]")
-    val = horner(getattr(profile, which), xs)
+    val = eval_stacked(getattr(profile, which), which, xs)
+    return float(val) if val.ndim == 0 else val
+
+
+def stack_coeffs(profiles, which):
+    """One named coefficient of several profiles as columns.
+
+    Returns an array (degree + 1, len(profiles)), ascending powers, each
+    column zero-padded to the highest degree (the padding leaves Horner's
+    values unchanged to the last bit).
+    """
+    columns = [getattr(p, which) for p in profiles]
+    out = np.zeros((max(map(len, columns)), len(columns)))
+    for j, c in enumerate(columns):
+        out[:len(c), j] = c
+    return out
+
+
+def eval_stacked(coeffs, which, x):
+    """Horner evaluation of ascending coefficients, one set or stacked columns.
+
+    coeffs is a sequence of coefficients or an array (degree + 1, k) from
+    stack_coeffs; x broadcasts against its columns, e.g. x of shape (..., k)
+    evaluates column j at x[..., j].  No span check: callers keep x inside.
+    q is clamped to zero from below (the accepted tiny-negative band).
+    """
+    val = horner(coeffs, x)
     if which == "q":
         val = np.maximum(val, 0.0)
-    return float(val) if val.ndim == 0 else val
+    return val
+
+
+def mirrored(profile):
+    """The same span under x -> -x: the coefficients of p(-x), opposite side.
+
+    Odd powers change sign.  A solution u of one span gives u(-x) on the
+    mirror, with quasi-derivative state (u, -u', sigma*u'', -Tu).
+    """
+    def flip(coeffs):
+        return tuple(-c if k % 2 else c for k, c in enumerate(coeffs))
+
+    side = "left" if profile.side == "right" else "right"
+    return CoefficientProfile(side, flip(profile.rho), flip(profile.sigma), flip(profile.q))
 
 
 def _parse_side(doc, side):

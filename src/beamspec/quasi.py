@@ -13,14 +13,18 @@ Two drivers integrate it, both with the DOP853 tableau:
 
 * scalar (one lam): scipy's solve_ivp with dense output, used for single
   brackets (refine), fundamental pairs and mode assembly;
-* batched (many lam at once): the same tableau stepped with numpy over a
-  lam axis, used for every endpoint-only evaluation of a solve (the
-  determinant scan, lock-step root refinement and the simplicity probe).
-  Each lam takes its own steps, its step error being a max over its
-  components, so its result does not depend on the rest of the batch.
+* batched (many lam at once): the same tableau stepped with numpy over an
+  axis of entries, one (coefficient set, lam) pair each, used for every
+  endpoint-only evaluation of a solve (the determinant scan, lock-step root
+  refinement and the simplicity probe).  Each entry takes its own steps,
+  its step error being a max over its components, so its result does not
+  depend on the rest of the batch.  The solve puts both spans in one pass:
+  the right span enters as its mirror on (-1, 0) (config.mirrored), whose
+  state is (u, -u', sigma*u'', -Tu); those sign flips are exact, so the
+  mirror reproduces the right span's endpoint states bit for bit.
 
 Both renormalize the state to unit max-norm whenever it exceeds 1e100
-(the batched driver per lam), accumulating the removed factors as a log,
+(the batched driver per entry), accumulating the removed factors as a log,
 so the exponential growth at large lam never overflows and determinant
 signs stay exact.
 """
@@ -34,7 +38,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
-from .config import eval_coeff, horner
+from .config import CoefficientProfile, eval_stacked, horner, stack_coeffs
 
 OVERFLOW_LIMIT = 1e100
 REL_TOL_MIN = 1e-13
@@ -270,39 +274,50 @@ _DOP_E5 = _dop853.E5[:_dop853.N_STAGES]
 _DOP_E3 = _dop853.E3[:_dop853.N_STAGES]
 
 
-def _batch_final_states(profile, lams, x_from, x_to, inits,
+def _batch_final_states(profiles, lams, x_from, x_to, inits,
                         rel_tol=DEFAULT_REL_TOL):
     """Endpoint states of k initial states for N values of lam at once.
 
-    Every lam takes its own adaptive DOP853 steps, advanced together as
-    numpy operations over a lam axis, so the result for one lam does not
-    depend on which other lam share the batch; a lam leaves the batch when
-    it reaches x_to.  The step error of a lam is DOP853's combined
-    5th/3rd-order estimate, taken per component and maxed over all its
-    components (an RMS would average away the error of the fastest-growing
-    one).  Each lam carries its own overflow log scale.
-    Returns (finals (N, k, 4), log_scale (N,)): the true endpoint state of
-    column j at lams[i] is finals[i, j] * exp(log_scale[i]).
+    profiles is one CoefficientProfile or a sequence of P profiles on the
+    same span; every (profile, lam) pair is one batch entry with its own
+    coefficient set.  Every entry takes its own adaptive DOP853 steps,
+    advanced together as numpy operations over an entry axis, so the result
+    of one entry does not depend on which others share the batch; an entry
+    leaves the batch when it reaches x_to.  The step error of an entry is
+    DOP853's combined 5th/3rd-order estimate, taken per component and maxed
+    over all its components (an RMS would average away the error of the
+    fastest-growing one).  Each entry carries its own overflow log scale.
+    Returns (finals, log_scale) of shapes (N, k, 4) and (N,) for one
+    profile, (P, N, k, 4) and (P, N) for a sequence: the true endpoint
+    state of column j is finals[..., i, j, :] * exp(log_scale[..., i]).
     """
+    single = isinstance(profiles, CoefficientProfile)
+    if single:
+        profiles = (profiles,)
     lams = np.asarray(lams, dtype=float)
-    _check_args(profile, lams, x_from, x_to, rel_tol)
+    for profile in profiles:
+        _check_args(profile, lams, x_from, x_to, rel_tol)
     inits = np.atleast_2d(np.asarray(inits, dtype=float))
     rtol = max(rel_tol / 10.0, 2.3e-14)
     atol = rel_tol * 1e-6
     n_stages = _DOP_C.size
-    # layout (4 components, k columns, N lam): lam is the contiguous axis,
-    # so every per-lam factor broadcasts along it
-    finals = np.empty((4, inits.shape[0], lams.size))
-    final_log = np.zeros(lams.size)
-    # the running lam: their index, parameter, position, next trial step,
-    # state, log scale and FSAL stage
-    idx = np.arange(lams.size)
-    lam = lams
-    x = np.full(lams.size, float(x_from))
-    h = np.full(lams.size, 0.01 * abs(x_to - x_from))   # first trial
+    n = len(profiles) * lams.size
+    # layout (4 components, k columns, n entries): the entry is the
+    # contiguous axis, so every per-entry factor broadcasts along it
+    finals = np.empty((4, inits.shape[0], n))
+    final_log = np.zeros(n)
+    # the running entries: their index, coefficient columns
+    # (degree + 1, entries), lam, position, next trial step, state, log
+    # scale and FSAL stage
+    idx = np.arange(n)
+    rho_c, sig_c, q_c = (np.repeat(stack_coeffs(profiles, name), lams.size, axis=1)
+                       for name in ("rho", "sigma", "q"))
+    lam = np.tile(lams, len(profiles))
+    x = np.full(n, float(x_from))
+    h = np.full(n, 0.01 * abs(x_to - x_from))   # first trial
     y = np.empty_like(finals)
     y[:] = inits.T[:, :, None]
-    log_scale = np.zeros(lams.size)
+    log_scale = np.zeros(n)
     direction = 1.0 if x_to > x_from else -1.0
 
     def rhs(w, sig, q, lam_rho, out):
@@ -313,14 +328,14 @@ def _batch_final_states(profile, lams, x_from, x_to, inits,
         np.multiply(w[0], lam_rho, out=out[3])
 
     def coeffs(x):
-        # sigma, q and lam*rho at points x (..., N)
-        return (eval_coeff(profile, "sigma", x), eval_coeff(profile, "q", x),
-                lam * eval_coeff(profile, "rho", x))
+        # sigma, q and lam*rho at points x (..., entries)
+        return (eval_stacked(sig_c, "sigma", x), eval_stacked(q_c, "q", x),
+                lam * eval_stacked(rho_c, "rho", x))
 
     def combine(weights, upto):
         # stage sums use einsum, not tensordot: the BLAS matrix-vector
-        # product goes multithreaded past ~1000 lam and then ran 8x slower
-        # per step on two cores shared with another process
+        # product goes multithreaded past ~1000 entries and then ran 8x
+        # slower per step on two cores shared with another process
         return np.einsum("i,i...->...", weights[:upto], stages[:upto])
 
     f0 = np.empty_like(y)
@@ -370,5 +385,10 @@ def _batch_final_states(profile, lams, x_from, x_to, inits,
             final_log[idx[done]] = log_scale[done]
             keep = ~done
             idx, lam, x, h = idx[keep], lam[keep], x[keep], h[keep]
+            rho_c, sig_c, q_c = rho_c[:, keep], sig_c[:, keep], q_c[:, keep]
             y, f0, log_scale = y[..., keep], f0[..., keep], log_scale[keep]
-    return finals.transpose(2, 1, 0), final_log
+    finals = finals.transpose(2, 1, 0)
+    if single:
+        return finals, final_log
+    shape = (len(profiles), lams.size)
+    return finals.reshape(shape + finals.shape[1:]), final_log.reshape(shape)

@@ -13,13 +13,15 @@ Eigenvalues are the zeros of its determinant.  The determinant is tracked
 as (sign, log magnitude) so the sign survives the exponential growth of the
 fundamental solutions at large lam.  The scan runs on a uniform grid in
 s = lam**(1/4), where the roots are asymptotically equispaced; it
-integrates every grid point of a span in one batched DOP853 pass and reads
-all determinant signs from one stacked determinant.  The paper's theorem
-(every eigenvalue is simple) makes each bracket hold one root, so
-solve_modes refines all brackets in lock step, one batched pass per
-iteration, and verify reads the simplicity slope and the joint step class
-of every mode from one batched probe.  The scalar DOP853 path serves
-refine on single brackets and mode assembly.
+integrates every grid point in one batched DOP853 pass, the left span
+next to the right span mirrored onto (-1, 0), and reads all determinant
+signs from one stacked determinant.  The paper's theorem (every eigenvalue
+is simple) makes each bracket hold one root, so solve_modes refines all
+brackets in lock step, one batched pass per iteration, starting from the
+determinant values the scan kept at the bracket ends; verify reads the
+simplicity slope and the joint step class of every mode from one batched
+probe.  The scalar DOP853 path serves refine on single brackets and mode
+assembly.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from scipy.integrate import simpson
 from scipy.optimize import brentq
 from scipy.optimize.elementwise import find_root
 
-from .config import GRID_POINTS, eval_coeff
+from .config import GRID_POINTS, eval_coeff, mirrored
 from .fundamental import (
     LEFT_UNIT_SHEAR,
     LEFT_UNIT_SLOPE,
@@ -154,30 +156,47 @@ def char_det(system, lam, rel_tol=DEFAULT_REL_TOL):
 
 
 class _Brackets(list):
-    """Sign-change brackets of a scan, plus what extending its grid needs.
+    """Sign-change brackets of a scan, plus what extending and refining need.
 
-    n is the number of grid points s = j*ds scanned so far and last the
-    (s, sign) of the last one with a nonzero determinant.
+    n is the number of grid points s = j*ds scanned so far, last the
+    (s, (sign, log |det|)) of the last one with a nonzero determinant, and
+    ends[i] the (sign, log |det|) at the low and at the high end of
+    bracket i.
     """
 
-    n = 0
-    last = None
+    def __init__(self):
+        super().__init__()
+        self.n = 0
+        self.last = None
+        self.ends = []
+
+
+# the right span's quasi-derivative state from its mirror on (-1, 0):
+# (u, u', sigma*u'', Tu) = MIRROR * (v, v', sigma*v'', Tv) with v(x) = u(-x)
+MIRROR = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 def _batch_dets(system, lams, rel_tol):
-    """Endpoint pairs of both spans and (sign, log |det|) at every lam, batched."""
-    left, log_l = _batch_final_states(system.left, lams, -1.0, 0.0,
-                                      [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR], rel_tol)
-    right, log_r = _batch_final_states(system.right, lams, 1.0, 0.0,
-                                       [RIGHT_UNIT_SLOPE, RIGHT_UNIT_SHEAR], rel_tol)
-    col_log = np.stack([log_l, log_l, log_r, log_r], axis=-1)
-    sign, log_abs = _signed_log_det(_build_matrix(left, right, system.mass, lams), col_log)
-    return left, right, sign, log_abs
+    """Endpoint pairs and (sign, log |det|) at every lam, in one batched pass.
+
+    The right span is integrated as its mirror on (-1, 0), next to the left
+    span and from the same pinned data (the mirror of RIGHT_UNIT_SLOPE and
+    RIGHT_UNIT_SHEAR); sign flips are exact, so its endpoint states equal
+    those of the right span integrated from x = +1 to the last bit.
+    Returns (pairs, sign, log_abs), pairs of shape (2, N, 2, 4) holding the
+    left and the mirrored right endpoint pairs.
+    """
+    pairs, log_scale = _batch_final_states(
+        (system.left, mirrored(system.right)), lams, -1.0, 0.0,
+        [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR], rel_tol)
+    col_log = np.repeat(log_scale.T, 2, axis=-1)
+    matrices = _build_matrix(pairs[0], pairs[1] * MIRROR, system.mass, lams)
+    return (pairs, *_signed_log_det(matrices, col_log))
 
 
-def _grid_signs(system, s, rel_tol):
-    """Determinant signs at every s of a grid, in one batched pass per span."""
-    return _batch_dets(system, s ** 4, rel_tol)[2]
+def _grid_dets(system, s, rel_tol):
+    """(sign, log |det|) at every s of a grid, in one batched pass."""
+    return _batch_dets(system, s ** 4, rel_tol)[1:]
 
 
 def _extend_scan(system, brackets, s_max, ds, rel_tol):
@@ -189,14 +208,16 @@ def _extend_scan(system, brackets, s_max, ds, rel_tol):
     if n <= brackets.n:
         return brackets
     s = ds * np.arange(brackets.n + 1, n + 1)
-    for s_j, sign in zip(s.tolist(), _grid_signs(system, s, rel_tol).tolist()):
-        if sign == 0:
+    sign, log_abs = _grid_dets(system, s, rel_tol)
+    for s_j, det in zip(s.tolist(), zip(sign.tolist(), log_abs.tolist())):
+        if det[0] == 0:
             # exact zero on a grid point: vanishingly unlikely; skip the point
             # and let the neighbours bracket the root
             continue
-        if brackets.last is not None and sign != brackets.last[1]:
+        if brackets.last is not None and det[0] != brackets.last[1][0]:
             brackets.append((brackets.last[0], s_j))
-        brackets.last = (s_j, sign)
+            brackets.ends.append((brackets.last[1], det))
+        brackets.last = (s_j, det)
     brackets.n = n
     return brackets
 
@@ -246,35 +267,43 @@ def refine(system, bracket, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_TOL):
     return s_root ** 4
 
 
-def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_TOL):
+def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_TOL,
+                    ends=None):
     """Roots inside many sign-change brackets at once, to tol_lambda_rel in lam.
 
     Eigenvalues are simple, so each bracket holds one root and the brackets
     are independent: all are refined in lock step by Chandrupatla's method
     (scipy.optimize.elementwise.find_root), and every pass evaluates the
     determinant at one new s per unfinished bracket in one batched
-    integration.  Returns the eigenvalues in bracket order.
+    integration.  ends, when given, holds the (sign, log |det|) at the low
+    and the high end of every bracket as a scan found them (its ends
+    attribute); they are then not integrated again.  Returns the
+    eigenvalues in bracket order.
     """
-    s_lo, s_hi = (np.array(ends, dtype=float) for ends in zip(*brackets))
+    s_lo, s_hi = (np.array(side, dtype=float) for side in zip(*brackets))
     n = s_lo.size
-    ends = np.concatenate([s_lo, s_hi])
-    _, _, sign, log_abs = _batch_dets(system, ends ** 4, rel_tol)
+    if ends is None:
+        _, sign, log_abs = _batch_dets(system, np.concatenate([s_lo, s_hi]) ** 4, rel_tol)
+    else:
+        # low ends first, then high ends, as in the pass above
+        sign, log_abs = np.array(ends, dtype=float).T.reshape(2, -1)
+        sign = sign.astype(int)
     bad = np.flatnonzero(sign[:n] * sign[n:] >= 0)
     if bad.size:
         i = bad[0]
         raise BracketError(
             f"determinant does not change sign on [{s_lo[i]:g}, {s_hi[i]:g}]")
     ref = np.maximum(log_abs[:n], log_abs[n:])
-    # find_root evaluates the bracket ends again before it iterates; serve
-    # those calls from this pass instead of integrating twice more
-    at_ends = dict(zip(ends.tolist(), zip(sign.tolist(), log_abs.tolist())))
+    # find_root evaluates the bracket ends before it iterates; serve those
+    # calls from the values above instead of integrating again
+    at_ends = dict(zip(s_lo.tolist() + s_hi.tolist(), zip(sign.tolist(), log_abs.tolist())))
 
     def descaled(s, ref):
         points = s.tolist()
         if all(x in at_ends for x in points):
             sign, log_abs = (np.array(v) for v in zip(*(at_ends[x] for x in points)))
         else:
-            _, _, sign, log_abs = _batch_dets(system, s ** 4, rel_tol)
+            _, sign, log_abs = _batch_dets(system, s ** 4, rel_tol)
         return sign * np.exp(np.minimum(log_abs - ref, 700.0))
 
     # xrtol is relative in s, and lam = s**4 has four times the relative
@@ -319,11 +348,6 @@ class Eigenpair:
         return float(sv[2] / max(sv[3], 1e-300))
 
 
-def _coeff_samples(profile, xs, name):
-    # eigenpair's name for config.eval_coeff (the one coefficient evaluator)
-    return eval_coeff(profile, name, xs)
-
-
 def eigenpair(system, lam, rel_tol=DEFAULT_REL_TOL,
               stations_per_side=DEFAULT_MODE_STATIONS, index=None):
     """Assemble the normalized mode at a refined eigenvalue lam."""
@@ -361,8 +385,8 @@ def eigenpair(system, lam, rel_tol=DEFAULT_REL_TOL,
                + coeffs[3] * rf.unit_shear.states) * scale_r)[::-1].copy()
 
     u0 = float(mode_l[-1, 0])
-    rho_l = _coeff_samples(system.left, xs_l, "rho")
-    rho_r = _coeff_samples(system.right, xs_r, "rho")
+    rho_l = eval_coeff(system.left, "rho", xs_l)
+    rho_r = eval_coeff(system.right, "rho", xs_r)
     h_sq = (simpson(rho_l * mode_l[:, 0] ** 2, x=xs_l)
             + simpson(rho_r * mode_r[:, 0] ** 2, x=xs_r)
             + system.mass * u0 ** 2)
@@ -453,7 +477,7 @@ def probe(system, lams, rel_tol=DEFAULT_REL_TOL, rel_step=1e-4, vanish_rel=1e-6)
     n = lams.size
     s = lams ** 0.25
     h = np.maximum(s, 1.0) * rel_step
-    left, right, sign, log_abs = _batch_dets(
+    pairs, sign, log_abs = _batch_dets(
         system, np.concatenate([(s - h) ** 4, lams, (s + h) ** 4]), rel_tol)
     ref = np.maximum(log_abs[:n], log_abs[2 * n:])
     f_lo = sign[:n] * np.exp(np.minimum(log_abs[:n] - ref, 700.0))
@@ -461,16 +485,17 @@ def probe(system, lams, rel_tol=DEFAULT_REL_TOL, rel_step=1e-4, vanish_rel=1e-6)
     slope = (f_hi - f_lo) / (2.0 * h)
     margin = np.abs(f_hi - f_lo) / (np.abs(f_hi) + np.abs(f_lo) + 1e-300)
 
-    vanished = 0
-    for profile, pair in ((system.left, left[n:2 * n]), (system.right, right[n:2 * n])):
-        # pairings of the two columns at x = 0; their common overflow scale
-        # cancels in the relative test
-        wa, wb = pair[:, 0].T, pair[:, 1].T
-        slope_pairing = wa[0] * wb[1] - wb[0] * wa[1]
-        curvature = (wa[0] * wb[2] - wb[0] * wa[2]) / eval_coeff(profile, "sigma", 0.0)
-        shear = wa[0] * wb[3] - wb[0] * wa[3]
-        scale = np.max(np.abs([slope_pairing, curvature, shear]), axis=0)
-        vanished = vanished + (np.abs(slope_pairing) <= vanish_rel * scale)
+    # pairings of the two columns at x = 0 on both spans (the mirror flips
+    # the sign of the slope and shear pairings, which the test ignores);
+    # their common overflow scale cancels in the relative test
+    wa, wb = np.moveaxis(pairs[:, n:2 * n], (2, 3), (0, 1))
+    sigma = np.array([[eval_coeff(system.left, "sigma", 0.0)],
+                      [eval_coeff(system.right, "sigma", 0.0)]])
+    slope_pairing = wa[0] * wb[1] - wb[0] * wa[1]
+    curvature = (wa[0] * wb[2] - wb[0] * wa[2]) / sigma
+    shear = wa[0] * wb[3] - wb[0] * wa[3]
+    scale = np.max(np.abs([slope_pairing, curvature, shear]), axis=0)
+    vanished = np.sum(np.abs(slope_pairing) <= vanish_rel * scale, axis=0)
     step_class = np.array([1, 3, 2])[vanished]
     return slope, margin, step_class
 
@@ -517,7 +542,8 @@ def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL, ds=DEFAULT_DS,
     if len(brackets) < count:
         raise RuntimeError(
             f"found only {len(brackets)} determinant roots below s={s_max:g}")
-    lams = refine_brackets(system, brackets[:count], rel_tol=rel_tol)
+    lams = refine_brackets(system, brackets[:count], rel_tol=rel_tol,
+                           ends=brackets.ends[:count])
     return [eigenpair(system, lam, rel_tol, stations_per_side, index=i + 1)
             for i, lam in enumerate(lams)]
 

@@ -9,8 +9,11 @@ from beamspec.config import (
     ConfigError,
     ConstraintError,
     eval_coeff,
+    eval_stacked,
+    mirrored,
     parse_system,
     serialize_system,
+    stack_coeffs,
     uniform_system,
     variable_system,
 )
@@ -72,6 +75,32 @@ def test_eval_coeff_on_array():
     np.testing.assert_array_equal(eval_coeff(profile, "q", np.array([0.2, 0.8])), 0.0)
     with pytest.raises(ValueError):
         eval_coeff(profile, "rho", np.array([0.5, 1.5]))
+
+
+def test_mirrored_profile_is_p_of_minus_x():
+    # odd powers flip sign: the mirror evaluates to the same bits at -x
+    profile = CoefficientProfile("right", rho=(1.0, 0.5, 0.25, -0.125), sigma=(2.0, -1.0),
+                                 q=(1.0, 0.0, 3.0))
+    mirror = mirrored(profile)
+    assert mirror.side == "left" and mirrored(mirror) == profile
+    xs = np.linspace(0.0, 1.0, 101)
+    for name in ("rho", "sigma", "q"):
+        np.testing.assert_array_equal(eval_coeff(mirror, name, -xs),
+                                      eval_coeff(profile, name, xs))
+
+
+def test_stacked_columns_match_eval_coeff():
+    # columns of different degree, zero-padded; q keeps its clamp
+    left, right = variable_system().left, variable_system().right
+    tiny_q = CoefficientProfile("left", rho=(1.0,), sigma=(1.0,), q=(-1e-13,))
+    profiles = (left, mirrored(right), tiny_q)
+    xs = np.linspace(-1.0, 0.0, 33)
+    for name in ("rho", "sigma", "q"):
+        stack = stack_coeffs(profiles, name)
+        assert stack.shape == (max(len(getattr(p, name)) for p in profiles), 3)
+        vals = eval_stacked(stack, name, np.repeat(xs[:, None], 3, axis=1))
+        for j, p in enumerate(profiles):
+            np.testing.assert_array_equal(vals[:, j], eval_coeff(p, name, xs))
 
 
 def test_q_defaults_to_zero():

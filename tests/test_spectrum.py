@@ -8,7 +8,7 @@ import pytest
 
 import beamspec.spectrum as spectrum
 import conftest
-from beamspec.config import uniform_system, variable_system
+from beamspec.config import mirrored, uniform_system, variable_system
 from beamspec.fundamental import (
     LEFT_UNIT_SHEAR,
     LEFT_UNIT_SLOPE,
@@ -204,7 +204,7 @@ def test_batched_signs_match_scalar_determinant(shipped_systems, name):
     system = shipped_systems[name]
     n = int(math.floor(suggest_s_max(system, 6) / DEFAULT_DS + 1e-9))
     s = DEFAULT_DS * np.arange(1, n + 1)
-    batched = spectrum._grid_signs(system, s, DEFAULT_REL_TOL)
+    batched, _ = spectrum._grid_dets(system, s, DEFAULT_REL_TOL)
     scalar = [char_det(system, lam).sign for lam in (s ** 4).tolist()]
     assert batched.tolist() == scalar
 
@@ -227,17 +227,77 @@ def test_mixed_batch_matches_scalar_endpoints(side):
         assert abs(log_scale[i] + math.log(big) - ref_log - math.log(ref_big)) <= 5e-9
 
 
+def assert_mirrored_pass_exact(system, lams):
+    """The right span integrated as its mirror on (-1, 0), next to the left
+    span in one batch, gives the bits of the two one-profile calls."""
+    left_inits = [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR]
+    pairs, log_scale = _batch_final_states((system.left, mirrored(system.right)), lams,
+                                           -1.0, 0.0, left_inits)
+    left, log_l = _batch_final_states(system.left, lams, -1.0, 0.0, left_inits)
+    right, log_r = _batch_final_states(system.right, lams, 1.0, 0.0,
+                                       [RIGHT_UNIT_SLOPE, RIGHT_UNIT_SHEAR])
+    np.testing.assert_array_equal(pairs[0], left)
+    np.testing.assert_array_equal(pairs[1] * spectrum.MIRROR, right)
+    np.testing.assert_array_equal(log_scale, [log_l, log_r])
+
+    _, sign, log_abs = spectrum._batch_dets(system, lams, DEFAULT_REL_TOL)
+    matrices = spectrum._build_matrix(left, right, system.mass, lams)
+    col_log = np.stack([log_l, log_l, log_r, log_r], axis=-1)
+    ref_sign, ref_log_abs = spectrum._signed_log_det(matrices, col_log)
+    np.testing.assert_array_equal(sign, ref_sign)
+    np.testing.assert_array_equal(log_abs, ref_log_abs)
+    return log_r
+
+
+@pytest.mark.parametrize("name", sorted(conftest.SHIPPED_BUILDERS))
+def test_mirrored_pass_matches_one_profile_calls(shipped_systems, name):
+    # every grid point of the scan
+    system = shipped_systems[name]
+    n = int(math.floor(suggest_s_max(system, 6) / DEFAULT_DS + 1e-9))
+    assert_mirrored_pass_exact(system, (DEFAULT_DS * np.arange(1, n + 1)) ** 4)
+
+
+def test_mirrored_pass_matches_in_mixed_batch():
+    # 240**4 overflows past 1e100 and is rescaled; 10 in the same batch is not
+    log_r = assert_mirrored_pass_exact(variable_system(), np.array([10.0, 240.0 ** 4]))
+    assert log_r[0] == 0.0 and log_r[1] > 200.0
+
+
+def test_refinement_reuses_the_scan_bracket_ends(monkeypatch):
+    # the scan already evaluated every bracket end: no batched pass after it
+    # integrates one again, and the eigenvalues equal those refined from
+    # freshly integrated ends
+    count = 6
+    brackets = scan(UNIFORM, suggest_s_max(UNIFORM, count))[:count]
+    ends = np.array(brackets).T.reshape(-1) ** 4
+    fresh = refine_brackets(UNIFORM, brackets)
+    passes = []
+    real = spectrum._batch_dets
+
+    def spy(system, lams, rel_tol):
+        passes.append(lams)
+        return real(system, lams, rel_tol)
+
+    monkeypatch.setattr(spectrum, "_batch_dets", spy)
+    assert [p.lam for p in solve_modes(UNIFORM, count)] == fresh
+    scan_pass, *refine_passes = passes
+    assert np.isin(ends, scan_pass).all()
+    assert refine_passes
+    for lams in refine_passes:
+        assert lams.size <= count and not np.isin(lams, ends).any()
+
+
 def test_retry_extends_grid_with_new_points_only(monkeypatch, uniform_m0_modes):
     # a ceiling of 3.15 ends the first grid at 3.14, just below the root at
     # pi; the retries must bracket it across the old ceiling
     seen = []
-    real = spectrum._grid_signs
+    real = spectrum._grid_dets
 
     def spy(system, s, rel_tol):
         seen.append(s)
         return real(system, s, rel_tol)
 
-    monkeypatch.setattr(spectrum, "_grid_signs", spy)
+    monkeypatch.setattr(spectrum, "_grid_dets", spy)
     monkeypatch.setattr(spectrum, "suggest_s_max", lambda system, count: 3.15)
     pairs = solve_modes(UNIFORM, 4)
     assert [p.lam for p in pairs] == [p.lam for p in uniform_m0_modes[:4]]
