@@ -47,20 +47,14 @@ def _manifest_lines(command, args, extra=None):
     return lines
 
 
-def _write_csv(out, manifest, header, rows, wall_clock):
-    for line in manifest:
-        print(line, file=out)
-    print(f"# wall_clock_s: {wall_clock:.3f}", file=out)
-    print(",".join(header), file=out)
-    for row in rows:
-        print(",".join(_fmt(v) for v in row), file=out)
+def _csv(manifest, header, rows, wall_clock):
+    """CSV text: the manifest, the wall-clock line, the header and the rows."""
+    lines = manifest + [f"# wall_clock_s: {wall_clock:.3f}", ",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
+# Each handler returns (exit code, output text); main writes the text.
 
 def cmd_spectrum(args):
     system = load_system(args.config)
@@ -69,16 +63,9 @@ def cmd_spectrum(args):
     slopes, _, _ = probe(system, [pair.lam for pair in pairs], args.tol)
     rows = [(pair.index, pair.lam, pair.lam ** 0.25, pair.u0, float(slope), pair.sv_gap)
             for pair, slope in zip(pairs, slopes)]
-    wall = time.perf_counter() - start
-    out, close = _open_out(args.out)
-    try:
-        _write_csv(out, _manifest_lines("spectrum", args),
-                   ["n", "lambda", "s", "u0", "det_derivative", "sv_gap"],
-                   rows, wall)
-    finally:
-        if close:
-            out.close()
-    return EXIT_OK
+    return EXIT_OK, _csv(_manifest_lines("spectrum", args),
+                         ["n", "lambda", "s", "u0", "det_derivative", "sv_gap"],
+                         rows, time.perf_counter() - start)
 
 
 def cmd_verify(args):
@@ -96,14 +83,8 @@ def cmd_verify(args):
         "version": __version__,
         "wall_clock_s": round(time.perf_counter() - start, 3),
     }
-    out, close = _open_out(args.out)
-    try:
-        json.dump(doc, out, indent=2)
-        out.write("\n")
-    finally:
-        if close:
-            out.close()
-    return EXIT_OK if report.theorem1_consistent else EXIT_VIOLATION
+    code = EXIT_OK if report.theorem1_consistent else EXIT_VIOLATION
+    return code, json.dumps(doc, indent=2) + "\n"
 
 
 def cmd_modes(args):
@@ -119,16 +100,9 @@ def cmd_modes(args):
                          (pair.xs_right, pair.mode_right)):
             for x, w in zip(xs, mode):
                 rows.append((x, pair.index, w[0], w[1], w[2], w[3]))
-    wall = time.perf_counter() - start
-    out, close = _open_out(args.out)
-    try:
-        _write_csv(out, _manifest_lines("modes", args,
-                                        {"stations_per_side": stations}),
-                   ["x", "n", "u", "du", "moment", "shear_q"], rows, wall)
-    finally:
-        if close:
-            out.close()
-    return EXIT_OK
+    return EXIT_OK, _csv(_manifest_lines("modes", args, {"stations_per_side": stations}),
+                         ["x", "n", "u", "du", "moment", "shear_q"], rows,
+                         time.perf_counter() - start)
 
 
 def cmd_sweep(args):
@@ -145,16 +119,8 @@ def cmd_sweep(args):
         variant = dataclasses.replace(system, mass=mass)
         for pair in solve_modes(variant, args.modes, rel_tol=args.tol):
             rows.append((mass, pair.index, pair.lam))
-    wall = time.perf_counter() - start
-    out, close = _open_out(args.out)
-    try:
-        _write_csv(out, _manifest_lines("sweep", args,
-                                        {"mass_list": args.mass_list}),
-                   ["M", "n", "lambda"], rows, wall)
-    finally:
-        if close:
-            out.close()
-    return EXIT_OK
+    return EXIT_OK, _csv(_manifest_lines("sweep", args, {"mass_list": args.mass_list}),
+                         ["M", "n", "lambda"], rows, time.perf_counter() - start)
 
 
 def cmd_oracle(args):
@@ -169,19 +135,10 @@ def cmd_oracle(args):
          r.rel_error_coarse, r.rel_error_richardson, r.order)
         for r in compare(shooting, coarse, fine)
     ]
-    wall = time.perf_counter() - start
-    out, close = _open_out(args.out)
-    try:
-        _write_csv(out, _manifest_lines("oracle", args,
-                                        {"elements_per_side": args.elements}),
-                   ["n", "shooting", "oracle_coarse", "oracle_fine",
-                    "richardson", "rel_error_coarse", "rel_error_richardson",
-                    "order"],
-                   rows, wall)
-    finally:
-        if close:
-            out.close()
-    return EXIT_OK
+    return EXIT_OK, _csv(_manifest_lines("oracle", args, {"elements_per_side": args.elements}),
+                         ["n", "shooting", "oracle_coarse", "oracle_fine", "richardson",
+                          "rel_error_coarse", "rel_error_richardson", "order"],
+                         rows, time.perf_counter() - start)
 
 
 def _build_parser():
@@ -242,7 +199,13 @@ def main(argv=None):
         print("error: --elements must be >= 4", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _HANDLERS[args.command](args)
+        code, text = _HANDLERS[args.command](args)
+        if args.out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as out:
+                out.write(text)
+        return code
     except BrokenPipeError:
         # the reader closed the pipe (e.g. `| head`); drop the rest of the
         # output, and point stdout at devnull so the final flush cannot raise

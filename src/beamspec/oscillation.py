@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .config import CoefficientProfile, horner
+from .config import CoefficientProfile, eval_coeff, eval_stacked, horner
 from .fundamental import span_pair
 from .quasi import DEFAULT_REL_TOL, DEFAULT_STATIONS, _trajectories
 
@@ -124,14 +124,11 @@ def leighton_nehari_transform(profile, a, b, rel_tol=DEFAULT_REL_TOL,
     lo, hi = profile.interval
     if not (lo - 1e-12 <= a < b <= hi + 1e-12):
         raise ValueError(f"[{a:g}, {b:g}] must lie inside the span [{lo:g}, {hi:g}]")
-    sig_c, q_c, rho_c = profile.sigma, profile.q, profile.rho
+    sig_c, q_c = profile.sigma, profile.q
 
     def rhs(x, y):
         # y = (h, sigma*h', integral of h)
-        q = horner(q_c, x)
-        if q < 0.0:
-            q = 0.0
-        return [y[1] / horner(sig_c, x), q * y[0], y[0]]
+        return [y[1] / horner(sig_c, x), eval_stacked(q_c, "q", x) * y[0], y[0]]
 
     xs = np.linspace(a, b, n_stations)
     sol = solve_ivp(rhs, (a, b), [1.0, 0.0, 0.0], method="DOP853",
@@ -153,8 +150,8 @@ def leighton_nehari_transform(profile, a, b, rel_tol=DEFAULT_REL_TOL,
     if np.any(np.diff(t) <= 0.0):
         raise TheoryViolationError("warped coordinate is not strictly increasing")
     c = gamma / (b - a)
-    sig = np.polynomial.polynomial.polyval(xs, sig_c)
-    rho = np.polynomial.polynomial.polyval(xs, rho_c)
+    sig = eval_coeff(profile, "sigma", xs)
+    rho = eval_coeff(profile, "rho", xs)
     return TransformData(
         a=a, b=b, gamma=gamma, xs=xs, h=h, h_flux=flux, t=t,
         sigma_tilde=(h / c) ** 3 * sig,
@@ -192,9 +189,7 @@ def transform_identity_residual(profile, a, b, lambda_like, init,
         # y = (x, h, sigma*h', W1, W2, W3, W4); the warped system has q = 0
         x, h = y[0], y[1]
         sig = horner(sig_c, x)
-        q = horner(q_c, x)
-        if q < 0.0:
-            q = 0.0
+        q = eval_stacked(q_c, "q", x)
         dxdt = c / h
         sigma_tilde = (h / c) ** 3 * sig
         rho_tilde = c * horner(rho_c, x) / h

@@ -11,22 +11,24 @@ w3/sigma when needed.
 
 Two drivers integrate it, both with the DOP853 tableau:
 
-* scalar (one lam): scipy's solve_ivp with dense output, used for single
-  brackets (refine), fundamental pairs and mode assembly;
+* scalar (one lam): scipy's solve_ivp with dense output at stations, used
+  for fundamental pairs and mode assembly.  integrate_scaled and the
+  fundamental pairs renormalize the state to unit max-norm whenever it
+  exceeds 1e100, accumulating the removed factors as a log, so the
+  exponential growth at large lam never overflows;
 * batched (many lam at once): the same tableau stepped with numpy over an
   axis of entries, one (coefficient set, lam) pair each, used for every
-  endpoint-only evaluation of a solve (the determinant scan, lock-step root
-  refinement and the simplicity probe).  Each entry takes its own steps,
-  its step error being a max over its components, so its result does not
-  depend on the rest of the batch.  The solve puts both spans in one pass:
-  the right span enters as its mirror on (-1, 0) (config.mirrored), whose
-  state is (u, -u', sigma*u'', -Tu); those sign flips are exact, so the
-  mirror reproduces the right span's endpoint states bit for bit.
-
-Both renormalize the state to unit max-norm whenever it exceeds 1e100
-(the batched driver per entry), accumulating the removed factors as a log,
-so the exponential growth at large lam never overflows and determinant
-signs stay exact.
+  determinant (the scan, root refinement, the simplicity probe and
+  char_det).  Each entry takes its own steps, its step error being a max
+  over its components, so its result does not depend on the rest of the
+  batch.  An entry integrates a column pair and keeps it orthonormal past
+  GROWTH_BOUND (stepwise orthonormalisation, Conte 1966), accumulating
+  log det R, so neither overflow nor the alignment of the two columns with
+  the fastest-growing solution costs the determinant its sign or its
+  digits.  The solve puts both spans in one pass: the right span enters as
+  its mirror on (-1, 0) (config.mirrored), whose state is
+  (u, -u', sigma*u'', -Tu); those sign flips are exact, so the mirror
+  reproduces the right span's endpoint states bit for bit.
 """
 
 from __future__ import annotations
@@ -38,9 +40,18 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
-from .config import CoefficientProfile, eval_stacked, horner, stack_coeffs
+from .config import CoefficientProfile, eval_coeff, eval_stacked, horner, stack_coeffs
 
 OVERFLOW_LIMIT = 1e100
+# The batched driver orthonormalises an entry's column pair once its state
+# passes this bound.  Both columns pick up the fastest-growing solution, so
+# the plane they span is resolved only to about eps times the growth since
+# the last orthonormalisation, and eigenvalue errors at large lam scale with
+# the bound (uniform M=0, modes 1-40: 2e-16 at 1e4, 1e-11 at 1e7, 4e-9 at
+# 1e10).  The shipped modes (s <= 10) grow to less than 1e6, so at 1e7 they
+# are integrated as plain pairs; orthonormalising at every step instead
+# doubled the steps of the scan.
+GROWTH_BOUND = 1e7
 REL_TOL_MIN = 1e-13
 REL_TOL_MAX = 1e-6
 DEFAULT_REL_TOL = 1e-10
@@ -57,17 +68,10 @@ class IntegrationError(RuntimeError):
 
 def vector_field(profile, lam, x, state):
     """Right-hand side (w2, w3/sigma, w4 + q*w2, lam*rho*w1) at one point."""
-    lo, hi = profile.interval
-    if not (lo - 1e-12 <= x <= hi + 1e-12):
-        raise ValueError(f"x={x:g} outside span [{lo:g}, {hi:g}]")
+    sig, q, rho = (eval_coeff(profile, name, x) for name in ("sigma", "q", "rho"))
     if lam < 0:
         raise ValueError("lam must be >= 0")
     w1, w2, w3, w4 = (float(c) for c in state)
-    sig = horner(profile.sigma, x)
-    q = horner(profile.q, x)
-    if q < 0.0:
-        q = 0.0
-    rho = horner(profile.rho, x)
     return np.array([w2, w3 / sig, w4 + q * w2, lam * rho * w1])
 
 
@@ -143,13 +147,11 @@ def _check_args(profile, lam, x_from, x_to, rel_tol):
 
 
 def _run(profile, lam, x_from, x_to, inits, rel_tol, n_stations, scaled):
-    """Shared integration driver.
+    """Shared scalar integration driver.
 
     inits is a (k, 4) block of initial states propagated jointly (the system
-    is linear, so columns do not interact).  With n_stations=None only the
-    endpoint states are produced (fast path for determinant scans).
-    Returns (stations xs or None, station states or None, final states (k,4),
-    log_scale, segments).
+    is linear, so columns do not interact).  Returns (stations xs, station
+    states (n_stations, 4k), log_scale, segments).
     """
     _check_args(profile, lam, x_from, x_to, rel_tol)
     inits = np.atleast_2d(np.asarray(inits, dtype=float))
@@ -176,34 +178,31 @@ def _run(profile, lam, x_from, x_to, inits, rel_tol, n_stations, scaled):
         too_big.terminal = True
         events = (too_big,)
 
-    want_dense = n_stations is not None
-    xs = np.linspace(x_from, x_to, n_stations) if want_dense else None
-    station_states = np.empty((n_stations, 4 * k)) if want_dense else None
-    station_logs = np.empty(n_stations) if want_dense else None
+    xs = np.linspace(x_from, x_to, n_stations)
+    station_states = np.empty((n_stations, 4 * k))
+    station_logs = np.empty(n_stations)
     segments = []
     fill = 0
     start = x_from
     while True:
         sol = solve_ivp(
             rhs, (start, x_to), y, method="DOP853",
-            rtol=rtol, atol=atol, dense_output=want_dense, events=events,
+            rtol=rtol, atol=atol, dense_output=True, events=events,
         )
         if sol.status == -1:
             raise IntegrationError(sol.message, float(sol.t[-1]))
         stop = float(sol.t[-1])
-        if want_dense:
-            segments.append((sol.sol, log_scale))
-            j = fill
-            while j < n_stations and (xs[j] - stop) * direction <= 1e-12:
-                j += 1
-            if j > fill:
-                block = sol.sol(xs[fill:j])
-                station_states[fill:j] = block.T
-                station_logs[fill:j] = log_scale
-                fill = j
-        y_end = sol.y[:, -1].copy()
+        segments.append((sol.sol, log_scale))
+        j = fill
+        while j < n_stations and (xs[j] - stop) * direction <= 1e-12:
+            j += 1
+        if j > fill:
+            station_states[fill:j] = sol.sol(xs[fill:j]).T
+            station_logs[fill:j] = log_scale
+            fill = j
         if sol.status == 1:
             # overflow guard fired: renormalize and continue from the event point
+            y_end = sol.y[:, -1]
             norm = float(np.max(np.abs(y_end)))
             y = y_end / norm
             log_scale += math.log(norm)
@@ -211,18 +210,16 @@ def _run(profile, lam, x_from, x_to, inits, rel_tol, n_stations, scaled):
             continue
         break
 
-    if want_dense:
-        if fill != n_stations:
-            raise IntegrationError("integration stopped before the far end", stop)
-        station_states *= np.exp(station_logs - log_scale)[:, None]
-    finals = y_end.reshape(k, 4)
-    return xs, station_states, finals, log_scale, tuple(segments)
+    if fill != n_stations:
+        raise IntegrationError("integration stopped before the far end", stop)
+    station_states *= np.exp(station_logs - log_scale)[:, None]
+    return xs, station_states, log_scale, tuple(segments)
 
 
 def _trajectories(profile, lam, x_from, x_to, inits, rel_tol=DEFAULT_REL_TOL,
                   n_stations=DEFAULT_STATIONS, scaled=False):
     """Integrate k initial states jointly; returns one Trajectory per state."""
-    xs, states, _, log_scale, segments = _run(
+    xs, states, log_scale, segments = _run(
         profile, lam, x_from, x_to, inits, rel_tol, n_stations, scaled)
     k = states.shape[1] // 4
     return [
@@ -230,14 +227,6 @@ def _trajectories(profile, lam, x_from, x_to, inits, rel_tol=DEFAULT_REL_TOL,
                    log_scale=log_scale, segments=segments, column=i)
         for i in range(k)
     ]
-
-
-def _final_states(profile, lam, x_from, x_to, inits, rel_tol=DEFAULT_REL_TOL,
-                  scaled=True):
-    """Endpoint states only (no dense output); returns ((k,4), log_scale)."""
-    _, _, finals, log_scale, _ = _run(
-        profile, lam, x_from, x_to, inits, rel_tol, None, scaled)
-    return finals, log_scale
 
 
 def integrate(profile, lam, x_from, x_to, init, rel_tol=DEFAULT_REL_TOL,
@@ -274,9 +263,33 @@ _DOP_E5 = _dop853.E5[:_dop853.N_STAGES]
 _DOP_E3 = _dop853.E3[:_dop853.N_STAGES]
 
 
+def _orthonormalise(y, *carried):
+    """Gram-Schmidt of the column pairs y = Q R, shape (4, 2, entries).
+
+    The second column is orthogonalised twice, since once loses the
+    orthogonality of nearly parallel columns.  Returns Q, log det R =
+    log(r11 * r22) and every array of carried (same layout) mapped by R^-1;
+    det R is positive, so determinant signs stay exact.
+    """
+    a, b = y[:, 0], y[:, 1]
+    r11 = np.sqrt(np.sum(a * a, axis=0))
+    q1 = a / r11
+    r12 = np.sum(q1 * b, axis=0)
+    b = b - r12 * q1
+    again = np.sum(q1 * b, axis=0)
+    b = b - again * q1
+    r12 = r12 + again
+    r22 = np.sqrt(np.sum(b * b, axis=0))
+    mapped = []
+    for f in carried:
+        f1 = f[:, 0] / r11
+        mapped.append(np.stack([f1, (f[:, 1] - r12 * f1) / r22], axis=1))
+    return (np.stack([q1, b / r22], axis=1), np.log(r11 * r22), *mapped)
+
+
 def _batch_final_states(profiles, lams, x_from, x_to, inits,
                         rel_tol=DEFAULT_REL_TOL):
-    """Endpoint states of k initial states for N values of lam at once.
+    """Endpoint pairs of two initial states for N values of lam at once.
 
     profiles is one CoefficientProfile or a sequence of P profiles on the
     same span; every (profile, lam) pair is one batch entry with its own
@@ -286,10 +299,13 @@ def _batch_final_states(profiles, lams, x_from, x_to, inits,
     leaves the batch when it reaches x_to.  The step error of an entry is
     DOP853's combined 5th/3rd-order estimate, taken per component and maxed
     over all its components (an RMS would average away the error of the
-    fastest-growing one).  Each entry carries its own overflow log scale.
-    Returns (finals, log_scale) of shapes (N, k, 4) and (N,) for one
-    profile, (P, N, k, 4) and (P, N) for a sequence: the true endpoint
-    state of column j is finals[..., i, j, :] * exp(log_scale[..., i]).
+    fastest-growing one).  Once an entry's state passes GROWTH_BOUND its
+    column pair is replaced by an orthonormal basis Q of the same plane
+    (Y = Q R), log det R joins the entry's log scale, and the entry ends on
+    an orthonormal pair.  Returns (finals, log_scale) of shapes (N, 2, 4)
+    and (N,) for one profile, (P, N, 2, 4) and (P, N) for a sequence: the
+    true endpoint pair spans the plane of finals[..., i, :, :], and its 2x2
+    minors are those of finals[..., i, :, :] times exp(log_scale[..., i]).
     """
     single = isinstance(profiles, CoefficientProfile)
     if single:
@@ -297,15 +313,15 @@ def _batch_final_states(profiles, lams, x_from, x_to, inits,
     lams = np.asarray(lams, dtype=float)
     for profile in profiles:
         _check_args(profile, lams, x_from, x_to, rel_tol)
-    inits = np.atleast_2d(np.asarray(inits, dtype=float))
     rtol = max(rel_tol / 10.0, 2.3e-14)
     atol = rel_tol * 1e-6
     n_stages = _DOP_C.size
     n = len(profiles) * lams.size
-    # layout (4 components, k columns, n entries): the entry is the
+    # layout (4 components, 2 columns, n entries): the entry is the
     # contiguous axis, so every per-entry factor broadcasts along it
-    finals = np.empty((4, inits.shape[0], n))
+    finals = np.empty((4, 2, n))
     final_log = np.zeros(n)
+    fired = np.zeros(n, dtype=bool)
     # the running entries: their index, coefficient columns
     # (degree + 1, entries), lam, position, next trial step, state, log
     # scale and FSAL stage
@@ -316,7 +332,7 @@ def _batch_final_states(profiles, lams, x_from, x_to, inits,
     x = np.full(n, float(x_from))
     h = np.full(n, 0.01 * abs(x_to - x_from))   # first trial
     y = np.empty_like(finals)
-    y[:] = inits.T[:, :, None]
+    y[:] = np.asarray(inits, dtype=float).T[:, :, None]
     log_scale = np.zeros(n)
     direction = 1.0 if x_to > x_from else -1.0
 
@@ -370,13 +386,12 @@ def _batch_final_states(profiles, lams, x_from, x_to, inits,
         # stage 11 is spent once the error is known: its slot takes f(x + h, y_new)
         rhs(y_new, sig[-1], q[-1], lam_rho[-1], stages[-1])
         f0 = np.where(ok, stages[-1], f0)
-        big = np.abs(y).max(axis=(0, 1))
-        over = big > OVERFLOW_LIMIT
-        if over.any():
-            # rescale the state and the carried FSAL stage alike
-            y[..., over] /= big[over]
-            f0[..., over] /= big[over]
-            log_scale[over] += np.log(big[over])
+        grown = np.abs(y).max(axis=(0, 1)) > GROWTH_BOUND
+        if grown.any():
+            y[..., grown], log_det_r, f0[..., grown] = _orthonormalise(
+                y[..., grown], f0[..., grown])
+            log_scale[grown] += log_det_r
+            fired[idx[grown]] = True
         with np.errstate(divide="ignore"):
             h = h * np.clip(0.9 * err ** -0.125, 0.2, 10.0)
         done = ok & last
@@ -387,6 +402,9 @@ def _batch_final_states(profiles, lams, x_from, x_to, inits,
             idx, lam, x, h = idx[keep], lam[keep], x[keep], h[keep]
             rho_c, sig_c, q_c = rho_c[:, keep], sig_c[:, keep], q_c[:, keep]
             y, f0, log_scale = y[..., keep], f0[..., keep], log_scale[keep]
+    if fired.any():
+        finals[..., fired], log_det_r = _orthonormalise(finals[..., fired])
+        final_log[fired] += log_det_r
     finals = finals.transpose(2, 1, 0)
     if single:
         return finals, final_log

@@ -9,19 +9,20 @@ fixed row order
     R3: sigma_l*u''(0) - sigma_r*v''(0)
     R4: T u(0) - T v(0) + M*lam*u(0)
 
-Eigenvalues are the zeros of its determinant.  The determinant is tracked
-as (sign, log magnitude) so the sign survives the exponential growth of the
-fundamental solutions at large lam.  The scan runs on a uniform grid in
-s = lam**(1/4), where the roots are asymptotically equispaced; it
-integrates every grid point in one batched DOP853 pass, the left span
-next to the right span mirrored onto (-1, 0), and reads all determinant
-signs from one stacked determinant.  The paper's theorem (every eigenvalue
-is simple) makes each bracket hold one root, so solve_modes refines all
-brackets in lock step, one batched pass per iteration, starting from the
-determinant values the scan kept at the bracket ends; verify reads the
+Eigenvalues are the zeros of its determinant.  Every determinant comes
+from one batched DOP853 pass (quasi._batch_final_states) that integrates
+the left span next to the right span mirrored onto (-1, 0); past a fixed
+growth bound each span's column pair is kept orthonormal, so the
+determinant is tracked as (sign, log magnitude) without the cancellation
+between the two exponentially growing columns at large lam.  The scan runs
+on a uniform grid in s = lam**(1/4), where the roots are asymptotically
+equispaced, and reads all determinant signs from one stacked determinant.
+The paper's theorem (every eigenvalue is simple) makes each bracket hold
+one root, so solve_modes refines all brackets in lock step, one batched
+pass per iteration, starting from the determinant values the scan kept at
+the bracket ends (refine is the one-bracket case); verify reads the
 simplicity slope and the joint step class of every mode from one batched
-probe.  The scalar DOP853 path serves refine on single brackets and mode
-assembly.
+probe.  Mode assembly (eigenpair) integrates on the scalar DOP853 path.
 """
 
 from __future__ import annotations
@@ -32,19 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.optimize import brentq
 from scipy.optimize.elementwise import find_root
 
 from .config import GRID_POINTS, eval_coeff, mirrored
-from .fundamental import (
-    LEFT_UNIT_SHEAR,
-    LEFT_UNIT_SLOPE,
-    RIGHT_UNIT_SHEAR,
-    RIGHT_UNIT_SLOPE,
-    left_fundamental,
-    right_fundamental,
-)
-from .quasi import DEFAULT_REL_TOL, _batch_final_states, _final_states
+from .fundamental import LEFT_UNIT_SHEAR, LEFT_UNIT_SLOPE, left_fundamental, right_fundamental
+from .quasi import DEFAULT_REL_TOL, _batch_final_states
 
 DEFAULT_DS = 0.02
 DEFAULT_MODE_STATIONS = 257   # per side; keeps Simpson quadrature error ~1e-8
@@ -66,7 +59,10 @@ class BracketError(ValueError):
 class InterfaceMatrix:
     """Joint-condition matrix at one lam, stored in per-side scaled form.
 
-    True column j = matrix[:, j] * exp(col_log_scale[j]).
+    Each span's two columns are its endpoint pair as integrated; once the
+    span's growth passed quasi.GROWTH_BOUND they are an orthonormal basis of
+    the same plane instead.  Either way the true determinant is
+    det(matrix) * exp(sum(col_log_scale)).
     """
 
     lam: float
@@ -92,14 +88,6 @@ class DeterminantSample:
         return self.sign * math.exp(self.log_abs)
 
 
-def _endpoint_columns(system, lam, rel_tol):
-    left, log_l = _final_states(system.left, lam, -1.0, 0.0,
-                                [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR], rel_tol)
-    right, log_r = _final_states(system.right, lam, 1.0, 0.0,
-                                 [RIGHT_UNIT_SLOPE, RIGHT_UNIT_SHEAR], rel_tol)
-    return left, log_l, right, log_r
-
-
 def _build_matrix(left_states, right_states, mass, lam):
     """Joint matrix from the endpoint pairs; stacks over leading axes.
 
@@ -112,15 +100,8 @@ def _build_matrix(left_states, right_states, mass, lam):
 
 def interface_matrix(system, lam, rel_tol=DEFAULT_REL_TOL):
     """Assemble the 4x4 joint-condition matrix at lam."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    left, log_l, right, log_r = _endpoint_columns(system, lam, rel_tol)
-    matrix = _build_matrix(left, right, system.mass, lam)
-    return InterfaceMatrix(
-        lam=lam,
-        matrix=matrix,
-        col_log_scale=np.array([log_l, log_l, log_r, log_r]),
-    )
+    _, matrices, col_log = _batch_matrices(system, np.array([float(lam)]), rel_tol)
+    return InterfaceMatrix(lam=lam, matrix=matrices[0], col_log_scale=col_log[0])
 
 
 def _signed_log_det(matrices, col_log_scale):
@@ -141,18 +122,11 @@ def _signed_log_det(matrices, col_log_scale):
     return sign, log_abs
 
 
-def _det_at_s(system, s, rel_tol):
-    lam = s ** 4
-    imat = interface_matrix(system, lam, rel_tol)
-    sign, log_abs = _signed_log_det(imat.matrix[None], imat.col_log_scale[None])
-    return DeterminantSample(s=s, lam=lam, sign=int(sign[0]), log_abs=float(log_abs[0]))
-
-
 def char_det(system, lam, rel_tol=DEFAULT_REL_TOL):
-    """Characteristic determinant at lam (recorded at lam = s**4, s = lam**0.25)."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    return _det_at_s(system, lam ** 0.25, rel_tol)
+    """Characteristic determinant at lam, recorded with s = lam**0.25."""
+    _, sign, log_abs = _batch_dets(system, np.array([float(lam)]), rel_tol)
+    return DeterminantSample(s=lam ** 0.25, lam=lam, sign=int(sign[0]),
+                             log_abs=float(log_abs[0]))
 
 
 class _Brackets(list):
@@ -176,21 +150,31 @@ class _Brackets(list):
 MIRROR = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def _batch_dets(system, lams, rel_tol):
-    """Endpoint pairs and (sign, log |det|) at every lam, in one batched pass.
+def _batch_matrices(system, lams, rel_tol):
+    """Endpoint pairs and joint matrices at every lam, in one batched pass.
 
     The right span is integrated as its mirror on (-1, 0), next to the left
-    span and from the same pinned data (the mirror of RIGHT_UNIT_SLOPE and
-    RIGHT_UNIT_SHEAR); sign flips are exact, so its endpoint states equal
-    those of the right span integrated from x = +1 to the last bit.
-    Returns (pairs, sign, log_abs), pairs of shape (2, N, 2, 4) holding the
-    left and the mirrored right endpoint pairs.
+    span and from the same pinned data (the mirror of the right span's unit
+    slope and unit shear at x = +1); sign flips are exact, so its endpoint
+    states equal those of the right span integrated from x = +1 to the last
+    bit.  Returns (pairs, matrices, col_log): pairs of shape (2, N, 2, 4)
+    holding the left and the mirrored right endpoint pairs, the joint
+    matrices (N, 4, 4), and per-column log scales (N, 4), each column
+    carrying half of its span's log scale.
     """
     pairs, log_scale = _batch_final_states(
         (system.left, mirrored(system.right)), lams, -1.0, 0.0,
         [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR], rel_tol)
-    col_log = np.repeat(log_scale.T, 2, axis=-1)
     matrices = _build_matrix(pairs[0], pairs[1] * MIRROR, system.mass, lams)
+    return pairs, matrices, np.repeat(log_scale.T / 2.0, 2, axis=-1)
+
+
+def _batch_dets(system, lams, rel_tol):
+    """Endpoint pairs and (sign, log |det|) at every lam, in one batched pass.
+
+    Returns (pairs, sign, log_abs), pairs as from _batch_matrices.
+    """
+    pairs, matrices, col_log = _batch_matrices(system, lams, rel_tol)
     return (pairs, *_signed_log_det(matrices, col_log))
 
 
@@ -237,34 +221,11 @@ def scan(system, s_max, ds=DEFAULT_DS, rel_tol=DEFAULT_REL_TOL):
 
 
 def refine(system, bracket, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_TOL):
-    """Root of the determinant inside a sign-change bracket, to tol_lambda_rel in lam.
+    """Root of the determinant inside one sign-change bracket, to tol_lambda_rel in lam.
 
-    Brent's method on the scalar DOP853 path, one determinant at a time.
-    solve_modes refines all its brackets together with refine_brackets;
-    this scalar path stays for single brackets at large lam, where the
-    answer above mode 12 of the uniform system is set by cancellation noise
-    in the determinant: routed through the batched integrator or
-    find_root, mode 16 of uniform M=0 moved from 2.1e-8 to about 2.3e-7
-    relative error, past the 1e-7 acceptance bound.  A determinant without
-    that cancellation (compound matrices) would let one path serve both.
+    The one-bracket case of refine_brackets.
     """
-    s_lo, s_hi = bracket
-    d_lo = _det_at_s(system, s_lo, rel_tol)
-    d_hi = _det_at_s(system, s_hi, rel_tol)
-    if d_lo.sign * d_hi.sign >= 0:
-        raise BracketError(
-            f"determinant does not change sign on [{s_lo:g}, {s_hi:g}]")
-    ref = max(d_lo.log_abs, d_hi.log_abs)
-
-    def descaled(s):
-        d = _det_at_s(system, s, rel_tol)
-        if d.sign == 0:
-            return 0.0
-        return d.sign * math.exp(min(d.log_abs - ref, 700.0))
-
-    s_root = brentq(descaled, s_lo, s_hi, xtol=1e-14,
-                    rtol=max(tol_lambda_rel / 4.0, 4e-16))
-    return s_root ** 4
+    return refine_brackets(system, [bracket], tol_lambda_rel, rel_tol)[0]
 
 
 def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_TOL,
@@ -307,9 +268,7 @@ def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_
         return sign * np.exp(np.minimum(log_abs - ref, 700.0))
 
     # xrtol is relative in s, and lam = s**4 has four times the relative
-    # error: /4 would just meet tol_lambda_rel, /40 keeps the shipped
-    # eigenvalues at least as accurate as refine (Brent overshoots its
-    # tolerance on the last step)
+    # error: /4 would just meet tol_lambda_rel, /40 leaves a factor of ten
     res = find_root(descaled, (s_lo, s_hi), args=(ref,),
                     tolerances={"xatol": 1e-14,
                                 "xrtol": max(tol_lambda_rel / 40.0, 4e-16)})
@@ -338,7 +297,6 @@ class Eigenpair:
     xs_right: np.ndarray
     mode_right: np.ndarray
     u0: float
-    h_norm: float
     interface_residuals: np.ndarray
     singular_values: np.ndarray
 
@@ -417,7 +375,6 @@ def eigenpair(system, lam, rel_tol=DEFAULT_REL_TOL,
         xs_right=xs_r,
         mode_right=mode_r,
         u0=u0,
-        h_norm=1.0,
         interface_residuals=rel_residual,
         singular_values=svals,
     )
@@ -487,7 +444,8 @@ def probe(system, lams, rel_tol=DEFAULT_REL_TOL, rel_step=1e-4, vanish_rel=1e-6)
 
     # pairings of the two columns at x = 0 on both spans (the mirror flips
     # the sign of the slope and shear pairings, which the test ignores);
-    # their common overflow scale cancels in the relative test
+    # an orthonormalised pair gives them divided by det R > 0, a factor
+    # common to the three that cancels in the relative test
     wa, wb = np.moveaxis(pairs[:, n:2 * n], (2, 3), (0, 1))
     sigma = np.array([[eval_coeff(system.left, "sigma", 0.0)],
                       [eval_coeff(system.right, "sigma", 0.0)]])

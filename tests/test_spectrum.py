@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,12 @@ from beamspec.fundamental import (
     right_fundamental,
     subwronskians,
 )
-from beamspec.quasi import DEFAULT_REL_TOL, _batch_final_states, _final_states
+from beamspec.quasi import (
+    DEFAULT_REL_TOL,
+    GROWTH_BOUND,
+    _batch_final_states,
+    integrate_scaled,
+)
 from beamspec.spectrum import (
     DEFAULT_DS,
     BracketError,
@@ -42,6 +49,15 @@ from test_fundamental import slope_zero_lam
 UNIFORM = uniform_system()
 UNIFORM_M1 = uniform_system(1.0)
 PI4 = math.pi ** 4
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def reference_lams():
+    """{config name: its first six eigenvalues} from perfbench/reference.json."""
+    table = {}
+    for row in json.loads(REFERENCE.read_text())["rows"]:
+        table.setdefault(row["config"], []).append(row["lambda"])
+    return table
 
 
 def exact_det4(rows):
@@ -148,13 +164,26 @@ def test_refine_brackets_rejects_bad_bracket():
 
 
 @pytest.mark.parametrize("name", sorted(conftest.SHIPPED_BUILDERS))
-def test_refine_brackets_matches_scalar_refine(shipped_systems, name):
-    # every bracket of the scan solve_modes makes, lock step against Brent
+def test_refine_brackets_matches_scalar_refine(shipped_systems, shipped_modes, name):
+    # solve_modes' lock-step refinement lands within 1e-11 of the reference
+    # eigenvalues, and refine on a single bracket gives the same bits
     system = shipped_systems[name]
-    brackets = scan(system, suggest_s_max(system, 6))
-    lock_step = refine_brackets(system, brackets)
-    scalar = [refine(system, b) for b in brackets]
-    np.testing.assert_allclose(lock_step, scalar, rtol=5e-11, atol=0)
+    lams = [p.lam for p in shipped_modes[name]]
+    np.testing.assert_allclose(lams, reference_lams()[name], rtol=1e-11, atol=0)
+    brackets = scan(system, suggest_s_max(system, 6))[:6]
+    assert [refine(system, b) for b in brackets] == lams
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_refine_closed_form_to_mode_40(mass):
+    # u(0) = 0 makes lam = (n pi/2)**4 for every mass: all modes at M = 0,
+    # the even ones at M = 1; without orthonormalisation the determinant
+    # loses its sign change from mode 24 on
+    system = uniform_system(mass)
+    for n in range(1, 41) if mass == 0.0 else range(2, 41, 2):
+        s = n * math.pi / 2
+        lam = refine(system, (s - 0.05, s + 0.07))
+        assert abs(lam - s ** 4) <= 1e-10 * s ** 4, n
 
 
 def test_uniform_m0_closed_form_to_1e11(uniform_m0_modes):
@@ -199,19 +228,28 @@ def test_scan_counts_stable_under_refinement(uniform_m0):
 
 
 @pytest.mark.parametrize("name", ["uniform_m0", "variable_m1"])
-def test_batched_signs_match_scalar_determinant(shipped_systems, name):
-    # every grid point of the scan, not only the brackets
+def test_batched_signs_follow_the_root_count(shipped_systems, name):
+    # every grid point of the scan, not only the brackets: the sign flips
+    # once at every root below s, the roots being n pi/2 on uniform_m0 and
+    # the reference eigenvalues on variable_m1 (grid points below the sixth)
     system = shipped_systems[name]
-    n = int(math.floor(suggest_s_max(system, 6) / DEFAULT_DS + 1e-9))
+    if name == "uniform_m0":
+        roots = math.pi / 2 * np.arange(1, 9)
+        n = int(math.floor(suggest_s_max(system, 6) / DEFAULT_DS + 1e-9))
+    else:
+        roots = np.array(reference_lams()[name]) ** 0.25
+        n = int(math.ceil(roots[-1] / DEFAULT_DS)) - 1
     s = DEFAULT_DS * np.arange(1, n + 1)
-    batched, _ = spectrum._grid_dets(system, s, DEFAULT_REL_TOL)
-    scalar = [char_det(system, lam).sign for lam in (s ** 4).tolist()]
-    assert batched.tolist() == scalar
+    assert s[-1] < roots[-1]
+    sign, _ = spectrum._grid_dets(system, s, DEFAULT_REL_TOL)
+    crossed = np.sum(roots[None, :] < s[:, None], axis=1)
+    np.testing.assert_array_equal(sign, sign[0] * (-1) ** crossed)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_mixed_batch_matches_scalar_endpoints(side):
-    # 240**4 overflows past 1e100 and is rescaled; 10 in the same batch is not
+    # 240**4 passes GROWTH_BOUND and ends on an orthonormal pair; 10 in the
+    # same batch is integrated as it is
     profile = getattr(variable_system(), side)
     if side == "left":
         x_from, inits = -1.0, [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR]
@@ -219,12 +257,21 @@ def test_mixed_batch_matches_scalar_endpoints(side):
         x_from, inits = 1.0, [RIGHT_UNIT_SLOPE, RIGHT_UNIT_SHEAR]
     lams = [10.0, 240.0 ** 4]
     finals, log_scale = _batch_final_states(profile, lams, x_from, 0.0, inits)
-    assert log_scale[0] == 0.0 and log_scale[1] > 200.0
-    for i, lam in enumerate(lams):
-        ref, ref_log = _final_states(profile, lam, x_from, 0.0, inits)
-        big, ref_big = np.max(np.abs(finals[i])), np.max(np.abs(ref))
-        np.testing.assert_allclose(finals[i] / big, ref / ref_big, rtol=0, atol=1e-12)
-        assert abs(log_scale[i] + math.log(big) - ref_log - math.log(ref_big)) <= 5e-9
+    assert log_scale[0] == 0.0 and log_scale[1] > math.log(GROWTH_BOUND)
+    scalar = [[integrate_scaled(profile, lam, x_from, 0.0, init) for init in inits]
+              for lam in lams]
+
+    ref = np.array([t.final_state for t in scalar[0]])
+    ref_log = scalar[0][0].log_scale
+    big, ref_big = np.max(np.abs(finals[0])), np.max(np.abs(ref))
+    np.testing.assert_allclose(finals[0] / big, ref / ref_big, rtol=0, atol=1e-12)
+    assert abs(log_scale[0] + math.log(big) - ref_log - math.log(ref_big)) <= 5e-9
+
+    q = finals[1].T
+    np.testing.assert_allclose(q.T @ q, np.eye(2), rtol=0, atol=1e-13)
+    for t in scalar[1]:
+        column = t.final_state
+        assert np.linalg.norm(column - q @ (q.T @ column)) <= 1e-13 * np.linalg.norm(column)
 
 
 def assert_mirrored_pass_exact(system, lams):
@@ -242,7 +289,7 @@ def assert_mirrored_pass_exact(system, lams):
 
     _, sign, log_abs = spectrum._batch_dets(system, lams, DEFAULT_REL_TOL)
     matrices = spectrum._build_matrix(left, right, system.mass, lams)
-    col_log = np.stack([log_l, log_l, log_r, log_r], axis=-1)
+    col_log = np.stack([log_l, log_l, log_r, log_r], axis=-1) / 2.0
     ref_sign, ref_log_abs = spectrum._signed_log_det(matrices, col_log)
     np.testing.assert_array_equal(sign, ref_sign)
     np.testing.assert_array_equal(log_abs, ref_log_abs)
@@ -258,9 +305,10 @@ def test_mirrored_pass_matches_one_profile_calls(shipped_systems, name):
 
 
 def test_mirrored_pass_matches_in_mixed_batch():
-    # 240**4 overflows past 1e100 and is rescaled; 10 in the same batch is not
+    # 240**4 passes GROWTH_BOUND and is orthonormalised; 10 in the same
+    # batch is not
     log_r = assert_mirrored_pass_exact(variable_system(), np.array([10.0, 240.0 ** 4]))
-    assert log_r[0] == 0.0 and log_r[1] > 200.0
+    assert log_r[0] == 0.0 and log_r[1] > math.log(GROWTH_BOUND)
 
 
 def test_refinement_reuses_the_scan_bracket_ends(monkeypatch):
@@ -389,13 +437,12 @@ def test_det_slope_margin(uniform_m0_modes):
 
 
 def dense_probe(system, lam, rel_step=1e-4, vanish_rel=1e-6):
-    """Slope, margin and step class the scalar way: one determinant per side
-    point on the scalar path, and subwronskians of the dense fundamental
-    pairs at x = 0."""
+    """Slope, margin and step class one lam at a time: one determinant per
+    side point, and subwronskians of the dense fundamental pairs at x = 0."""
     s = lam ** 0.25
     h = max(s, 1.0) * rel_step
-    lo = spectrum._det_at_s(system, s - h, DEFAULT_REL_TOL)
-    hi = spectrum._det_at_s(system, s + h, DEFAULT_REL_TOL)
+    lo = char_det(system, (s - h) ** 4)
+    hi = char_det(system, (s + h) ** 4)
     ref = max(lo.log_abs, hi.log_abs)
     f_lo = lo.sign * math.exp(lo.log_abs - ref)
     f_hi = hi.sign * math.exp(hi.log_abs - ref)
