@@ -16,6 +16,10 @@ The subwronskians of a pair (u1, u2) are the bilinear pairings
 whose zeros in (x, lam) flag eigenvalues of auxiliary clamped problems.
 The shear pairing also equals u1'*sigma*u2'' - u2'*sigma*u1'', which is
 used here as an independent accuracy monitor.
+
+The pairs are integrated by quasi's one integrator (quasi._batch_final_states)
+and held as Trajectory objects; pairings between stations come from
+Trajectory.state_at.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import horner
-from .quasi import DEFAULT_REL_TOL, DEFAULT_STATIONS, Trajectory, _trajectories
+from .quasi import DEFAULT_REL_TOL, DEFAULT_STATIONS, Trajectory, _columns
 
 LEFT_UNIT_SLOPE = (0.0, 1.0, 0.0, 0.0)
 LEFT_UNIT_SHEAR = (0.0, 0.0, 0.0, 1.0)
@@ -72,8 +76,7 @@ def span_pair(profile, lam, rel_tol=DEFAULT_REL_TOL, n_stations=DEFAULT_STATIONS
     else:
         inits = [RIGHT_UNIT_SLOPE, RIGHT_UNIT_SHEAR]
         x_from, x_to = 1.0, 0.0
-    return _trajectories(profile, lam, x_from, x_to, inits, rel_tol,
-                         n_stations, scaled=True)
+    return _columns(profile, lam, np.linspace(x_from, x_to, n_stations), inits, rel_tol)
 
 
 def _pattern_check(trajectories, signs):
@@ -91,8 +94,6 @@ def _pattern_check(trajectories, signs):
 
 def left_fundamental(system, lam, rel_tol=DEFAULT_REL_TOL, n_stations=DEFAULT_STATIONS):
     """Pinned pair of the left span; positivity on (-1, 0] checked for lam > 0."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
     pair = span_pair(system.left, lam, rel_tol, n_stations)
     ok, violation = (None, None) if lam == 0 else _pattern_check(pair, (1, 1, 1, 1))
     return FundamentalSet("left", lam, system.left, pair[0], pair[1], ok, violation)
@@ -100,15 +101,13 @@ def left_fundamental(system, lam, rel_tol=DEFAULT_REL_TOL, n_stations=DEFAULT_ST
 
 def right_fundamental(system, lam, rel_tol=DEFAULT_REL_TOL, n_stations=DEFAULT_STATIONS):
     """Pinned pair of the right span; pattern (+,-,+,-) on [0, 1) checked for lam > 0."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
     pair = span_pair(system.right, lam, rel_tol, n_stations)
     ok, violation = (None, None) if lam == 0 else _pattern_check(pair, (1, -1, 1, -1))
     return FundamentalSet("right", lam, system.right, pair[0], pair[1], ok, violation)
 
 
 def subwronskians(fset, x):
-    """Evaluate the three pairings of the set at x (from dense output)."""
+    """Evaluate the three pairings of the set at x (see Trajectory.state_at)."""
     wa = fset.unit_slope.state_at(x)
     wb = fset.unit_shear.state_at(x)
     # products of two stored states: true value needs exp(2 * log_scale)

@@ -28,7 +28,7 @@ from scipy.optimize import brentq
 
 from .config import CoefficientProfile, eval_coeff, eval_stacked, horner
 from .fundamental import span_pair
-from .quasi import DEFAULT_REL_TOL, DEFAULT_STATIONS, _trajectories
+from .quasi import DEFAULT_REL_TOL, DEFAULT_STATIONS, _columns, integrate_scaled
 
 VIOLATION_TOL = -1e-12
 DIM_ZERO_REL = 1e-8
@@ -79,8 +79,7 @@ def positivity_propagation(profile, lambda_like, init, direction="forward",
         raise ValueError("initial quadruple must not be identically zero")
 
     x_from, x_to = (a, b) if direction == "forward" else (b, a)
-    traj = _trajectories(profile, lambda_like, x_from, x_to, [init],
-                         rel_tol, n_stations, scaled=True)[0]
+    traj = integrate_scaled(profile, lambda_like, x_from, x_to, init, rel_tol, n_stations)
     adjusted = traj.states[1:] * signs
     bad = np.argwhere(adjusted < VIOLATION_TOL)
     if bad.size:
@@ -163,10 +162,10 @@ def transform_identity_residual(profile, a, b, lambda_like, init,
                                 rel_tol=DEFAULT_REL_TOL, n_check=65):
     """Dual-path mismatch between original and warped integrations.
 
-    The original equation is integrated in x; the warped equation (which has
-    no first-order term) is integrated in t alongside the warp map itself.
-    At matched points the warped state must equal the image of the original
-    state under the warp's derivative relations:
+    The warped equation (which has no first-order term) is integrated in t
+    alongside the warp map x(t) itself, and the original equation in x to
+    the points x(t).  At matched points the warped state must equal the
+    image of the original state under the warp's derivative relations:
 
         W1 = u,   W2 = c*u'/h,   W3 = (h*(sigma*u'') - u'*(sigma*h'))/c,
         W4 = Tu,              with c = gamma/(b - a).
@@ -180,9 +179,6 @@ def transform_identity_residual(profile, a, b, lambda_like, init,
         raise ValueError("lambda_like must be >= 0")
     td = leighton_nehari_transform(profile, a, b, rel_tol)
     c = td.gamma / (b - a)
-    x_traj = _trajectories(profile, lambda_like, a, b, [init], rel_tol,
-                           n_stations=max(n_check, 65), scaled=False)[0]
-
     sig_c, q_c, rho_c = profile.sigma, profile.q, profile.rho
 
     def rhs(t, y):
@@ -212,11 +208,12 @@ def transform_identity_residual(profile, a, b, lambda_like, init,
     if not sol.success:
         raise RuntimeError(f"warped integration failed: {sol.message}")
 
-    images = np.empty((n_check, 4))
-    for i in range(n_check):
-        x_t, h_t, flux_t = sol.y[0, i], sol.y[1, i], sol.y[2, i]
-        w = x_traj.state_at(min(max(x_t, a), b))
-        images[i] = (w[0], c * w[1] / h_t, (h_t * w[2] - w[1] * flux_t) / c, w[3])
+    # the original equation integrated in x to the warp's points x(t)
+    x_t, h_t, flux_t = sol.y[:3]
+    x_traj = _columns(profile, lambda_like, np.clip(x_t, a, b), [init], rel_tol)[0]
+    w = x_traj.states.T * math.exp(x_traj.log_scale)
+    images = np.stack([w[0], c * w[1] / h_t, (h_t * w[2] - w[1] * flux_t) / c, w[3]],
+                      axis=1)
     warped = sol.y[3:7].T
     per_component = np.max(np.abs(images), axis=0)
     overall = max(float(np.max(per_component)), 1e-300)
@@ -320,7 +317,7 @@ def dim_check(profile, lam, variant, rel_tol=DEFAULT_REL_TOL,
         raise ValueError("left-span variants need alpha*beta <= 0")
     if profile.side == "right" and prod < 0:
         raise ValueError("right-span variants need alpha*beta >= 0")
-    pair = span_pair(profile, lam, rel_tol, n_stations=65)
+    pair = span_pair(profile, lam, rel_tol, n_stations=2)
     w1 = pair[0].final_state
     w2 = pair[1].final_state
     sig0 = horner(profile.sigma, 0.0)

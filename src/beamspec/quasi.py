@@ -9,45 +9,44 @@ Tu = (sigma*u'')' - q*u'.  In these variables the fourth-order equation
 and no derivative of sigma or q is ever evaluated.  u'' is recovered as
 w3/sigma when needed.
 
-Two drivers integrate it, both with the DOP853 tableau:
-
-* scalar (one lam): scipy's solve_ivp with dense output at stations, used
-  for fundamental pairs and mode assembly.  integrate_scaled and the
-  fundamental pairs renormalize the state to unit max-norm whenever it
-  exceeds 1e100, accumulating the removed factors as a log, so the
-  exponential growth at large lam never overflows;
-* batched (many lam at once): the same tableau stepped with numpy over an
-  axis of entries, one (coefficient set, lam) pair each, used for every
-  determinant (the scan, root refinement, the simplicity probe and
-  char_det).  Each entry takes its own steps, its step error being a max
-  over its components, so its result does not depend on the rest of the
-  batch.  An entry integrates a column pair and keeps it orthonormal past
-  GROWTH_BOUND (stepwise orthonormalisation, Conte 1966), accumulating
-  log det R, so neither overflow nor the alignment of the two columns with
-  the fastest-growing solution costs the determinant its sign or its
-  digits.  The solve puts both spans in one pass: the right span enters as
-  its mirror on (-1, 0) (config.mirrored), whose state is
-  (u, -u', sigma*u'', -Tu); those sign flips are exact, so the mirror
-  reproduces the right span's endpoint states bit for bit.
+One integrator steps it, _batch_final_states: the DOP853 tableau stepped
+with numpy over an axis of entries, one (coefficient set, lam) pair each.
+Each entry takes its own steps, its step error being a max over its
+components, so its result does not depend on the rest of the batch.  An
+entry integrates one column or a pair and keeps it orthonormal past
+GROWTH_BOUND (stepwise orthonormalisation, Conte 1966): it carries on from
+the frame Q of Y = Q R and returns every R, so neither overflow nor the
+alignment of the two columns with the fastest-growing solution costs a
+determinant its sign or a mode its shape.  At each requested station the
+entry's frame and its epoch (the number of orthonormalisations so far) are
+recorded, read from DOP853's dense output inside the span and from a step
+clipped to land on the far end.  Every determinant, every mode and every
+Trajectory comes from this integrator.  The solve puts both spans in
+one pass: the right span enters as its mirror on (-1, 0)
+(config.mirrored), whose state is (u, -u', sigma*u'', -Tu); those sign
+flips are exact, so the mirror reproduces the right span's states bit for
+bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# perfbench's tracer wraps this name; the module itself does not call it
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
-from .config import CoefficientProfile, eval_coeff, eval_stacked, horner, stack_coeffs
+from .config import CoefficientProfile, eval_coeff, eval_stacked, stack_coeffs
 
-OVERFLOW_LIMIT = 1e100
-# The batched driver orthonormalises an entry's column pair once its state
-# passes this bound.  Both columns pick up the fastest-growing solution, so
-# the plane they span is resolved only to about eps times the growth since
-# the last orthonormalisation, and eigenvalue errors at large lam scale with
-# the bound (uniform M=0, modes 1-40: 2e-16 at 1e4, 1e-11 at 1e7, 4e-9 at
+# The integrator orthonormalises an entry's columns once its state passes this
+# bound.  Both columns pick up the fastest-growing solution, so the plane
+# they span is resolved only to about eps times the growth since the last
+# orthonormalisation, and eigenvalue errors at large lam scale with the
+# bound (uniform M=0, modes 1-40: 2e-16 at 1e4, 1e-11 at 1e7, 4e-9 at
 # 1e10).  The shipped modes (s <= 10) grow to less than 1e6, so at 1e7 they
 # are integrated as plain pairs; orthonormalising at every step instead
 # doubled the steps of the scan.
@@ -66,29 +65,36 @@ class IntegrationError(RuntimeError):
         self.x = x
 
 
+def _check_lam(lam):
+    lam = np.asarray(lam)
+    # NaN fails both comparisons
+    if not np.all((lam >= 0) & (lam < math.inf)):
+        raise ValueError("lam must be finite and >= 0")
+
+
 def vector_field(profile, lam, x, state):
     """Right-hand side (w2, w3/sigma, w4 + q*w2, lam*rho*w1) at one point."""
     sig, q, rho = (eval_coeff(profile, name, x) for name in ("sigma", "q", "rho"))
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    _check_lam(lam)
     w1, w2, w3, w4 = (float(c) for c in state)
     return np.array([w2, w3 / sig, w4 + q * w2, lam * rho * w1])
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Dense integration record for one initial state.
+    """One integrated column at stations xs, the first being its start.
 
     Stored states carry a common scaling: true value = states * exp(log_scale).
-    For desk-scale lam the scaling never triggers and log_scale is 0.
+    While the column stays below GROWTH_BOUND log_scale is 0.  profile and
+    rel_tol let state_at integrate between stations.
     """
 
     lam: float
     xs: np.ndarray
     states: np.ndarray
     log_scale: float
-    segments: tuple = field(repr=False, compare=False, default=())
-    column: int = field(repr=False, compare=False, default=0)
+    profile: CoefficientProfile
+    rel_tol: float
 
     @property
     def initial_state(self):
@@ -99,43 +105,26 @@ class Trajectory:
         return self.states[-1]
 
     def state_at(self, x):
-        """Dense-output state at any covered x, in the stored (common) scale."""
-        for sol, log_before in self.segments:
-            lo, hi = sorted((sol.t_min, sol.t_max))
-            if lo - 1e-12 <= x <= hi + 1e-12:
-                w = sol(min(max(x, lo), hi))
-                w = w[4 * self.column:4 * self.column + 4]
-                return w * math.exp(log_before - self.log_scale)
-        raise ValueError(f"x={x:g} not covered by this trajectory")
+        """State at any covered x, in the stored (common) scale.
 
-
-def _rhs(profile, lam, ncols):
-    rho_c, sig_c, q_c = profile.rho, profile.sigma, profile.q
-
-    def rhs(x, y):
-        # plain-float arithmetic: this is the innermost hot path of every scan
-        x = float(x)
-        rho = horner(rho_c, x)
-        sig = horner(sig_c, x)
-        q = horner(q_c, x)
-        if q < 0.0:
-            q = 0.0
-        lr = lam * rho
-        yl = y.tolist()
-        out = [0.0] * len(yl)
-        for j in range(0, 4 * ncols, 4):
-            out[j] = yl[j + 1]
-            out[j + 1] = yl[j + 2] / sig
-            out[j + 2] = yl[j + 3] + q * yl[j + 1]
-            out[j + 3] = lr * yl[j]
-        return out
-
-    return rhs
+        Integrates from the nearest station before x (in the direction of
+        integration) through _batch_final_states.
+        """
+        lo, hi = sorted((self.xs[0], self.xs[-1]))
+        if not lo - 1e-12 <= x <= hi + 1e-12:
+            raise ValueError(f"x={x:g} not covered by this trajectory")
+        x = min(max(x, lo), hi)
+        direction = 1.0 if self.xs[-1] > self.xs[0] else -1.0
+        i = int(np.count_nonzero((x - self.xs) * direction >= 0.0)) - 1
+        if x == self.xs[i]:
+            return self.states[i]
+        shot = _batch_final_states(self.profile, [self.lam], self.xs[i], x,
+                                   [self.states[i]], self.rel_tol)
+        return shot.frames[0, -1, 0] * math.exp(shot.log_scale[0])
 
 
 def _check_args(profile, lam, x_from, x_to, rel_tol):
-    if np.min(lam) < 0:
-        raise ValueError("lam must be >= 0")
+    _check_lam(lam)
     if not (REL_TOL_MIN <= rel_tol <= REL_TOL_MAX):
         raise ValueError(f"rel_tol must lie in [{REL_TOL_MIN:g}, {REL_TOL_MAX:g}]")
     lo, hi = profile.interval
@@ -146,134 +135,83 @@ def _check_args(profile, lam, x_from, x_to, rel_tol):
         raise ValueError("x_from and x_to must differ")
 
 
-def _run(profile, lam, x_from, x_to, inits, rel_tol, n_stations, scaled):
-    """Shared scalar integration driver.
+def _columns(profile, lam, xs, inits, rel_tol):
+    """Integrate one or two initial states jointly; one Trajectory each.
 
-    inits is a (k, 4) block of initial states propagated jointly (the system
-    is linear, so columns do not interact).  Returns (stations xs, station
-    states (n_stations, 4k), log_scale, segments).
+    xs are the stations, from the start in the direction of integration.
+    At a station of epoch e the true columns are the frame times
+    R_e ... R_1; that product is carried with its own log scale, so it
+    cannot overflow, and the last one sets the common log_scale.
     """
-    _check_args(profile, lam, x_from, x_to, rel_tol)
-    inits = np.atleast_2d(np.asarray(inits, dtype=float))
-    k = inits.shape[0]
-    y = inits.reshape(-1).copy()
-    rhs = _rhs(profile, lam, k)
-    # run the controller a notch tighter than requested so the global error
-    # lands comfortably inside rel_tol
-    rtol = max(rel_tol / 10.0, 2.3e-14)
-    atol = rel_tol * 1e-6
-    direction = 1.0 if x_to > x_from else -1.0
-
-    events = None
-    log_scale = 0.0
-    if scaled:
-        big = float(np.max(np.abs(y)))
-        if big > OVERFLOW_LIMIT:
-            y /= big
-            log_scale = math.log(big)
-
-        def too_big(x, yv):
-            return float(np.max(np.abs(yv))) - OVERFLOW_LIMIT
-
-        too_big.terminal = True
-        events = (too_big,)
-
-    xs = np.linspace(x_from, x_to, n_stations)
-    station_states = np.empty((n_stations, 4 * k))
-    station_logs = np.empty(n_stations)
-    segments = []
-    fill = 0
-    start = x_from
-    while True:
-        sol = solve_ivp(
-            rhs, (start, x_to), y, method="DOP853",
-            rtol=rtol, atol=atol, dense_output=True, events=events,
-        )
-        if sol.status == -1:
-            raise IntegrationError(sol.message, float(sol.t[-1]))
-        stop = float(sol.t[-1])
-        segments.append((sol.sol, log_scale))
-        j = fill
-        while j < n_stations and (xs[j] - stop) * direction <= 1e-12:
-            j += 1
-        if j > fill:
-            station_states[fill:j] = sol.sol(xs[fill:j]).T
-            station_logs[fill:j] = log_scale
-            fill = j
-        if sol.status == 1:
-            # overflow guard fired: renormalize and continue from the event point
-            y_end = sol.y[:, -1]
-            norm = float(np.max(np.abs(y_end)))
-            y = y_end / norm
-            log_scale += math.log(norm)
-            start = stop
-            continue
-        break
-
-    if fill != n_stations:
-        raise IntegrationError("integration stopped before the far end", stop)
-    station_states *= np.exp(station_logs - log_scale)[:, None]
-    return xs, station_states, log_scale, tuple(segments)
-
-
-def _trajectories(profile, lam, x_from, x_to, inits, rel_tol=DEFAULT_REL_TOL,
-                  n_stations=DEFAULT_STATIONS, scaled=False):
-    """Integrate k initial states jointly; returns one Trajectory per state."""
-    xs, states, log_scale, segments = _run(
-        profile, lam, x_from, x_to, inits, rel_tol, n_stations, scaled)
-    k = states.shape[1] // 4
-    return [
-        Trajectory(lam=lam, xs=xs, states=states[:, 4 * i:4 * i + 4],
-                   log_scale=log_scale, segments=segments, column=i)
-        for i in range(k)
-    ]
+    shot = _batch_final_states(profile, [lam], xs[0], xs, inits, rel_tol)
+    frames, epochs = shot.frames[0], shot.epochs[0]
+    products, logs = [np.eye(len(inits))], [0.0]
+    for r in shot.r_factors[0, 1:epochs[-1] + 1]:
+        p = r @ products[-1]
+        big = float(np.max(np.abs(p)))
+        products.append(p / big)
+        logs.append(logs[-1] + math.log(big))
+    products = np.array(products)[epochs]
+    scale = np.exp(np.array(logs)[epochs] - logs[-1])
+    # column i of the true pair is sum_j frame[:, j] * product[j, i]
+    states = np.einsum("sjc,sji->sic", frames, products) * scale[:, None, None]
+    return [Trajectory(lam, xs, states[:, i], logs[-1], profile, rel_tol)
+            for i in range(len(inits))]
 
 
 def integrate(profile, lam, x_from, x_to, init, rel_tol=DEFAULT_REL_TOL,
               n_stations=DEFAULT_STATIONS):
-    """Propagate one quasi-derivative state across the span with dense output."""
-    if n_stations < 64:
-        raise ValueError("need at least 64 stations")
-    return _trajectories(profile, lam, x_from, x_to, [init], rel_tol,
-                         n_stations, scaled=False)[0]
+    """Propagate one quasi-derivative state across the span; true states,
+    log_scale 0 (they overflow where the solution does)."""
+    traj = integrate_scaled(profile, lam, x_from, x_to, init, rel_tol, n_stations)
+    return dataclasses.replace(traj, states=traj.states * np.exp(traj.log_scale),
+                               log_scale=0.0)
 
 
 def integrate_scaled(profile, lam, x_from, x_to, init, rel_tol=DEFAULT_REL_TOL,
                      n_stations=DEFAULT_STATIONS):
-    """Like integrate, but overflow-safe: states renormalized past 1e100.
+    """Like integrate, but overflow-safe: the state is normalised whenever
+    it passes GROWTH_BOUND.
 
     The returned trajectory equals the unscaled one times exp(log_scale).
     """
     if n_stations < 64:
         raise ValueError("need at least 64 stations")
-    return _trajectories(profile, lam, x_from, x_to, [init], rel_tol,
-                         n_stations, scaled=True)[0]
+    return _columns(profile, lam, np.linspace(x_from, x_to, n_stations), [init],
+                    rel_tol)[0]
 
 
 # DOP853 tableau (Hairer, Norsett & Wanner), taken from the (private)
-# module that scipy's solve_ivp(method="DOP853") reads, so both drivers step
-# the same method and the coefficients have one source.  Stages 0..11 make
-# a step; f(x + h, y_new) of an accepted step is the next step's stage 0
-# (FSAL).  E5 and E3 give the 5th- and 3rd-order error estimates from
-# stages 0..11.
-_DOP_A = _dop853.A[:_dop853.N_STAGES, :_dop853.N_STAGES]
+# module that scipy's DOP853 solver reads.  Stages 0..11 make a step;
+# stage 12 is f(x + h, y_new), which an accepted step hands on as the next
+# step's stage 0 (FSAL).  E5 and E3 give the 5th- and 3rd-order
+# error estimates from stages 0..11.  Stages 13..15 and D give the step's
+# 7th-order dense output.
+_N_STAGES = _dop853.N_STAGES
+_DOP_A = _dop853.A
 _DOP_B = _dop853.B
-_DOP_C = _dop853.C[:_dop853.N_STAGES]
-_DOP_E5 = _dop853.E5[:_dop853.N_STAGES]
-_DOP_E3 = _dop853.E3[:_dop853.N_STAGES]
+_DOP_C = _dop853.C
+_DOP_D = _dop853.D
+_DOP_E5 = _dop853.E5[:_N_STAGES]
+_DOP_E3 = _dop853.E3[:_N_STAGES]
 
 
 def _orthonormalise(y, *carried):
-    """Gram-Schmidt of the column pairs y = Q R, shape (4, 2, entries).
+    """Gram-Schmidt of the columns y = Q R, shape (4, k, entries), k = 1 or 2.
 
-    The second column is orthogonalised twice, since once loses the
-    orthogonality of nearly parallel columns.  Returns Q, log det R =
-    log(r11 * r22) and every array of carried (same layout) mapped by R^-1;
-    det R is positive, so determinant signs stay exact.
+    One column is just normalised.  The second column is orthogonalised
+    twice, since once loses the orthogonality of nearly parallel columns.
+    Returns Q, R (entries, k, k), log det R and every array of carried
+    (same layout) mapped by R^-1; det R is positive, so determinant signs
+    stay exact.
     """
-    a, b = y[:, 0], y[:, 1]
+    a = y[:, 0]
     r11 = np.sqrt(np.sum(a * a, axis=0))
     q1 = a / r11
+    if y.shape[1] == 1:
+        return (q1[:, None], r11[:, None, None], np.log(r11),
+                *(f / r11 for f in carried))
+    b = y[:, 1]
     r12 = np.sum(q1 * b, axis=0)
     b = b - r12 * q1
     again = np.sum(q1 * b, axis=0)
@@ -284,57 +222,84 @@ def _orthonormalise(y, *carried):
     for f in carried:
         f1 = f[:, 0] / r11
         mapped.append(np.stack([f1, (f[:, 1] - r12 * f1) / r22], axis=1))
-    return (np.stack([q1, b / r22], axis=1), np.log(r11 * r22), *mapped)
+    r = np.zeros((r11.size, 2, 2))
+    r[:, 0, 0], r[:, 0, 1], r[:, 1, 1] = r11, r12, r22
+    return (np.stack([q1, b / r22], axis=1), r, np.log(r11 * r22), *mapped)
 
 
-def _batch_final_states(profiles, lams, x_from, x_to, inits,
+Shot = namedtuple("Shot", "frames epochs r_factors log_scale")
+
+
+def _batch_final_states(profiles, lams, x_from, stations, inits,
                         rel_tol=DEFAULT_REL_TOL):
-    """Endpoint pairs of two initial states for N values of lam at once.
+    """Frames of one or two initial columns at stations, for N values of lam at once.
 
     profiles is one CoefficientProfile or a sequence of P profiles on the
     same span; every (profile, lam) pair is one batch entry with its own
-    coefficient set.  Every entry takes its own adaptive DOP853 steps,
-    advanced together as numpy operations over an entry axis, so the result
-    of one entry does not depend on which others share the batch; an entry
-    leaves the batch when it reaches x_to.  The step error of an entry is
-    DOP853's combined 5th/3rd-order estimate, taken per component and maxed
-    over all its components (an RMS would average away the error of the
-    fastest-growing one).  Once an entry's state passes GROWTH_BOUND its
-    column pair is replaced by an orthonormal basis Q of the same plane
-    (Y = Q R), log det R joins the entry's log scale, and the entry ends on
-    an orthonormal pair.  Returns (finals, log_scale) of shapes (N, 2, 4)
-    and (N,) for one profile, (P, N, 2, 4) and (P, N) for a sequence: the
-    true endpoint pair spans the plane of finals[..., i, :, :], and its 2x2
-    minors are those of finals[..., i, :, :] times exp(log_scale[..., i]).
+    coefficient set.  stations run in the direction of integration from
+    x_from on (which may be the first) to the far end (a scalar is that end
+    alone).  Every entry takes its own adaptive DOP853 steps, advanced
+    together as numpy operations over an entry axis, so the result of one
+    entry does not depend on which others share the batch; its last step is
+    clipped to land on the far end, where it leaves the batch, and its
+    frames at the other stations come from the dense output of the step
+    that passed them.
+    The step error of an entry is DOP853's combined 5th/3rd-order estimate,
+    taken per component and maxed over all its components (an RMS would
+    average away the error of the fastest-growing one).  Once an entry's
+    state passes GROWTH_BOUND its columns are replaced by an orthonormal
+    basis Q of their span (Y = Q R), and an entry that did so ends on an
+    orthonormal frame.
+
+    Returns a Shot whose leading axes ... are (N,) for one profile and
+    (P, N) for P: frames (..., S, k, 4), the entry's frame at each station,
+    one row per column; epochs (..., S), its orthonormalisations before
+    each station; r_factors (..., E + 1, k, k), the R of its j-th
+    orthonormalisation at index j (the identity at 0 and past its last);
+    log_scale (...), log det of all its R.  At a station of epoch e the true
+    columns are frame R_e ... R_1 (as 4 x k matrices), so the combination
+    of the initial columns with coefficients c_0 is frame c_e, where
+    c_j = R_j c_(j-1); the 2x2 minors of a true endpoint pair are those of
+    its last frame times exp(log_scale).
     """
     single = isinstance(profiles, CoefficientProfile)
     if single:
         profiles = (profiles,)
     lams = np.asarray(lams, dtype=float)
+    stations = np.atleast_1d(np.asarray(stations, dtype=float))
+    x_to = float(stations[-1])
+    direction = 1.0 if x_to > x_from else -1.0
     for profile in profiles:
         _check_args(profile, lams, x_from, x_to, rel_tol)
+    if not (np.all(np.diff(stations) * direction > 0.0)
+            and (stations[0] - x_from) * direction >= 0.0):
+        raise ValueError("stations must run strictly from x_from to the far end")
     rtol = max(rel_tol / 10.0, 2.3e-14)
     atol = rel_tol * 1e-6
-    n_stages = _DOP_C.size
     n = len(profiles) * lams.size
-    # layout (4 components, 2 columns, n entries): the entry is the
+    inits = np.atleast_2d(np.asarray(inits, dtype=float))
+    k = inits.shape[0]
+    # layout (4 components, k columns, n entries): the entry is the
     # contiguous axis, so every per-entry factor broadcasts along it
-    finals = np.empty((4, 2, n))
+    frames = np.empty((4, k, stations.size, n))
+    epochs = np.empty((stations.size, n), dtype=int)
     final_log = np.zeros(n)
-    fired = np.zeros(n, dtype=bool)
+    events = []     # (entries, their epoch, R) of every orthonormalisation
     # the running entries: their index, coefficient columns
-    # (degree + 1, entries), lam, position, next trial step, state, log
-    # scale and FSAL stage
+    # (degree + 1, entries), lam, position, next trial step, next station,
+    # state, epoch, log scale and FSAL stage
     idx = np.arange(n)
     rho_c, sig_c, q_c = (np.repeat(stack_coeffs(profiles, name), lams.size, axis=1)
                        for name in ("rho", "sigma", "q"))
     lam = np.tile(lams, len(profiles))
     x = np.full(n, float(x_from))
-    h = np.full(n, 0.01 * abs(x_to - x_from))   # first trial
-    y = np.empty_like(finals)
-    y[:] = np.asarray(inits, dtype=float).T[:, :, None]
+    # first trial: the whole way on a short span, as from state_at
+    h = np.full(n, min(0.01, abs(x_to - x_from)))
+    nxt = np.zeros(n, dtype=int)
+    y = np.empty((4, k, n))
+    y[:] = inits.T[:, :, None]
+    epoch = np.zeros(n, dtype=int)
     log_scale = np.zeros(n)
-    direction = 1.0 if x_to > x_from else -1.0
 
     def rhs(w, sig, q, lam_rho, out):
         out[0] = w[1]
@@ -356,8 +321,10 @@ def _batch_final_states(profiles, lams, x_from, x_to, inits,
 
     f0 = np.empty_like(y)
     rhs(y, *coeffs(x), f0)
+    # interior stations in the direction of integration, for searchsorted
+    ahead = stations[:-1] * direction
     while idx.size:
-        stages = np.empty((n_stages,) + y.shape)
+        stages = np.empty((_DOP_C.size,) + y.shape)
         stages[0] = f0
         rest = np.abs(x_to - x)
         last = h >= rest
@@ -365,48 +332,81 @@ def _batch_final_states(profiles, lams, x_from, x_to, inits,
         hs = direction * h
         stuck = x + hs == x
         if stuck.any():
-            raise IntegrationError("step size underflow", float(x[stuck][0]))
-        # the last abscissa is x + h (C[11] = 1), where f0 of the next step
-        # is taken too
-        sig, q, lam_rho = coeffs(x + _DOP_C[1:, None] * hs)
-        for i in range(1, n_stages):
+            # a last step may be shorter than one ulp of x: it lands on x_to
+            stuck &= ~last
+            if stuck.any():
+                raise IntegrationError("step size underflow", float(x[stuck][0]))
+        # the last abscissa is x + h (C[11] = 1), where stage 12 is taken too
+        sig, q, lam_rho = coeffs(x + _DOP_C[1:_N_STAGES, None] * hs)
+        for i in range(1, _N_STAGES):
             rhs(y + hs * combine(_DOP_A[i], i), sig[i - 1], q[i - 1], lam_rho[i - 1],
                 stages[i])
-        y_new = y + hs * combine(_DOP_B, n_stages)
+        y_new = y + hs * combine(_DOP_B, _N_STAGES)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err5 = combine(_DOP_E5, n_stages) / scale
-        err3 = combine(_DOP_E3, n_stages) / scale
+        err5 = combine(_DOP_E5, _N_STAGES) / scale
+        err3 = combine(_DOP_E3, _N_STAGES) / scale
         err5 *= err5
         denom = np.sqrt(err5 + 0.01 * err3 * err3)
         err = np.max(np.divide(err5, denom, out=np.zeros_like(err5), where=denom > 0.0),
                      axis=(0, 1)) * h
         ok = err <= 1.0
-        x = np.where(ok, np.where(last, x_to, x + hs), x)
+        rhs(y_new, sig[-1], q[-1], lam_rho[-1], stages[_N_STAGES])
+        x_new = np.where(ok, np.where(last, x_to, x + hs), x)
+        reached = np.searchsorted(ahead, x_new * direction, side="right") if ahead.size else nxt
+        if ahead.size and (reached > nxt).any():
+            # the interior stations this step passed, read from its dense
+            # output in the epoch of the step
+            sig, q, lam_rho = coeffs(x + _DOP_C[_N_STAGES + 1:, None] * hs)
+            for j, i in enumerate(range(_N_STAGES + 1, _DOP_C.size)):
+                rhs(y + hs * combine(_DOP_A[i], i), sig[j], q[j], lam_rho[j], stages[i])
+            # DOP853's interpolant, highest power first, in Horner form in
+            # theta and 1 - theta; row i of `at` is each entry's i-th
+            # station of this step
+            dy = y_new - y
+            poly = [*(hs * np.einsum("ji,i...->j...", _DOP_D[::-1], stages)),
+                    2.0 * dy - hs * (stages[_N_STAGES] + stages[0]), hs * stages[0] - dy, dy]
+            at = nxt + np.arange(np.max(reached - nxt))[:, None]
+            theta = ((stations[np.minimum(at, ahead.size - 1)] - x) / hs)[:, None, None, :]
+            factors = (theta, 1.0 - theta)
+            w = poly[0] * theta
+            for j, f in enumerate(poly[1:], start=1):
+                w = (w + f) * factors[j % 2]
+            row, col = np.nonzero(at < reached)
+            at, entries = at[row, col], idx[col]
+            frames[:, :, at, entries] = w[row, :, :, col].transpose(1, 2, 0) + y[..., col]
+            epochs[at, entries] = epoch[col]
+            nxt = reached
+        x = x_new
         y = np.where(ok, y_new, y)
-        # stage 11 is spent once the error is known: its slot takes f(x + h, y_new)
-        rhs(y_new, sig[-1], q[-1], lam_rho[-1], stages[-1])
-        f0 = np.where(ok, stages[-1], f0)
+        f0 = np.where(ok, stages[_N_STAGES], f0)
         grown = np.abs(y).max(axis=(0, 1)) > GROWTH_BOUND
         if grown.any():
-            y[..., grown], log_det_r, f0[..., grown] = _orthonormalise(
+            y[..., grown], r, log_det_r, f0[..., grown] = _orthonormalise(
                 y[..., grown], f0[..., grown])
             log_scale[grown] += log_det_r
-            fired[idx[grown]] = True
+            epoch[grown] += 1
+            events.append((idx[grown], epoch[grown], r))
         with np.errstate(divide="ignore"):
             h = h * np.clip(0.9 * err ** -0.125, 0.2, 10.0)
         done = ok & last
         if done.any():
-            finals[..., idx[done]] = y[..., done]
+            frames[:, :, -1, idx[done]] = y[..., done]
+            epochs[-1, idx[done]] = epoch[done]
             final_log[idx[done]] = log_scale[done]
             keep = ~done
-            idx, lam, x, h = idx[keep], lam[keep], x[keep], h[keep]
+            idx, lam, x, h, nxt = idx[keep], lam[keep], x[keep], h[keep], nxt[keep]
             rho_c, sig_c, q_c = rho_c[:, keep], sig_c[:, keep], q_c[:, keep]
-            y, f0, log_scale = y[..., keep], f0[..., keep], log_scale[keep]
+            y, f0 = y[..., keep], f0[..., keep]
+            epoch, log_scale = epoch[keep], log_scale[keep]
+    fired = epochs[-1] > 0
     if fired.any():
-        finals[..., fired], log_det_r = _orthonormalise(finals[..., fired])
+        frames[:, :, -1, fired], r, log_det_r = _orthonormalise(frames[:, :, -1, fired])
         final_log[fired] += log_det_r
-    finals = finals.transpose(2, 1, 0)
-    if single:
-        return finals, final_log
-    shape = (len(profiles), lams.size)
-    return finals.reshape(shape + finals.shape[1:]), final_log.reshape(shape)
+        epochs[-1, fired] += 1
+        events.append((np.flatnonzero(fired), epochs[-1, fired], r))
+    r_factors = np.tile(np.eye(k), (n, np.max(epochs[-1], initial=0) + 1, 1, 1))
+    for entries, at, r in events:
+        r_factors[entries, at] = r
+    lead = (lams.size,) if single else (len(profiles), lams.size)
+    return Shot(*(a.reshape(lead + a.shape[1:]) for a in
+                  (frames.transpose(3, 2, 1, 0), epochs.T, r_factors, final_log)))

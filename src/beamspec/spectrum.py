@@ -22,7 +22,10 @@ one root, so solve_modes refines all brackets in lock step, one batched
 pass per iteration, starting from the determinant values the scan kept at
 the bracket ends (refine is the one-bracket case); verify reads the
 simplicity slope and the joint step class of every mode from one batched
-probe.  Mode assembly (eigenpair) integrates on the scalar DOP853 path.
+probe.  solve_modes assembles all its modes from one more batched pass with
+stations (eigenpair is the one-lam case): the joint null vector of the last
+frames is carried back through the orthonormalisations, so the modes keep
+their shape at large lam too.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from scipy.integrate import simpson
 from scipy.optimize.elementwise import find_root
 
 from .config import GRID_POINTS, eval_coeff, mirrored
-from .fundamental import LEFT_UNIT_SHEAR, LEFT_UNIT_SLOPE, left_fundamental, right_fundamental
+from .fundamental import LEFT_UNIT_SHEAR, LEFT_UNIT_SLOPE
+# perfbench's tracer wraps these two names; the module itself does not call them
+from .fundamental import left_fundamental, right_fundamental  # noqa: F401
 from .quasi import DEFAULT_REL_TOL, _batch_final_states
 
 DEFAULT_DS = 0.02
@@ -150,32 +155,33 @@ class _Brackets(list):
 MIRROR = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def _batch_matrices(system, lams, rel_tol):
-    """Endpoint pairs and joint matrices at every lam, in one batched pass.
+def _batch_matrices(system, lams, rel_tol, stations=(0.0,)):
+    """Both spans' frames and the joint matrices at every lam, in one batched pass.
 
     The right span is integrated as its mirror on (-1, 0), next to the left
     span and from the same pinned data (the mirror of the right span's unit
-    slope and unit shear at x = +1); sign flips are exact, so its endpoint
-    states equal those of the right span integrated from x = +1 to the last
-    bit.  Returns (pairs, matrices, col_log): pairs of shape (2, N, 2, 4)
-    holding the left and the mirrored right endpoint pairs, the joint
-    matrices (N, 4, 4), and per-column log scales (N, 4), each column
+    slope and unit shear at x = +1); sign flips are exact, so its states
+    equal those of the right span integrated from x = +1 to the last bit.
+    Returns (shot, matrices, col_log): the Shot of the left and the
+    mirrored right span (leading axes (2, N)), the joint matrices (N, 4, 4)
+    from their last frames, and per-column log scales (N, 4), each column
     carrying half of its span's log scale.
     """
-    pairs, log_scale = _batch_final_states(
-        (system.left, mirrored(system.right)), lams, -1.0, 0.0,
-        [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR], rel_tol)
-    matrices = _build_matrix(pairs[0], pairs[1] * MIRROR, system.mass, lams)
-    return pairs, matrices, np.repeat(log_scale.T / 2.0, 2, axis=-1)
+    shot = _batch_final_states((system.left, mirrored(system.right)), lams, -1.0,
+                               stations, [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR], rel_tol)
+    matrices = _build_matrix(shot.frames[0, :, -1], shot.frames[1, :, -1] * MIRROR,
+                             system.mass, lams)
+    return shot, matrices, np.repeat(shot.log_scale.T / 2.0, 2, axis=-1)
 
 
 def _batch_dets(system, lams, rel_tol):
     """Endpoint pairs and (sign, log |det|) at every lam, in one batched pass.
 
-    Returns (pairs, sign, log_abs), pairs as from _batch_matrices.
+    Returns (pairs, sign, log_abs), pairs of shape (2, N, 2, 4) holding the
+    left and the mirrored right endpoint pairs.
     """
-    pairs, matrices, col_log = _batch_matrices(system, lams, rel_tol)
-    return (pairs, *_signed_log_det(matrices, col_log))
+    shot, matrices, col_log = _batch_matrices(system, lams, rel_tol)
+    return (shot.frames[:, :, -1], *_signed_log_det(matrices, col_log))
 
 
 def _grid_dets(system, s, rel_tol):
@@ -213,10 +219,10 @@ def scan(system, s_max, ds=DEFAULT_DS, rel_tol=DEFAULT_REL_TOL):
     s = lam**(1/4), so a fine enough ds skips none.  All grid points are
     integrated together (see quasi._batch_final_states).
     """
-    if s_max <= 0:
-        raise ValueError("s_max must be > 0")
-    if ds <= 0:
-        raise ValueError("ds must be > 0")
+    if not 0.0 < s_max < math.inf:
+        raise ValueError("s_max must be finite and > 0")
+    if not 0.0 < ds < math.inf:
+        raise ValueError("ds must be finite and > 0")
     return _extend_scan(system, _Brackets(), s_max, ds, rel_tol)
 
 
@@ -308,76 +314,71 @@ class Eigenpair:
 
 def eigenpair(system, lam, rel_tol=DEFAULT_REL_TOL,
               stations_per_side=DEFAULT_MODE_STATIONS, index=None):
-    """Assemble the normalized mode at a refined eigenvalue lam."""
+    """Assemble the normalized mode at a refined eigenvalue lam.
+
+    The one-lam case of the assembly in solve_modes, with the same bits.
+    """
+    return _eigenpairs(system, [lam], rel_tol, stations_per_side, [index])[0]
+
+
+def _eigenpairs(system, lams, rel_tol, stations_per_side, indices):
+    """Normalized modes at refined eigenvalues lams, from one batched pass.
+
+    Both spans are integrated to stations_per_side stations as in
+    _batch_matrices.  The joint null vector comes from the last frames and
+    is carried back one epoch at a time, c_(j-1) = R_j^-1 c_j, each R_j
+    being upper triangular with a positive diagonal; the R_j grow in the
+    direction of integration, so this recursion is stable.  A station of
+    epoch e then holds the mode as its frame times c_e.
+    """
     if stations_per_side < 129 or stations_per_side % 2 == 0:
         raise ValueError("stations_per_side must be odd and >= 129")
-    lf = left_fundamental(system, lam, rel_tol, stations_per_side)
-    rf = right_fundamental(system, lam, rel_tol, stations_per_side)
-
-    left_states = np.vstack([lf.unit_slope.final_state, lf.unit_shear.final_state])
-    right_states = np.vstack([rf.unit_slope.final_state, rf.unit_shear.final_state])
-    matrix = _build_matrix(left_states, right_states, system.mass, lam)
-    col_log = np.array([lf.unit_slope.log_scale] * 2 + [rf.unit_slope.log_scale] * 2)
-
-    norms = np.max(np.abs(matrix), axis=0)
+    lams = np.asarray(lams, dtype=float)
+    xs = np.linspace(-1.0, 0.0, stations_per_side)
+    shot, matrices, _ = _batch_matrices(system, lams, rel_tol, xs)
+    norms = np.max(np.abs(matrices), axis=-2)
     norms[norms == 0.0] = 1.0
-    _, svals, vt = np.linalg.svd(matrix / norms)
-    if svals[2] < DEGENERACY_GAP * svals[3]:
-        warnings.warn(
-            f"near-degenerate joint matrix at lam={lam:g}: "
-            f"singular values {svals}", RuntimeWarning)
-
-    coeffs = vt[-1] / (norms * np.exp(col_log - col_log.max()))
-    coeffs = coeffs / np.linalg.norm(coeffs)
-    if coeffs[0] < -SIGN_CONVENTION_EPS or (
-            abs(coeffs[0]) <= SIGN_CONVENTION_EPS and coeffs[1] < 0):
-        coeffs = -coeffs
-
-    scale_l = math.exp(lf.unit_slope.log_scale)
-    scale_r = math.exp(rf.unit_slope.log_scale)
-    xs_l = lf.unit_slope.xs
-    mode_l = (coeffs[0] * lf.unit_slope.states
-              + coeffs[1] * lf.unit_shear.states) * scale_l
-    xs_r = rf.unit_slope.xs[::-1].copy()
-    mode_r = ((coeffs[2] * rf.unit_slope.states
-               + coeffs[3] * rf.unit_shear.states) * scale_r)[::-1].copy()
-
-    u0 = float(mode_l[-1, 0])
-    rho_l = eval_coeff(system.left, "rho", xs_l)
-    rho_r = eval_coeff(system.right, "rho", xs_r)
-    h_sq = (simpson(rho_l * mode_l[:, 0] ** 2, x=xs_l)
-            + simpson(rho_r * mode_r[:, 0] ** 2, x=xs_r)
-            + system.mass * u0 ** 2)
-    h = math.sqrt(h_sq)
-    mode_l /= h
-    mode_r /= h
-    u0 /= h
-
-    wl = mode_l[-1]
-    wr = mode_r[0]
-    residual = np.array([
-        wl[0] - wr[0],
-        wl[1] - wr[1],
-        wl[2] - wr[2],
-        wl[3] - wr[3] + system.mass * lam * wl[0],
-    ])
-    # one common scale for all four rows: the joint-state magnitude
-    scale = max(float(np.max(np.abs(wl))), float(np.max(np.abs(wr))),
-                abs(system.mass * lam * wl[0]), 1e-300)
-    rel_residual = np.abs(residual) / scale
-
-    return Eigenpair(
-        index=index,
-        lam=lam,
-        coeffs=coeffs,
-        xs_left=xs_l,
-        mode_left=mode_l,
-        xs_right=xs_r,
-        mode_right=mode_r,
-        u0=u0,
-        interface_residuals=rel_residual,
-        singular_values=svals,
-    )
+    _, svals, vt = np.linalg.svd(matrices / norms[:, None, :])
+    # coeffs[span, entry, epoch]: the span's pair coefficients in that epoch
+    r = shot.r_factors
+    coeffs = np.empty(r.shape[:3] + (2,))
+    coeffs[..., -1, :] = (vt[:, -1] / norms).reshape(-1, 2, 2).swapaxes(0, 1)
+    for j in range(r.shape[2] - 1, 0, -1):
+        c2 = coeffs[..., j, 1] / r[..., j, 1, 1]
+        coeffs[..., j - 1, 1] = c2
+        coeffs[..., j - 1, 0] = (coeffs[..., j, 0] - r[..., j, 0, 1] * c2) / r[..., j, 0, 0]
+    per_station = np.take_along_axis(coeffs, shot.epochs[..., None], axis=2)
+    modes = (per_station[..., :1] * shot.frames[..., 0, :]
+             + per_station[..., 1:] * shot.frames[..., 1, :])
+    xs_r = -xs[::-1] + 0.0      # + 0.0: x = 0 as 0.0, not -0.0
+    pairs = []
+    for i, (lam, index) in enumerate(zip(lams.tolist(), indices)):
+        sv = svals[i]
+        if sv[2] < DEGENERACY_GAP * sv[3]:
+            warnings.warn(f"near-degenerate joint matrix at lam={lam:g}: "
+                          f"singular values {sv}", RuntimeWarning)
+        c = coeffs[:, i, 0].reshape(4)
+        c = c / np.linalg.norm(c)
+        sign = -1.0 if c[0] < -SIGN_CONVENTION_EPS or (
+            abs(c[0]) <= SIGN_CONVENTION_EPS and c[1] < 0) else 1.0
+        mode_l, mode_r = modes[0, i], (modes[1, i] * MIRROR)[::-1]
+        u0 = float(mode_l[-1, 0])
+        h_sq = (simpson(eval_coeff(system.left, "rho", xs) * mode_l[:, 0] ** 2, x=xs)
+                + simpson(eval_coeff(system.right, "rho", xs_r) * mode_r[:, 0] ** 2, x=xs_r)
+                + system.mass * u0 ** 2)
+        h = sign * math.sqrt(h_sq)
+        mode_l, mode_r, u0 = mode_l / h, mode_r / h, u0 / h
+        wl, wr = mode_l[-1], mode_r[0]
+        residual = wl - wr
+        residual[3] += system.mass * lam * wl[0]
+        # one common scale for all four rows: the joint-state magnitude
+        scale = max(float(np.max(np.abs(wl))), float(np.max(np.abs(wr))),
+                    abs(system.mass * lam * wl[0]), 1e-300)
+        pairs.append(Eigenpair(index=index, lam=lam, coeffs=sign * c, xs_left=xs,
+                               mode_left=mode_l, xs_right=xs_r, mode_right=mode_r, u0=u0,
+                               interface_residuals=np.abs(residual) / scale,
+                               singular_values=sv))
+    return pairs
 
 
 def _check_same_stations(phi, psi):
@@ -502,8 +503,7 @@ def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL, ds=DEFAULT_DS,
             f"found only {len(brackets)} determinant roots below s={s_max:g}")
     lams = refine_brackets(system, brackets[:count], rel_tol=rel_tol,
                            ends=brackets.ends[:count])
-    return [eigenpair(system, lam, rel_tol, stations_per_side, index=i + 1)
-            for i, lam in enumerate(lams)]
+    return _eigenpairs(system, lams, rel_tol, stations_per_side, range(1, count + 1))
 
 
 @dataclass(frozen=True)

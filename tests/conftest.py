@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import beamspec as bs
 
@@ -48,3 +50,19 @@ def uniform_m0_modes(shipped_modes):
 @pytest.fixture(scope="session")
 def uniform_m1_modes(shipped_modes):
     return shipped_modes["uniform_m1"]
+
+
+def reference_final_states(profile, lam, x_from, x_to, inits, rel_tol=1e-10):
+    """End states of initial columns (k, 4) by plain scipy DOP853, with no
+    rescaling: a reference independent of the package's integrator.  The
+    controller runs at the package's tolerances for rel_tol; growth up to
+    e^240 stays inside the float range."""
+    def rhs(x, y):
+        sig, q, rho = (bs.eval_coeff(profile, name, x) for name in ("sigma", "q", "rho"))
+        w = y.reshape(-1, 4).T
+        return np.stack([w[1], w[2] / sig, w[3] + q * w[1], lam * rho * w[0]]).T.ravel()
+
+    sol = solve_ivp(rhs, (x_from, x_to), np.ravel(inits), method="DOP853",
+                    rtol=max(rel_tol / 10.0, 2.3e-14), atol=rel_tol * 1e-6)
+    assert sol.success, sol.message
+    return sol.y[:, -1].reshape(-1, 4)

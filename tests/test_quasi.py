@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import beamspec.oscillation as oscillation
+import beamspec.quasi as quasi
 from beamspec.config import CoefficientProfile, uniform_system, variable_system
+from beamspec.fundamental import left_fundamental, right_fundamental
+from beamspec.oscillation import (
+    BoundaryVariant,
+    dim_check,
+    positivity_propagation,
+    simple_zero_scan,
+)
 from beamspec.quasi import _batch_final_states, integrate, integrate_scaled, vector_field
+from beamspec.spectrum import char_det, eigenpair, probe, scan, solve_modes
 
 UNIFORM_LEFT = uniform_system().left
 
@@ -74,6 +84,47 @@ def test_argument_guards():
         integrate(UNIFORM_LEFT, -1.0, -1.0, 0.0, (0, 1, 0, 0))
     with pytest.raises(ValueError):
         integrate(UNIFORM_LEFT, 1.0, -1.0, 0.0, (0, 1, 0, 0), n_stations=10)
+
+
+NON_FINITE_CALLS = {
+    "integrate": lambda: integrate(UNIFORM_LEFT, math.nan, -1.0, 0.0, (0, 1, 0, 0)),
+    "eigenpair": lambda: eigenpair(uniform_system(), math.nan),
+    "char_det_nan": lambda: char_det(uniform_system(), math.nan),
+    "char_det_inf": lambda: char_det(uniform_system(), math.inf),
+    "probe": lambda: probe(uniform_system(), [math.nan]),
+    "scan_nan": lambda: scan(uniform_system(), math.nan),
+    "scan_inf": lambda: scan(uniform_system(), math.inf),
+    "scan_ds_nan": lambda: scan(uniform_system(), 5.0, ds=math.nan),
+    "vector_field": lambda: vector_field(UNIFORM_LEFT, math.nan, -0.5, (0, 1, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_non_finite_lam_rejected(name):
+    # NaN passes a `lam < 0` test: integrate and eigenpair then never
+    # finished, and char_det returned a garbage sign
+    with pytest.raises(ValueError):
+        NON_FINITE_CALLS[name]()
+
+
+def test_no_call_goes_through_solve_ivp(monkeypatch):
+    # one integration primitive: modes, fundamental pairs, trajectories and
+    # the oscillation probes below all step the batched DOP853
+    def banned(*args, **kwargs):
+        raise AssertionError("solve_ivp called")
+
+    monkeypatch.setattr(quasi, "solve_ivp", banned)
+    monkeypatch.setattr(oscillation, "solve_ivp", banned)
+    system = uniform_system()
+    pairs = solve_modes(system, 3)
+    eigenpair(system, pairs[0].lam)
+    left_fundamental(system, 40.0)
+    right_fundamental(system, 40.0)
+    integrate(UNIFORM_LEFT, 40.0, -1.0, 0.0, (0, 1, 0, 0))
+    integrate_scaled(UNIFORM_LEFT, 40.0, -1.0, 0.0, (0, 1, 0, 0))
+    assert positivity_propagation(system.right, 1.0, (0, 1, 0, 0)).passed
+    assert dim_check(system.left, 1.0, BoundaryVariant("slope_vs_curvature", 1.0, 0.0)) == 1
+    assert len(simple_zero_scan(system, pairs[2])) == 2
 
 
 def test_linearity():
@@ -160,13 +211,22 @@ def test_right_to_left_direction():
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_batch_result_does_not_depend_on_the_batch(side):
     # every lam steps on its own, so a lam integrated alone gives the same
-    # bits as inside any batch (scipy's find_root needs an elementwise f)
+    # bits as inside any batch (scipy's find_root needs an elementwise f);
+    # the stations are read from dense output and leave the steps, and so
+    # the last frame, as they are without them
     profile = getattr(variable_system(), side)
     x_from = -1.0 if side == "left" else 1.0
     inits = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
     lams = [10.0, 3e3, 240.0 ** 4, 77.7, 1.5e5]
-    finals, log_scale = _batch_final_states(profile, lams, x_from, 0.0, inits)
+    stations = np.linspace(x_from, 0.0, 33)[1:]
+    shot = _batch_final_states(profile, lams, x_from, stations, inits)
+    ends = _batch_final_states(profile, lams, x_from, 0.0, inits)
+    np.testing.assert_array_equal(ends.frames[:, 0], shot.frames[:, -1])
+    np.testing.assert_array_equal(ends.log_scale, shot.log_scale)
     for i, lam in enumerate(lams):
-        alone, alone_log = _batch_final_states(profile, [lam], x_from, 0.0, inits)
-        np.testing.assert_array_equal(alone[0], finals[i])
-        assert alone_log[0] == log_scale[i]
+        alone = _batch_final_states(profile, [lam], x_from, stations, inits)
+        np.testing.assert_array_equal(alone.frames[0], shot.frames[i])
+        np.testing.assert_array_equal(alone.epochs[0], shot.epochs[i])
+        epochs = alone.epochs[0, -1] + 1
+        np.testing.assert_array_equal(alone.r_factors[0], shot.r_factors[i, :epochs])
+        assert alone.log_scale[0] == shot.log_scale[i]

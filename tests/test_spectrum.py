@@ -10,22 +10,14 @@ import pytest
 
 import beamspec.spectrum as spectrum
 import conftest
-from beamspec.config import mirrored, uniform_system, variable_system
+from beamspec.config import eval_coeff, mirrored, uniform_system, variable_system
 from beamspec.fundamental import (
     LEFT_UNIT_SHEAR,
     LEFT_UNIT_SLOPE,
     RIGHT_UNIT_SHEAR,
     RIGHT_UNIT_SLOPE,
-    left_fundamental,
-    right_fundamental,
-    subwronskians,
 )
-from beamspec.quasi import (
-    DEFAULT_REL_TOL,
-    GROWTH_BOUND,
-    _batch_final_states,
-    integrate_scaled,
-)
+from beamspec.quasi import DEFAULT_REL_TOL, GROWTH_BOUND, _batch_final_states
 from beamspec.spectrum import (
     DEFAULT_DS,
     BracketError,
@@ -186,6 +178,32 @@ def test_refine_closed_form_to_mode_40(mass):
         assert abs(lam - s ** 4) <= 1e-10 * s ** 4, n
 
 
+@pytest.mark.parametrize("mass", [0.0, 1.0])
+def test_modes_closed_form_to_mode_40(mass):
+    # at the exact lam = (n pi/2)**4 the mode is sin(n pi (x+1)/2) on both
+    # spans (every n at M = 0, the even n, which have u(0) = 0, at M = 1);
+    # the scalar path returned the wrong shape from mode 17 on
+    # all modes come from one batched pass, as in solve_modes; eigenpair is
+    # its one-lam case and gives the same bits
+    system = uniform_system(mass)
+    ns = list(range(1, 41) if mass == 0.0 else range(2, 41, 2))
+    lams = [(n * math.pi / 2) ** 4 for n in ns]
+    pairs = spectrum._eigenpairs(system, lams, DEFAULT_REL_TOL,
+                                 spectrum.DEFAULT_MODE_STATIONS, ns)
+    for i in (0, -1):
+        alone = eigenpair(system, lams[i], index=ns[i])
+        np.testing.assert_array_equal(alone.coeffs, pairs[i].coeffs)
+        np.testing.assert_array_equal(alone.mode_left, pairs[i].mode_left)
+        np.testing.assert_array_equal(alone.mode_right, pairs[i].mode_right)
+    for n, pair in zip(ns, pairs):
+        x = np.concatenate([pair.xs_left, pair.xs_right])
+        u = np.concatenate([pair.mode_left[:, 0], pair.mode_right[:, 0]])
+        exact = np.sin(n * math.pi * (x + 1.0) / 2.0)
+        scale = (u @ exact) / (exact @ exact)
+        assert np.max(np.abs(u / scale - exact)) <= 1e-5, n
+        assert pair.sv_gap >= 1e3, n
+
+
 def test_uniform_m0_closed_form_to_1e11(uniform_m0_modes):
     exact = [(n * math.pi / 2) ** 4 for n in range(1, 7)]
     np.testing.assert_allclose([p.lam for p in uniform_m0_modes], exact,
@@ -256,21 +274,19 @@ def test_mixed_batch_matches_scalar_endpoints(side):
     else:
         x_from, inits = 1.0, [RIGHT_UNIT_SLOPE, RIGHT_UNIT_SHEAR]
     lams = [10.0, 240.0 ** 4]
-    finals, log_scale = _batch_final_states(profile, lams, x_from, 0.0, inits)
+    shot = _batch_final_states(profile, lams, x_from, 0.0, inits)
+    finals, log_scale = shot.frames[:, -1], shot.log_scale
     assert log_scale[0] == 0.0 and log_scale[1] > math.log(GROWTH_BOUND)
-    scalar = [[integrate_scaled(profile, lam, x_from, 0.0, init) for init in inits]
-              for lam in lams]
+    ref = [conftest.reference_final_states(profile, lam, x_from, 0.0, inits)
+           for lam in lams]
 
-    ref = np.array([t.final_state for t in scalar[0]])
-    ref_log = scalar[0][0].log_scale
-    big, ref_big = np.max(np.abs(finals[0])), np.max(np.abs(ref))
-    np.testing.assert_allclose(finals[0] / big, ref / ref_big, rtol=0, atol=1e-12)
-    assert abs(log_scale[0] + math.log(big) - ref_log - math.log(ref_big)) <= 5e-9
+    big, ref_big = np.max(np.abs(finals[0])), np.max(np.abs(ref[0]))
+    np.testing.assert_allclose(finals[0] / big, ref[0] / ref_big, rtol=0, atol=1e-12)
+    assert abs(log_scale[0] + math.log(big) - math.log(ref_big)) <= 5e-9
 
     q = finals[1].T
     np.testing.assert_allclose(q.T @ q, np.eye(2), rtol=0, atol=1e-13)
-    for t in scalar[1]:
-        column = t.final_state
+    for column in ref[1]:
         assert np.linalg.norm(column - q @ (q.T @ column)) <= 1e-13 * np.linalg.norm(column)
 
 
@@ -278,14 +294,16 @@ def assert_mirrored_pass_exact(system, lams):
     """The right span integrated as its mirror on (-1, 0), next to the left
     span in one batch, gives the bits of the two one-profile calls."""
     left_inits = [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR]
-    pairs, log_scale = _batch_final_states((system.left, mirrored(system.right)), lams,
-                                           -1.0, 0.0, left_inits)
-    left, log_l = _batch_final_states(system.left, lams, -1.0, 0.0, left_inits)
-    right, log_r = _batch_final_states(system.right, lams, 1.0, 0.0,
-                                       [RIGHT_UNIT_SLOPE, RIGHT_UNIT_SHEAR])
-    np.testing.assert_array_equal(pairs[0], left)
-    np.testing.assert_array_equal(pairs[1] * spectrum.MIRROR, right)
-    np.testing.assert_array_equal(log_scale, [log_l, log_r])
+    both = _batch_final_states((system.left, mirrored(system.right)), lams,
+                               -1.0, 0.0, left_inits)
+    left = _batch_final_states(system.left, lams, -1.0, 0.0, left_inits)
+    right = _batch_final_states(system.right, lams, 1.0, 0.0,
+                                [RIGHT_UNIT_SLOPE, RIGHT_UNIT_SHEAR])
+    log_l, log_r = left.log_scale, right.log_scale
+    left, right = left.frames[:, -1], right.frames[:, -1]
+    np.testing.assert_array_equal(both.frames[0, :, -1], left)
+    np.testing.assert_array_equal(both.frames[1, :, -1] * spectrum.MIRROR, right)
+    np.testing.assert_array_equal(both.log_scale, [log_l, log_r])
 
     _, sign, log_abs = spectrum._batch_dets(system, lams, DEFAULT_REL_TOL)
     matrices = spectrum._build_matrix(left, right, system.mass, lams)
@@ -438,7 +456,8 @@ def test_det_slope_margin(uniform_m0_modes):
 
 def dense_probe(system, lam, rel_step=1e-4, vanish_rel=1e-6):
     """Slope, margin and step class one lam at a time: one determinant per
-    side point, and subwronskians of the dense fundamental pairs at x = 0."""
+    side point, and slope pairings at x = 0 of the fundamental pairs
+    integrated by plain scipy DOP853."""
     s = lam ** 0.25
     h = max(s, 1.0) * rel_step
     lo = char_det(system, (s - h) ** 4)
@@ -447,10 +466,15 @@ def dense_probe(system, lam, rel_step=1e-4, vanish_rel=1e-6):
     f_lo = lo.sign * math.exp(lo.log_abs - ref)
     f_hi = hi.sign * math.exp(hi.log_abs - ref)
     vanished = 0
-    for build in (left_fundamental, right_fundamental):
-        t = subwronskians(build(system, lam), 0.0)
-        scale = max(abs(t.slope), abs(t.curvature), abs(t.shear))
-        vanished += abs(t.slope) <= vanish_rel * scale
+    for profile, x_from, inits in (
+            (system.left, -1.0, [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR]),
+            (system.right, 1.0, [RIGHT_UNIT_SLOPE, RIGHT_UNIT_SHEAR])):
+        wa, wb = conftest.reference_final_states(profile, lam, x_from, 0.0, inits)
+        slope = wa[0] * wb[1] - wb[0] * wa[1]
+        curvature = (wa[0] * wb[2] - wb[0] * wa[2]) / eval_coeff(profile, "sigma", 0.0)
+        shear = wa[0] * wb[3] - wb[0] * wa[3]
+        scale = max(abs(slope), abs(curvature), abs(shear))
+        vanished += abs(slope) <= vanish_rel * scale
     return ((f_hi - f_lo) / (2.0 * h),
             abs(f_hi - f_lo) / (abs(f_hi) + abs(f_lo)),
             (1, 3, 2)[vanished])
