@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh
 
 from .config import eval_coeff
 
@@ -201,6 +200,10 @@ def solve_generalized(op, count):
     does, and keeps a floor), and the quotient is stationary at an
     eigenvector, so the vector's rounding error enters only squared.
     """
+    # imported here: scipy.linalg alone costs about 0.3 s, which the
+    # shooting solve should not pay
+    from scipy.linalg import eigh
+
     dim = op.stiffness.shape[0]
     if not 1 <= count <= dim:
         raise ValueError(f"count must lie in [1, {dim}]")

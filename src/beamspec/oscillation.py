@@ -23,12 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .config import CoefficientProfile, eval_coeff, eval_stacked, horner
 from .fundamental import span_pair
-from .quasi import DEFAULT_REL_TOL, DEFAULT_STATIONS, _columns, integrate_scaled
+from .quasi import (DEFAULT_REL_TOL, DEFAULT_STATIONS, Trajectory, _columns,
+                    integrate_scaled)
 
 VIOLATION_TOL = -1e-12
 DIM_ZERO_REL = 1e-8
@@ -120,6 +119,8 @@ def leighton_nehari_transform(profile, a, b, rel_tol=DEFAULT_REL_TOL,
     With q = 0 the gauge is identically 1, gamma = b - a, and the warp is
     the identity.
     """
+    from scipy.integrate import solve_ivp
+
     lo, hi = profile.interval
     if not (lo - 1e-12 <= a < b <= hi + 1e-12):
         raise ValueError(f"[{a:g}, {b:g}] must lie inside the span [{lo:g}, {hi:g}]")
@@ -175,6 +176,8 @@ def transform_identity_residual(profile, a, b, lambda_like, init,
     state range so identically-vanishing components are not compared
     against their own integration noise.
     """
+    from scipy.integrate import solve_ivp
+
     if lambda_like < 0:
         raise ValueError("lambda_like must be >= 0")
     td = leighton_nehari_transform(profile, a, b, rel_tol)
@@ -231,49 +234,44 @@ class ZeroInfo:
 def simple_zero_scan(system, pair, rel_tol=DEFAULT_REL_TOL, slope_rel=1e-6):
     """Locate interior sign-change zeros of a mass-free mode; check simplicity.
 
-    Each zero's |u'| must exceed slope_rel times the mode's slope scale.
-    Only defined for systems with mass = 0.
+    Sign changes and slopes are read from the mode's own samples.  Each zero
+    is located by integrating the sample state from the station before it,
+    a short step that stays well conditioned at large lam.  Each zero's |u'|
+    must exceed slope_rel times the mode's slope scale.  Only defined for
+    systems with mass = 0.
     """
+    from scipy.optimize import brentq
+
     if system.mass != 0:
         raise ValueError("simple_zero_scan requires mass = 0")
-    lam = pair.lam
-    lpair = span_pair(system.left, lam, rel_tol)
-    rpair = span_pair(system.right, lam, rel_tol)
-    a_, b_, c_, d_ = pair.coeffs
+    spans = [Trajectory(pair.lam, xs, mode, 0.0, profile, rel_tol)
+             for xs, mode, profile in ((pair.xs_left, pair.mode_left, system.left),
+                                       (pair.xs_right, pair.mode_right, system.right))]
+    modes = np.concatenate([pair.mode_left, pair.mode_right])
+    u_scale = float(np.max(np.abs(modes[:, 0])))
+    slope_scale = float(np.max(np.abs(modes[:, 1])))
 
-    def state(x):
-        if x <= 0.0:
-            return a_ * lpair[0].state_at(x) + b_ * lpair[1].state_at(x)
-        return c_ * rpair[0].state_at(x) + d_ * rpair[1].state_at(x)
-
-    xs = np.concatenate([lpair[0].xs, rpair[0].xs[::-1][1:]])
-    us = np.concatenate([
-        a_ * lpair[0].states[:, 0] + b_ * lpair[1].states[:, 0],
-        (c_ * rpair[0].states[:, 0] + d_ * rpair[1].states[:, 0])[::-1][1:],
-    ])
-    slopes = np.concatenate([
-        a_ * lpair[0].states[:, 1] + b_ * lpair[1].states[:, 1],
-        (c_ * rpair[0].states[:, 1] + d_ * rpair[1].states[:, 1])[::-1][1:],
-    ])
-    slope_scale = float(np.max(np.abs(slopes)))
-    u_scale = float(np.max(np.abs(us)))
-
+    # the spans' u(0) agree to the interface residual only: opposite signs
+    # put a zero at the joint
     zeros = []
-    for i in range(1, len(xs) - 1):
-        ui, uj = us[i], us[i + 1]
-        if abs(ui) < 1e-13 * u_scale:
-            zeros.append(float(xs[i]))
-            continue
-        if ui * uj < 0:
-            x0 = brentq(lambda x: float(state(x)[0]), xs[i], xs[i + 1],
-                        xtol=1e-13)
-            zeros.append(float(x0))
+    if pair.mode_left[-1, 0] * pair.mode_right[0, 0] < 0:
+        zeros.append((0.0, abs(float(pair.mode_left[-1, 1]))))
+    # each span's zeros from its own samples; the left span starts at the
+    # hinge x = -1, the right span's first station is x = 0
+    for span, first in zip(spans, (1, 0)):
+        us = span.states[:, 0]
+        for i in range(first, len(span.xs) - 1):
+            if abs(us[i]) < 1e-13 * u_scale:
+                zeros.append((float(span.xs[i]), abs(float(span.states[i, 1]))))
+            elif us[i] * us[i + 1] < 0:
+                x0 = brentq(lambda x: float(span.state_at(x)[0]), span.xs[i],
+                            span.xs[i + 1], xtol=1e-13)
+                zeros.append((float(x0), abs(float(span.state_at(x0)[1]))))
 
     out = []
-    for x0 in sorted(zeros):
+    for x0, sl in sorted(zeros):
         if out and x0 - out[-1].x <= 1e-9:
-            continue   # grid hit plus bracketing both found the same zero
-        sl = abs(float(state(x0)[1]))
+            continue   # found twice: by a grid hit and a bracket, or on both spans
         out.append(ZeroInfo(x=x0, slope=sl, simple=sl > slope_rel * slope_scale))
     return out
 

@@ -31,14 +31,13 @@ bit.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-# perfbench's tracer wraps this name; the module itself does not call it
-from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from .config import CoefficientProfile, eval_coeff, eval_stacked, stack_coeffs
 
@@ -181,12 +180,29 @@ def integrate_scaled(profile, lam, x_from, x_to, init, rel_tol=DEFAULT_REL_TOL,
                     rel_tol)[0]
 
 
-# DOP853 tableau (Hairer, Norsett & Wanner), taken from the (private)
-# module that scipy's DOP853 solver reads.  Stages 0..11 make a step;
-# stage 12 is f(x + h, y_new), which an accepted step hands on as the next
-# step's stage 0 (FSAL).  E5 and E3 give the 5th- and 3rd-order
+def __getattr__(name):
+    # perfbench's tracer wraps quasi.solve_ivp, which nothing here calls; it
+    # is resolved on request, so importing quasi leaves scipy.integrate alone
+    if name != "solve_ivp":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import solve_ivp
+    return solve_ivp
+
+
+# DOP853 tableau (Hairer, Norsett & Wanner), from the (private) module that
+# scipy's DOP853 solver reads.  It is executed from its file, which imports
+# numpy only: find_spec locates scipy without importing it, so neither
+# scipy.integrate nor the rest of scipy it pulls in loads.  Stages 0..11
+# make a step; stage 12 is f(x + h, y_new), which an accepted step hands on
+# as the next step's stage 0 (FSAL).  E5 and E3 give the 5th- and 3rd-order
 # error estimates from stages 0..11.  Stages 13..15 and D give the step's
 # 7th-order dense output.
+_spec = importlib.util.spec_from_file_location(
+    f"{__name__}._dop853",
+    Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
+    / "integrate" / "_ivp" / "dop853_coefficients.py")
+_dop853 = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_dop853)
 _N_STAGES = _dop853.N_STAGES
 _DOP_A = _dop853.A
 _DOP_B = _dop853.B

@@ -35,8 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize.elementwise import find_root
 
 from .config import GRID_POINTS, eval_coeff, mirrored
 from .fundamental import LEFT_UNIT_SHEAR, LEFT_UNIT_SLOPE
@@ -240,12 +238,11 @@ def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_
 
     Eigenvalues are simple, so each bracket holds one root and the brackets
     are independent: all are refined in lock step by Chandrupatla's method
-    (scipy.optimize.elementwise.find_root), and every pass evaluates the
-    determinant at one new s per unfinished bracket in one batched
-    integration.  ends, when given, holds the (sign, log |det|) at the low
-    and the high end of every bracket as a scan found them (its ends
-    attribute); they are then not integrated again.  Returns the
-    eigenvalues in bracket order.
+    (_chandrupatla), and every pass evaluates the determinant at one new s
+    per unfinished bracket in one batched integration.  ends, when given,
+    holds the (sign, log |det|) at the low and the high end of every bracket
+    as a scan found them (its ends attribute); they are then not integrated
+    again.  Returns the eigenvalues in bracket order.
     """
     s_lo, s_hi = (np.array(side, dtype=float) for side in zip(*brackets))
     n = s_lo.size
@@ -261,28 +258,81 @@ def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_
         raise BracketError(
             f"determinant does not change sign on [{s_lo[i]:g}, {s_hi[i]:g}]")
     ref = np.maximum(log_abs[:n], log_abs[n:])
-    # find_root evaluates the bracket ends before it iterates; serve those
-    # calls from the values above instead of integrating again
-    at_ends = dict(zip(s_lo.tolist() + s_hi.tolist(), zip(sign.tolist(), log_abs.tolist())))
+    f = sign * np.exp(np.minimum(log_abs - np.tile(ref, 2), 700.0))
 
-    def descaled(s, ref):
-        points = s.tolist()
-        if all(x in at_ends for x in points):
-            sign, log_abs = (np.array(v) for v in zip(*(at_ends[x] for x in points)))
-        else:
-            _, sign, log_abs = _batch_dets(system, s ** 4, rel_tol)
-        return sign * np.exp(np.minimum(log_abs - ref, 700.0))
+    def descaled(s, running):
+        _, sign, log_abs = _batch_dets(system, s ** 4, rel_tol)
+        return sign * np.exp(np.minimum(log_abs - ref[running], 700.0))
 
     # xrtol is relative in s, and lam = s**4 has four times the relative
     # error: /4 would just meet tol_lambda_rel, /40 leaves a factor of ten
-    res = find_root(descaled, (s_lo, s_hi), args=(ref,),
-                    tolerances={"xatol": 1e-14,
-                                "xrtol": max(tol_lambda_rel / 40.0, 4e-16)})
-    if not np.all(res.success):
-        i = int(np.flatnonzero(~res.success)[0])
-        raise RuntimeError(f"root refinement failed on [{s_lo[i]:g}, {s_hi[i]:g}] "
-                           f"(status {int(res.status[i])})")
-    return (res.x ** 4).tolist()
+    s, converged = _chandrupatla(descaled, s_lo, s_hi, f[:n], f[n:], xatol=1e-14,
+                                 xrtol=max(tol_lambda_rel / 40.0, 4e-16))
+    if not np.all(converged):
+        i = int(np.flatnonzero(~converged)[0])
+        raise RuntimeError(f"root refinement failed on [{s_lo[i]:g}, {s_hi[i]:g}]")
+    return (s ** 4).tolist()
+
+
+def _chandrupatla(func, x1, x2, f1, f2, xatol, xrtol):
+    """Roots of func in the brackets [x1, x2], elementwise (Chandrupatla 1997).
+
+    f1 and f2 are func at x1 and x2, of opposite signs.  func(x, running)
+    gets the trial points of the brackets still running and their indices.
+    A port of the Chandrupatla step of scipy.optimize.elementwise.find_root
+    at fatol = smallest normal, frtol = 0: the same update order and
+    tolerances, so each root has the bits find_root gives.  Returns the
+    roots and whether each converged (a root that did not is nan).
+    """
+    n = x1.size
+    x, converged = np.full(n, math.nan), np.zeros(n, dtype=bool)
+    running = np.arange(n)
+    x3 = f3 = None
+    t = 0.5
+    fatol = np.finfo(float).smallest_normal
+    # find_root's default cap: log2(max) - log2(smallest normal) evaluations
+    for evaluations in range(2047):
+        # Chandrupatla's termination test; x_min is the end with smaller |f|
+        i = np.abs(f1) < np.abs(f2)
+        x_min, f_min = np.where(i, x1, x2), np.where(i, f1, f2)
+        small = np.abs(f_min) <= fatol
+        invalid = ~small & ((np.sign(f1) == np.sign(f2))
+                            | ~(np.isfinite(x1) & np.isfinite(x2))
+                            | (np.isnan(f1) & np.isnan(f2)))
+        x_min[invalid] = math.nan
+        dx = np.abs(x2 - x1)
+        tol = np.abs(x_min) * xrtol + xatol
+        done = small | (dx < tol)
+        stop = done | invalid
+        x[running[stop]], converged[running[stop]] = x_min[stop], done[stop]
+        go = ~stop
+        running = running[go]
+        if not running.size or evaluations == 2046:
+            break
+        x1, f1, x2, f2, dx, tol = x1[go], f1[go], x2[go], f2[go], dx[go], tol[go]
+        if x3 is not None:
+            x3, f3 = x3[go], f3[go]
+            # inverse quadratic interpolation where it is safe, else bisection
+            xi1 = (x1 - x2) / (x3 - x2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                phi1 = (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            j = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+            f1j, f2j, f3j, alphaj = f1[j], f2[j], f3[j], alpha[j]
+            t = np.full_like(alpha, 0.5)
+            t[j] = (f1j / (f1j - f2j) * f3j / (f3j - f2j)
+                    - alphaj * f1j / (f3j - f1j) * f2j / (f2j - f3j))
+            tl = 0.5 * tol / dx
+            t = np.clip(t, tl, 1 - tl)
+        x_new = x1 + t * (x2 - x1)
+        f_new = func(x_new, running)
+        # keep the sign change in [x1, x2]; x3 is the end dropped
+        x3, f3 = x2.copy(), f2.copy()
+        same = np.sign(f_new) == np.sign(f1)
+        x3[same], f3[same] = x1[same], f1[same]
+        x2[~same], f2[~same] = x1[~same], f1[~same]
+        x1, f1 = x_new, f_new
+    return x, converged
 
 
 @dataclass(frozen=True)
@@ -310,6 +360,22 @@ class Eigenpair:
     def sv_gap(self):
         sv = self.singular_values
         return float(sv[2] / max(sv[3], 1e-300))
+
+
+def _simpson(y, x):
+    """Composite Simpson rule over an odd number of stations x.
+
+    scipy.integrate.simpson's formula for (possibly uneven) spacings, term
+    for term, so the result has its bits.
+    """
+    if x.size % 2 == 0:
+        raise ValueError("Simpson's rule needs an odd number of stations")
+    h = np.diff(x)
+    h0, h1 = h[0::2], h[1::2]
+    hsum, ratio = h0 + h1, h0 / h1
+    return np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / ratio)
+                                + y[1::2] * (hsum * (hsum / (h0 * h1)))
+                                + y[2::2] * (2.0 - ratio)))
 
 
 def eigenpair(system, lam, rel_tol=DEFAULT_REL_TOL,
@@ -363,8 +429,8 @@ def _eigenpairs(system, lams, rel_tol, stations_per_side, indices):
             abs(c[0]) <= SIGN_CONVENTION_EPS and c[1] < 0) else 1.0
         mode_l, mode_r = modes[0, i], (modes[1, i] * MIRROR)[::-1]
         u0 = float(mode_l[-1, 0])
-        h_sq = (simpson(eval_coeff(system.left, "rho", xs) * mode_l[:, 0] ** 2, x=xs)
-                + simpson(eval_coeff(system.right, "rho", xs_r) * mode_r[:, 0] ** 2, x=xs_r)
+        h_sq = (_simpson(eval_coeff(system.left, "rho", xs) * mode_l[:, 0] ** 2, xs)
+                + _simpson(eval_coeff(system.right, "rho", xs_r) * mode_r[:, 0] ** 2, xs_r)
                 + system.mass * u0 ** 2)
         h = sign * math.sqrt(h_sq)
         mode_l, mode_r, u0 = mode_l / h, mode_r / h, u0 / h
@@ -394,8 +460,8 @@ def h_inner(system, phi, psi):
     rho_l = eval_coeff(system.left, "rho", phi.xs_left)
     rho_r = eval_coeff(system.right, "rho", phi.xs_right)
     return float(
-        simpson(rho_l * phi.mode_left[:, 0] * psi.mode_left[:, 0], x=phi.xs_left)
-        + simpson(rho_r * phi.mode_right[:, 0] * psi.mode_right[:, 0], x=phi.xs_right)
+        _simpson(rho_l * phi.mode_left[:, 0] * psi.mode_left[:, 0], phi.xs_left)
+        + _simpson(rho_r * phi.mode_right[:, 0] * psi.mode_right[:, 0], phi.xs_right)
         + system.mass * phi.u0 * psi.u0
     )
 
@@ -410,8 +476,8 @@ def energy_form(system, phi, psi):
     ):
         sig = eval_coeff(side, "sigma", xs)
         q = eval_coeff(side, "q", xs)
-        out += simpson(m_phi[:, 2] * m_psi[:, 2] / sig, x=xs)
-        out += simpson(q * m_phi[:, 1] * m_psi[:, 1], x=xs)
+        out += _simpson(m_phi[:, 2] * m_psi[:, 2] / sig, xs)
+        out += _simpson(q * m_phi[:, 1] * m_psi[:, 1], xs)
     return float(out)
 
 

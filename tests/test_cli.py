@@ -16,6 +16,12 @@ UNIFORM_M0 = f"{CONFIG_DIR}/uniform_m0.json"
 UNIFORM_M1 = f"{CONFIG_DIR}/uniform_m1.json"
 
 
+def source_env():
+    """The environment of a subprocess that imports beamspec from src/."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -167,8 +173,7 @@ def test_tol_out_of_range_is_usage_error(capsys, tol):
 def test_closed_pipe_exits_quietly(tmp_path):
     # ~400 kB of CSV: far more than a pipe buffers, so the writer meets the
     # closed pipe mid-output, as under `beamspec modes ... | head -1`
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
+    env = source_env()
     err_path = tmp_path / "stderr.txt"
     with open(err_path, "wb") as err:
         proc = subprocess.Popen(
@@ -180,6 +185,25 @@ def test_closed_pipe_exits_quietly(tmp_path):
         code = proc.wait(timeout=120)
     assert err_path.read_text() == ""
     assert code == 0
+
+
+def test_verify_loads_no_scipy(tmp_path):
+    # the shooting solve imports numpy only; scipy loads on the first FEM or
+    # oscillation call, which verify makes none of
+    code = "\n".join([
+        "import sys",
+        "import beamspec, beamspec.cli",
+        f"code = beamspec.cli.main(['verify', {UNIFORM_M0!r}, '--modes', '6',"
+        f" '--out', {str(tmp_path / 'verify.json')!r}])",
+        "assert code == 0, code",
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))",
+        "assert not loaded, loaded",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=source_env(),
+                          cwd=SRC_DIR.parent, capture_output=True, text=True,
+                          timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "verify.json").read_text())["theorem1_consistent"]
 
 
 def test_bad_config_exit_2(tmp_path, capsys):

@@ -14,6 +14,7 @@ from beamspec.oscillation import (
     simple_zero_scan,
     transform_identity_residual,
 )
+from beamspec.spectrum import eigenpair
 
 UNIT_RIGHT = CoefficientProfile("right", (1.0,), (1.0,), (0.0,))
 UNIT_Q1 = CoefficientProfile("right", (1.0,), (1.0,), (1.0,))
@@ -115,6 +116,19 @@ def test_simple_zero_scan_counts_match_closed_form(uniform_m0, uniform_m0_modes)
         zeros = simple_zero_scan(uniform_m0, pair)
         assert len(zeros) == n - 1
         assert all(z.simple for z in zeros)
+
+
+@pytest.mark.parametrize("n", [6, 17, 24, 40])
+def test_simple_zero_scan_at_large_lam(n):
+    # at lam = (n pi/2)**4 the mass-free uniform mode is sin(n pi (x+1)/2),
+    # with simple zeros at -1 + 2k/n (x = 0 among them for even n); zeros
+    # read through the spans' nearly parallel true columns were 26 at n = 24
+    system = uniform_system()
+    zeros = simple_zero_scan(system, eigenpair(system, (n * math.pi / 2) ** 4))
+    assert len(zeros) == n - 1
+    np.testing.assert_allclose([z.x for z in zeros], -1.0 + 2.0 * np.arange(1, n) / n,
+                               rtol=0, atol=1e-9)
+    assert all(z.simple for z in zeros)
 
 
 def test_simple_zero_scan_variable(shipped_systems, shipped_modes):

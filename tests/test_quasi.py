@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import beamspec.oscillation as oscillation
 import beamspec.quasi as quasi
 from beamspec.config import CoefficientProfile, uniform_system, variable_system
 from beamspec.fundamental import left_fundamental, right_fundamental
@@ -107,6 +106,18 @@ def test_non_finite_lam_rejected(name):
         NON_FINITE_CALLS[name]()
 
 
+def test_dop853_tableau_is_scipys():
+    # quasi executes scipy's tableau file without importing scipy.integrate;
+    # the arrays must be scipy's to the bit
+    from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
+
+    assert quasi._dop853 is not scipy_tableau
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER",
+                 "A", "B", "C", "D", "E3", "E5"):
+        np.testing.assert_array_equal(getattr(quasi._dop853, name),
+                                      getattr(scipy_tableau, name), err_msg=name)
+
+
 def test_no_call_goes_through_solve_ivp(monkeypatch):
     # one integration primitive: modes, fundamental pairs, trajectories and
     # the oscillation probes below all step the batched DOP853
@@ -114,7 +125,8 @@ def test_no_call_goes_through_solve_ivp(monkeypatch):
         raise AssertionError("solve_ivp called")
 
     monkeypatch.setattr(quasi, "solve_ivp", banned)
-    monkeypatch.setattr(oscillation, "solve_ivp", banned)
+    # oscillation imports solve_ivp from scipy.integrate when it is called
+    monkeypatch.setattr("scipy.integrate.solve_ivp", banned)
     system = uniform_system()
     pairs = solve_modes(system, 3)
     eigenpair(system, pairs[0].lam)

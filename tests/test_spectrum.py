@@ -155,6 +155,68 @@ def test_refine_brackets_rejects_bad_bracket():
         refine_brackets(UNIFORM, [(1.56, 1.58), (0.5, 0.6)])
 
 
+def test_refine_brackets_rejects_bad_scan_ends():
+    # the same check when the bracket ends come from a scan
+    brackets = [(1.56, 1.58), (1.60, 1.62)]
+    _, sign, log_abs = spectrum._batch_dets(UNIFORM, np.array(brackets).T.ravel() ** 4,
+                                            DEFAULT_REL_TOL)
+    ends = list(zip(zip(sign[:2], log_abs[:2]), zip(sign[2:], log_abs[2:])))
+    refine_brackets(UNIFORM, brackets[:1], ends=ends[:1])
+    with pytest.raises(BracketError):
+        refine_brackets(UNIFORM, brackets, ends=ends)
+
+
+def find_root_pinned(system, brackets):
+    """Roots in s of refine_brackets' descaled determinant by scipy's
+    find_root and by the port, with the tolerances refine_brackets uses."""
+    from scipy.optimize.elementwise import find_root
+
+    s_lo, s_hi = (np.array(side) for side in zip(*brackets))
+    _, sign, log_abs = spectrum._batch_dets(system, np.concatenate([s_lo, s_hi]) ** 4,
+                                            DEFAULT_REL_TOL)
+    ref = np.maximum(log_abs[:s_lo.size], log_abs[s_lo.size:])
+
+    def descaled(s, ref):
+        _, sign, log_abs = spectrum._batch_dets(system, s ** 4, DEFAULT_REL_TOL)
+        return sign * np.exp(np.minimum(log_abs - ref, 700.0))
+
+    tolerances = {"xatol": 1e-14, "xrtol": 1e-10 / 40.0}
+    theirs = find_root(descaled, (s_lo, s_hi), args=(ref,), tolerances=tolerances)
+    ours, converged = spectrum._chandrupatla(
+        lambda s, running: descaled(s, ref[running]), s_lo, s_hi,
+        descaled(s_lo, ref), descaled(s_hi, ref), **tolerances)
+    assert theirs.success.all() and converged.all()
+    return theirs.x, ours
+
+
+@pytest.mark.parametrize("name", sorted(conftest.SHIPPED_BUILDERS))
+def test_chandrupatla_port_matches_find_root(shipped_systems, name):
+    system = shipped_systems[name]
+    brackets = scan(system, suggest_s_max(system, 6))[:6]
+    theirs, ours = find_root_pinned(system, brackets)
+    np.testing.assert_array_equal(ours, theirs)
+    assert refine_brackets(system, brackets) == (ours ** 4).tolist()
+
+
+def test_chandrupatla_port_matches_find_root_to_mode_40():
+    # the high_modes benchmark brackets: one root each, lam up to 2.4e7
+    brackets = [(n * math.pi / 2 - 0.05, n * math.pi / 2 + 0.05) for n in range(1, 41)]
+    theirs, ours = find_root_pinned(UNIFORM, brackets)
+    np.testing.assert_array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("stations", [129, 257])
+def test_simpson_port_matches_scipy(stations):
+    from scipy.integrate import simpson
+
+    xs = np.linspace(-1.0, 0.0, stations)
+    for x in (xs, -xs[::-1] + 0.0):
+        for y in (np.sin(7.0 * x) ** 2 * (1.0 + x), np.exp(x) - x ** 3):
+            assert spectrum._simpson(y, x) == simpson(y, x=x)
+    with pytest.raises(ValueError):
+        spectrum._simpson(xs[1:], xs[1:])
+
+
 @pytest.mark.parametrize("name", sorted(conftest.SHIPPED_BUILDERS))
 def test_refine_brackets_matches_scalar_refine(shipped_systems, shipped_modes, name):
     # solve_modes' lock-step refinement lands within 1e-11 of the reference
