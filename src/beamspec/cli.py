@@ -185,19 +185,21 @@ _HANDLERS = {
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.modes < 1:
-        print("error: --modes must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-    if not REL_TOL_MIN <= args.tol <= REL_TOL_MAX:   # also rejects NaN
-        print(f"error: --tol must lie in [{REL_TOL_MIN:g}, {REL_TOL_MAX:g}]",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    if getattr(args, "stations", 65) < 65:
-        print("error: --stations must be >= 65", file=sys.stderr)
-        return EXIT_CONFIG
-    if getattr(args, "elements", 4) < 4:
-        print("error: --elements must be >= 4", file=sys.stderr)
-        return EXIT_CONFIG
+    # usage errors, checked before any solve; the first that applies is reported
+    for bad, message in (
+        (args.modes < 1, "--modes must be >= 1"),
+        (not REL_TOL_MIN <= args.tol <= REL_TOL_MAX,   # also rejects NaN
+         f"--tol must lie in [{REL_TOL_MIN:g}, {REL_TOL_MAX:g}]"),
+        (getattr(args, "stations", 65) < 65, "--stations must be >= 65"),
+        (getattr(args, "elements", 4) < 4, "--elements must be >= 4"),
+        (args.command == "verify" and args.modes < 2, "verify needs --modes >= 2"),
+        # the coarse mesh has 4 * elements degrees of freedom
+        (args.command == "oracle" and args.modes > 4 * args.elements,
+         "--modes must not exceed 4 * --elements"),
+    ):
+        if bad:
+            print(f"error: {message}", file=sys.stderr)
+            return EXIT_CONFIG
     try:
         code, text = _HANDLERS[args.command](args)
         if args.out == "-":

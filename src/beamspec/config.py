@@ -164,11 +164,16 @@ def eval_stacked(coeffs, which, x):
     return val
 
 
+# the quasi-derivative state (u, u', sigma*u'', Tu) of u(-x), as signs on
+# the state of u: the map between a span and its mirror, either way
+MIRROR = np.array([1.0, -1.0, 1.0, -1.0])
+
+
 def mirrored(profile):
     """The same span under x -> -x: the coefficients of p(-x), opposite side.
 
     Odd powers change sign.  A solution u of one span gives u(-x) on the
-    mirror, with quasi-derivative state (u, -u', sigma*u'', -Tu).
+    mirror, with quasi-derivative state MIRROR * (u, u', sigma*u'', Tu).
     """
     def flip(coeffs):
         return tuple(-c if k % 2 else c for k, c in enumerate(coeffs))

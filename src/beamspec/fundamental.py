@@ -3,9 +3,10 @@
 Each span carries a pair of solutions pinned by hinged data at its outer end.
 The left pair starts at x = -1 with (u, u', sigma*u'', Tu) = (0,1,0,0)
 (unit slope) and (0,0,0,1) (unit quasi-shear); the right pair starts at
-x = +1 with (0,-1,0,0) and (0,0,0,-1).  For lam > 0 every component of the
-left pair is strictly positive on (-1, 0] and the right pair carries the
-sign pattern (+,-,+,-) on [0, 1); both facts are checked on construction.
+x = +1 from their mirror images, MIRROR * (0,1,0,0) and MIRROR * (0,0,0,1)
+(config.MIRROR).  For lam > 0 every component of the left pair is strictly
+positive on (-1, 0] and the right pair carries the sign pattern MIRROR =
+(+,-,+,-) on [0, 1); both facts are checked on construction.
 
 The subwronskians of a pair (u1, u2) are the bilinear pairings
 
@@ -29,15 +30,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import horner
+from .config import MIRROR, eval_stacked
 from .quasi import DEFAULT_REL_TOL, DEFAULT_STATIONS, Trajectory, _columns
 
 LEFT_UNIT_SLOPE = (0.0, 1.0, 0.0, 0.0)
 LEFT_UNIT_SHEAR = (0.0, 0.0, 0.0, 1.0)
-RIGHT_UNIT_SLOPE = (0.0, -1.0, 0.0, 0.0)
-RIGHT_UNIT_SHEAR = (0.0, 0.0, 0.0, -1.0)
 
 SIGN_TOL = -1e-12
+
+# each span's outer end and the signs of its pinned pair: the right span's
+# pinned data and sign pattern are the left span's under MIRROR
+_SPANS = {"left": (-1.0, np.ones(4)), "right": (1.0, MIRROR)}
+
+VANISH_ZERO_REL = 1e-8
+VANISH_APART_REL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -70,40 +76,57 @@ class SubwronskianTriple:
 
 def span_pair(profile, lam, rel_tol=DEFAULT_REL_TOL, n_stations=DEFAULT_STATIONS):
     """Integrate the pinned pair of one span from its outer end to x = 0."""
-    if profile.side == "left":
-        inits = [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR]
-        x_from, x_to = -1.0, 0.0
-    else:
-        inits = [RIGHT_UNIT_SLOPE, RIGHT_UNIT_SHEAR]
-        x_from, x_to = 1.0, 0.0
-    return _columns(profile, lam, np.linspace(x_from, x_to, n_stations), inits, rel_tol)
+    x_from, signs = _SPANS[profile.side]
+    inits = [signs * LEFT_UNIT_SLOPE, signs * LEFT_UNIT_SHEAR]
+    return _columns(profile, lam, np.linspace(x_from, 0.0, n_stations), inits, rel_tol)
+
+
+def first_violation(traj, signs):
+    """First station beyond the start where a sign-adjusted component is
+    below SIGN_TOL, as (x, component, adjusted value); None if there is none."""
+    adjusted = traj.states[1:] * signs
+    bad = np.argwhere(adjusted < SIGN_TOL)
+    if not bad.size:
+        return None
+    i, comp = bad[0]
+    return float(traj.xs[1 + i]), int(comp), float(adjusted[i, comp])
 
 
 def _pattern_check(trajectories, signs):
     """All sign-adjusted components strictly positive beyond the start."""
-    signs = np.asarray(signs, dtype=float)
     for name, tr in zip(("unit_slope", "unit_shear"), trajectories):
-        adjusted = tr.states[1:] * signs
-        bad = np.argwhere(adjusted < SIGN_TOL)
-        if bad.size:
-            i, comp = bad[0]
-            return False, (name, float(tr.xs[1 + i]), int(comp),
-                           float(tr.states[1 + i, comp]))
+        violation = first_violation(tr, signs)
+        if violation is not None:
+            return False, (name, *violation)
     return True, None
 
 
-def left_fundamental(system, lam, rel_tol=DEFAULT_REL_TOL, n_stations=DEFAULT_STATIONS):
+def _fundamental(system, side, lam, rel_tol):
+    profile = getattr(system, side)
+    pair = span_pair(profile, lam, rel_tol)
+    ok, violation = (None, None) if lam == 0 else _pattern_check(pair, _SPANS[side][1])
+    return FundamentalSet(side, lam, profile, pair[0], pair[1], ok, violation)
+
+
+def left_fundamental(system, lam, rel_tol=DEFAULT_REL_TOL):
     """Pinned pair of the left span; positivity on (-1, 0] checked for lam > 0."""
-    pair = span_pair(system.left, lam, rel_tol, n_stations)
-    ok, violation = (None, None) if lam == 0 else _pattern_check(pair, (1, 1, 1, 1))
-    return FundamentalSet("left", lam, system.left, pair[0], pair[1], ok, violation)
+    return _fundamental(system, "left", lam, rel_tol)
 
 
-def right_fundamental(system, lam, rel_tol=DEFAULT_REL_TOL, n_stations=DEFAULT_STATIONS):
+def right_fundamental(system, lam, rel_tol=DEFAULT_REL_TOL):
     """Pinned pair of the right span; pattern (+,-,+,-) on [0, 1) checked for lam > 0."""
-    pair = span_pair(system.right, lam, rel_tol, n_stations)
-    ok, violation = (None, None) if lam == 0 else _pattern_check(pair, (1, -1, 1, -1))
-    return FundamentalSet("right", lam, system.right, pair[0], pair[1], ok, violation)
+    return _fundamental(system, "right", lam, rel_tol)
+
+
+def pairings(wa, wb, sigma):
+    """(slope, curvature, shear) pairings of two states (u, u', sigma*u'', Tu).
+
+    The component axis comes first, so stacked states pair elementwise with
+    sigma broadcast against them.
+    """
+    return (wa[0] * wb[1] - wb[0] * wa[1],
+            (wa[0] * wb[2] - wb[0] * wa[2]) / sigma,
+            wa[0] * wb[3] - wb[0] * wa[3])
 
 
 def subwronskians(fset, x):
@@ -112,11 +135,11 @@ def subwronskians(fset, x):
     wb = fset.unit_shear.state_at(x)
     # products of two stored states: true value needs exp(2 * log_scale)
     factor = math.exp(2.0 * fset.unit_slope.log_scale)
-    sig = horner(fset.profile.sigma, x)
+    slope, curvature, shear = pairings(wa, wb, eval_stacked(fset.profile.sigma, "sigma", x))
     return SubwronskianTriple(
-        slope=(wa[0] * wb[1] - wb[0] * wa[1]) * factor,
-        curvature=(wa[0] * wb[2] - wb[0] * wa[2]) / sig * factor,
-        shear=(wa[0] * wb[3] - wb[0] * wa[3]) * factor,
+        slope=slope * factor,
+        curvature=curvature * factor,
+        shear=shear * factor,
         x=float(x),
         lam=fset.lam,
     )
@@ -131,7 +154,7 @@ def shear_identity_residual(fset, x):
     wa = fset.unit_slope.state_at(x)
     wb = fset.unit_shear.state_at(x)
     factor = math.exp(2.0 * fset.unit_slope.log_scale)
-    lhs = (wa[0] * wb[3] - wb[0] * wa[3]) * factor
+    lhs = pairings(wa, wb, 1.0)[2] * factor
     rhs = (wa[1] * wb[2] - wb[1] * wa[2]) * factor
     return abs(lhs - rhs) / max(1.0, abs(lhs))
 
@@ -148,22 +171,17 @@ class VanishingScanReport:
     violations: tuple
 
 
-def vanishing_scan(system, side, lambdas, n_x=20, rel_tol=DEFAULT_REL_TOL,
-                   zero_rel=1e-8, apart_rel=1e-4):
+def vanishing_scan(system, side, lambdas, n_x=20, rel_tol=DEFAULT_REL_TOL):
     """Probe that no two subwronskians vanish together at any (x, lam).
 
     At every grid point where one pairing has magnitude below
-    zero_rel * scale, the other two must exceed apart_rel * scale, where
-    scale is the largest magnitude seen over the whole scan.
+    VANISH_ZERO_REL * scale, the other two must exceed VANISH_APART_REL *
+    scale, where scale is the largest magnitude seen over the whole scan.
     """
-    build = left_fundamental if side == "left" else right_fundamental
+    xs = np.linspace(_SPANS[side][0], 0.0, n_x + 1)[1:]
     triples = []
     for lam in lambdas:
-        fset = build(system, lam, rel_tol)
-        if side == "left":
-            xs = np.linspace(-1.0, 0.0, n_x + 1)[1:]
-        else:
-            xs = np.linspace(1.0, 0.0, n_x + 1)[1:]
+        fset = _fundamental(system, side, lam, rel_tol)
         for x in xs:
             t = subwronskians(fset, x)
             triples.append((lam, float(x), (t.slope, t.curvature, t.shear)))
@@ -172,10 +190,10 @@ def vanishing_scan(system, side, lambdas, n_x=20, rel_tol=DEFAULT_REL_TOL,
     violations = []
     for lam, x, vals in triples:
         for i in range(3):
-            if abs(vals[i]) < zero_rel * scale:
+            if abs(vals[i]) < VANISH_ZERO_REL * scale:
                 near_zero += 1
                 others = [abs(vals[j]) for j in range(3) if j != i]
-                if min(others) <= apart_rel * scale:
+                if min(others) <= VANISH_APART_REL * scale:
                     violations.append((lam, x, i, vals))
     return VanishingScanReport(
         side=side,

@@ -24,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CoefficientProfile, eval_coeff, eval_stacked, horner
-from .fundamental import span_pair
-from .quasi import (DEFAULT_REL_TOL, DEFAULT_STATIONS, Trajectory, _columns,
-                    integrate_scaled)
+from .config import MIRROR, CoefficientProfile, eval_coeff, eval_stacked
+from .fundamental import first_violation, span_pair
+from .quasi import DEFAULT_REL_TOL, Trajectory, _columns, integrate_scaled
 
-VIOLATION_TOL = -1e-12
+GAUGE_STATIONS = 257
+TRANSFORM_CHECK_POINTS = 65
+ZERO_SLOPE_REL = 1e-6
 DIM_ZERO_REL = 1e-8
 
 
@@ -45,51 +46,37 @@ class PropagationResult:
     value: float | None = None
 
 
-_BACKWARD_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
-_FORWARD_SIGNS = np.array([1.0, 1.0, 1.0, 1.0])
-
-
 def positivity_propagation(profile, lambda_like, init, direction="forward",
-                           a=None, b=None, rel_tol=DEFAULT_REL_TOL,
-                           n_stations=DEFAULT_STATIONS):
-    """Propagate a sign-definite quadruple and check it stays positive.
+                           rel_tol=DEFAULT_REL_TOL):
+    """Propagate a sign-definite quadruple across the span; check it stays positive.
 
-    Forward runs start at a with all four components >= 0; backward runs
-    start at b with (u, -u', u'', -Tu) >= 0.  Either way the initial state
-    must not be identically zero.  Stations beyond the start must show the
-    (sign-adjusted) components strictly positive; a value below -1e-12
-    counts as a violation and is reported with its location.
+    Forward runs start at the span's left end with all four components >= 0;
+    backward runs start at its right end with MIRROR * init, i.e.
+    (u, -u', u'', -Tu), >= 0.  Either way the initial state must not be
+    identically zero.  Stations beyond the start must show the
+    (sign-adjusted) components strictly positive; a value below
+    fundamental.SIGN_TOL counts as a violation and is reported with its
+    location.
     """
     if lambda_like <= 0:
         raise ValueError("lambda_like must be > 0")
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
-    lo, hi = profile.interval
-    a = lo if a is None else a
-    b = hi if b is None else b
-    if not (lo - 1e-12 <= a < b <= hi + 1e-12):
-        raise ValueError(f"[{a:g}, {b:g}] must lie inside the span [{lo:g}, {hi:g}]")
     init = np.asarray(init, dtype=float)
-    signs = _FORWARD_SIGNS if direction == "forward" else _BACKWARD_SIGNS
+    signs = np.ones(4) if direction == "forward" else MIRROR
     adjusted0 = init * signs
     if np.any(adjusted0 < 0):
         raise ValueError("initial quadruple violates the direction's sign pattern")
     if not np.any(adjusted0 > 0):
         raise ValueError("initial quadruple must not be identically zero")
 
-    x_from, x_to = (a, b) if direction == "forward" else (b, a)
-    traj = integrate_scaled(profile, lambda_like, x_from, x_to, init, rel_tol, n_stations)
-    adjusted = traj.states[1:] * signs
-    bad = np.argwhere(adjusted < VIOLATION_TOL)
-    if bad.size:
-        i, comp = bad[0]
-        return PropagationResult(
-            passed=False,
-            x=float(traj.xs[1 + i]),
-            component=int(comp),
-            value=float(adjusted[i, comp]),
-        )
-    return PropagationResult(passed=True)
+    lo, hi = profile.interval
+    x_from, x_to = (lo, hi) if direction == "forward" else (hi, lo)
+    traj = integrate_scaled(profile, lambda_like, x_from, x_to, init, rel_tol)
+    violation = first_violation(traj, signs)
+    if violation is None:
+        return PropagationResult(passed=True)
+    return PropagationResult(False, *violation)
 
 
 @dataclass(frozen=True)
@@ -107,9 +94,9 @@ class TransformData:
     rho_tilde: np.ndarray
 
 
-def leighton_nehari_transform(profile, a, b, rel_tol=DEFAULT_REL_TOL,
-                              n_stations=257):
-    """Solve the gauge equation and build the warped problem data.
+def leighton_nehari_transform(profile, a, b, rel_tol=DEFAULT_REL_TOL):
+    """Solve the gauge equation and build the warped problem data at
+    GAUGE_STATIONS stations.
 
     The warped coefficients are chosen so the warp preserves the equation
     exactly (same eigenvalues): with c = gamma/(b - a),
@@ -128,9 +115,10 @@ def leighton_nehari_transform(profile, a, b, rel_tol=DEFAULT_REL_TOL,
 
     def rhs(x, y):
         # y = (h, sigma*h', integral of h)
-        return [y[1] / horner(sig_c, x), eval_stacked(q_c, "q", x) * y[0], y[0]]
+        return [y[1] / eval_stacked(sig_c, "sigma", x), eval_stacked(q_c, "q", x) * y[0],
+                y[0]]
 
-    xs = np.linspace(a, b, n_stations)
+    xs = np.linspace(a, b, GAUGE_STATIONS)
     sol = solve_ivp(rhs, (a, b), [1.0, 0.0, 0.0], method="DOP853",
                     rtol=max(rel_tol / 10.0, 2.3e-14), atol=rel_tol * 1e-6,
                     t_eval=xs, dense_output=False)
@@ -159,8 +147,7 @@ def leighton_nehari_transform(profile, a, b, rel_tol=DEFAULT_REL_TOL,
     )
 
 
-def transform_identity_residual(profile, a, b, lambda_like, init,
-                                rel_tol=DEFAULT_REL_TOL, n_check=65):
+def transform_identity_residual(profile, a, b, lambda_like, init, rel_tol=DEFAULT_REL_TOL):
     """Dual-path mismatch between original and warped integrations.
 
     The warped equation (which has no first-order term) is integrated in t
@@ -171,10 +158,11 @@ def transform_identity_residual(profile, a, b, lambda_like, init,
         W1 = u,   W2 = c*u'/h,   W3 = (h*(sigma*u'') - u'*(sigma*h'))/c,
         W4 = Tu,              with c = gamma/(b - a).
 
-    Returns the worst relative mismatch over the four components.  Each
-    component is scaled by its own range, floored at 1e-3 of the overall
-    state range so identically-vanishing components are not compared
-    against their own integration noise.
+    Returns the worst relative mismatch over the four components at
+    TRANSFORM_CHECK_POINTS points.  Each component is scaled by its own
+    range, floored at 1e-3 of the overall state range so identically-
+    vanishing components are not compared against their own integration
+    noise.
     """
     from scipy.integrate import solve_ivp
 
@@ -187,11 +175,11 @@ def transform_identity_residual(profile, a, b, lambda_like, init,
     def rhs(t, y):
         # y = (x, h, sigma*h', W1, W2, W3, W4); the warped system has q = 0
         x, h = y[0], y[1]
-        sig = horner(sig_c, x)
+        sig = eval_stacked(sig_c, "sigma", x)
         q = eval_stacked(q_c, "q", x)
         dxdt = c / h
         sigma_tilde = (h / c) ** 3 * sig
-        rho_tilde = c * horner(rho_c, x) / h
+        rho_tilde = c * eval_stacked(rho_c, "rho", x) / h
         return [
             dxdt,
             (y[2] / sig) * dxdt,
@@ -204,7 +192,7 @@ def transform_identity_residual(profile, a, b, lambda_like, init,
 
     init = np.asarray(init, dtype=float)
     y0 = [a, 1.0, 0.0, init[0], c * init[1], init[2] / c, init[3]]
-    ts = np.linspace(a, b, n_check)
+    ts = np.linspace(a, b, TRANSFORM_CHECK_POINTS)
     sol = solve_ivp(rhs, (a, b), y0, method="DOP853",
                     rtol=max(rel_tol / 10.0, 2.3e-14), atol=rel_tol * 1e-6,
                     t_eval=ts)
@@ -231,13 +219,13 @@ class ZeroInfo:
     simple: bool
 
 
-def simple_zero_scan(system, pair, rel_tol=DEFAULT_REL_TOL, slope_rel=1e-6):
+def simple_zero_scan(system, pair, rel_tol=DEFAULT_REL_TOL):
     """Locate interior sign-change zeros of a mass-free mode; check simplicity.
 
     Sign changes and slopes are read from the mode's own samples.  Each zero
     is located by integrating the sample state from the station before it,
     a short step that stays well conditioned at large lam.  Each zero's |u'|
-    must exceed slope_rel times the mode's slope scale.  Only defined for
+    must exceed ZERO_SLOPE_REL times the mode's slope scale.  Only defined for
     systems with mass = 0.
     """
     from scipy.optimize import brentq
@@ -272,7 +260,7 @@ def simple_zero_scan(system, pair, rel_tol=DEFAULT_REL_TOL, slope_rel=1e-6):
     for x0, sl in sorted(zeros):
         if out and x0 - out[-1].x <= 1e-9:
             continue   # found twice: by a grid hit and a bracket, or on both spans
-        out.append(ZeroInfo(x=x0, slope=sl, simple=sl > slope_rel * slope_scale))
+        out.append(ZeroInfo(x=x0, slope=sl, simple=sl > ZERO_SLOPE_REL * slope_scale))
     return out
 
 
@@ -298,13 +286,12 @@ class BoundaryVariant:
             raise ValueError("(alpha, beta) must not both be zero")
 
 
-def dim_check(profile, lam, variant, rel_tol=DEFAULT_REL_TOL,
-              zero_rel=DIM_ZERO_REL):
+def dim_check(profile, lam, variant, rel_tol=DEFAULT_REL_TOL):
     """Measured dimension of the hinged family pinned by the variant condition.
 
     The hinged-end family of one span is two-dimensional; the variant adds a
     single linear functional, so the measured dimension is the nullity of a
-    1x2 row (rank thresholded at zero_rel relative): 1 when the functional
+    1x2 row (rank thresholded at DIM_ZERO_REL relative): 1 when the functional
     is nonzero on the family (the expected value), 2 only if it degenerates
     (never observed; would contradict the one-dimensionality statement).
     """
@@ -315,25 +302,16 @@ def dim_check(profile, lam, variant, rel_tol=DEFAULT_REL_TOL,
         raise ValueError("left-span variants need alpha*beta <= 0")
     if profile.side == "right" and prod < 0:
         raise ValueError("right-span variants need alpha*beta >= 0")
-    pair = span_pair(profile, lam, rel_tol, n_stations=2)
-    w1 = pair[0].final_state
-    w2 = pair[1].final_state
-    sig0 = horner(profile.sigma, 0.0)
+    w1, w2 = (tr.final_state for tr in span_pair(profile, lam, rel_tol, n_stations=2))
+    # the variant's functional on a state w: alpha*w[i] - beta*w[j]/d
     if variant.kind == "slope_vs_curvature":
-        row = np.array([
-            variant.alpha * w1[1] - variant.beta * w1[2] / sig0,
-            variant.alpha * w2[1] - variant.beta * w2[2] / sig0,
-        ])
-        scale = (abs(variant.alpha) * max(abs(w1[1]), abs(w2[1]))
-                 + abs(variant.beta) * max(abs(w1[2]), abs(w2[2])) / sig0)
+        i, j, d = 1, 2, eval_coeff(profile, "sigma", 0.0)
     else:
-        row = np.array([
-            variant.alpha * w1[3] - variant.beta * w1[0],
-            variant.alpha * w2[3] - variant.beta * w2[0],
-        ])
-        scale = (abs(variant.alpha) * max(abs(w1[3]), abs(w2[3]))
-                 + abs(variant.beta) * max(abs(w1[0]), abs(w2[0])))
-    rank = 0 if np.max(np.abs(row)) <= zero_rel * max(scale, 1e-300) else 1
+        i, j, d = 3, 0, 1.0
+    row = np.array([variant.alpha * w[i] - variant.beta * w[j] / d for w in (w1, w2)])
+    scale = (abs(variant.alpha) * max(abs(w1[i]), abs(w2[i]))
+             + abs(variant.beta) * max(abs(w1[j]), abs(w2[j])) / d)
+    rank = 0 if np.max(np.abs(row)) <= DIM_ZERO_REL * max(scale, 1e-300) else 1
     return 2 - rank
 
 

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import GRID_POINTS, eval_coeff, mirrored
-from .fundamental import LEFT_UNIT_SHEAR, LEFT_UNIT_SLOPE
+from .config import GRID_POINTS, MIRROR, eval_coeff, mirrored
+from .fundamental import LEFT_UNIT_SHEAR, LEFT_UNIT_SLOPE, pairings
 # perfbench's tracer wraps these two names; the module itself does not call them
 from .fundamental import left_fundamental, right_fundamental  # noqa: F401
 from .quasi import DEFAULT_REL_TOL, _batch_final_states
@@ -46,6 +46,8 @@ DEFAULT_DS = 0.02
 DEFAULT_MODE_STATIONS = 257   # per side; keeps Simpson quadrature error ~1e-8
 SIGN_CONVENTION_EPS = 1e-12
 DEGENERACY_GAP = 1e3
+PROBE_REL_STEP = 1e-4
+VANISH_REL = 1e-6
 
 SIGN_NOTE = (
     "published sign conventions for the endpoint products u'*Tu disagree "
@@ -56,39 +58,6 @@ SIGN_NOTE = (
 
 class BracketError(ValueError):
     """refine() was handed an interval without a determinant sign change."""
-
-
-@dataclass(frozen=True)
-class InterfaceMatrix:
-    """Joint-condition matrix at one lam, stored in per-side scaled form.
-
-    Each span's two columns are its endpoint pair as integrated; once the
-    span's growth passed quasi.GROWTH_BOUND they are an orthonormal basis of
-    the same plane instead.  Either way the true determinant is
-    det(matrix) * exp(sum(col_log_scale)).
-    """
-
-    lam: float
-    matrix: np.ndarray
-    col_log_scale: np.ndarray
-
-
-@dataclass(frozen=True)
-class DeterminantSample:
-    """Sign-exact determinant value with magnitude kept in log form."""
-
-    s: float
-    lam: float
-    sign: int
-    log_abs: float
-
-    @property
-    def value(self):
-        if self.sign == 0:
-            return 0.0
-        if self.log_abs > 700.0:
-            return self.sign * math.inf
-        return self.sign * math.exp(self.log_abs)
 
 
 def _build_matrix(left_states, right_states, mass, lam):
@@ -102,9 +71,23 @@ def _build_matrix(left_states, right_states, mass, lam):
 
 
 def interface_matrix(system, lam, rel_tol=DEFAULT_REL_TOL):
-    """Assemble the 4x4 joint-condition matrix at lam."""
+    """The 4x4 joint-condition matrix at lam, as (matrix, col_log_scale).
+
+    Each span's two columns are its endpoint pair as integrated; once the
+    span's growth passed quasi.GROWTH_BOUND they are an orthonormal basis of
+    the same plane instead.  Either way the true determinant is
+    det(matrix) * exp(sum(col_log_scale)).
+    """
     _, matrices, col_log = _batch_matrices(system, np.array([float(lam)]), rel_tol)
-    return InterfaceMatrix(lam=lam, matrix=matrices[0], col_log_scale=col_log[0])
+    return matrices[0], col_log[0]
+
+
+def _unit_columns(matrices):
+    """Stacked matrices (..., 4, 4) with every column scaled to unit max-norm,
+    and the norms removed (..., 4); a zero column keeps norm 1."""
+    norms = np.max(np.abs(matrices), axis=-2)
+    norms[norms == 0.0] = 1.0
+    return matrices / norms[..., None, :], norms
 
 
 def _signed_log_det(matrices, col_log_scale):
@@ -113,11 +96,8 @@ def _signed_log_det(matrices, col_log_scale):
     Columns are normalized to unit max-norm before the determinant, and the
     removed norms join the per-column log scales (..., 4) in the magnitude.
     """
-    norms = np.max(np.abs(matrices), axis=-2)
-    singular = np.any(norms == 0.0, axis=-1)
-    norms = np.where(norms == 0.0, 1.0, norms)
-    d = np.linalg.det(matrices / norms[..., None, :])
-    d[singular] = 0.0
+    unit, norms = _unit_columns(matrices)
+    d = np.linalg.det(unit)
     sign = np.sign(d).astype(int)
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(d)) + np.sum(np.log(norms) + col_log_scale, axis=-1)
@@ -126,10 +106,14 @@ def _signed_log_det(matrices, col_log_scale):
 
 
 def char_det(system, lam, rel_tol=DEFAULT_REL_TOL):
-    """Characteristic determinant at lam, recorded with s = lam**0.25."""
+    """Characteristic determinant at lam, sign-exact: (sign, log |det|)."""
     _, sign, log_abs = _batch_dets(system, np.array([float(lam)]), rel_tol)
-    return DeterminantSample(s=lam ** 0.25, lam=lam, sign=int(sign[0]),
-                             log_abs=float(log_abs[0]))
+    return int(sign[0]), float(log_abs[0])
+
+
+def _descale(sign, log_abs, ref):
+    """Determinant values sign * exp(log_abs - ref), capped at exp(700)."""
+    return sign * np.exp(np.minimum(log_abs - ref, 700.0))
 
 
 class _Brackets(list):
@@ -146,11 +130,6 @@ class _Brackets(list):
         self.n = 0
         self.last = None
         self.ends = []
-
-
-# the right span's quasi-derivative state from its mirror on (-1, 0):
-# (u, u', sigma*u'', Tu) = MIRROR * (v, v', sigma*v'', Tv) with v(x) = u(-x)
-MIRROR = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 def _batch_matrices(system, lams, rel_tol, stations=(0.0,)):
@@ -244,6 +223,8 @@ def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_
     as a scan found them (its ends attribute); they are then not integrated
     again.  Returns the eigenvalues in bracket order.
     """
+    if not brackets:
+        return []
     s_lo, s_hi = (np.array(side, dtype=float) for side in zip(*brackets))
     n = s_lo.size
     if ends is None:
@@ -258,11 +239,11 @@ def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_
         raise BracketError(
             f"determinant does not change sign on [{s_lo[i]:g}, {s_hi[i]:g}]")
     ref = np.maximum(log_abs[:n], log_abs[n:])
-    f = sign * np.exp(np.minimum(log_abs - np.tile(ref, 2), 700.0))
+    f = _descale(sign, log_abs, np.tile(ref, 2))
 
     def descaled(s, running):
         _, sign, log_abs = _batch_dets(system, s ** 4, rel_tol)
-        return sign * np.exp(np.minimum(log_abs - ref[running], 700.0))
+        return _descale(sign, log_abs, ref[running])
 
     # xrtol is relative in s, and lam = s**4 has four times the relative
     # error: /4 would just meet tol_lambda_rel, /40 leaves a factor of ten
@@ -402,9 +383,8 @@ def _eigenpairs(system, lams, rel_tol, stations_per_side, indices):
     lams = np.asarray(lams, dtype=float)
     xs = np.linspace(-1.0, 0.0, stations_per_side)
     shot, matrices, _ = _batch_matrices(system, lams, rel_tol, xs)
-    norms = np.max(np.abs(matrices), axis=-2)
-    norms[norms == 0.0] = 1.0
-    _, svals, vt = np.linalg.svd(matrices / norms[:, None, :])
+    unit, norms = _unit_columns(matrices)
+    _, svals, vt = np.linalg.svd(unit)
     # coeffs[span, entry, epoch]: the span's pair coefficients in that epoch
     r = shot.r_factors
     coeffs = np.empty(r.shape[:3] + (2,))
@@ -481,11 +461,11 @@ def energy_form(system, phi, psi):
     return float(out)
 
 
-def probe(system, lams, rel_tol=DEFAULT_REL_TOL, rel_step=1e-4, vanish_rel=1e-6):
+def probe(system, lams, rel_tol=DEFAULT_REL_TOL):
     """Simplicity slope, margin and joint step class at every lam, batched.
 
     One batched integration covers s - h, s and s + h for every lam
-    (s = lam**0.25, h = max(s, 1) * rel_step).  Returns three arrays:
+    (s = lam**0.25, h = max(s, 1) * PROBE_REL_STEP).  Returns three arrays:
 
     * slope: centred difference in s of the determinant, descaled by the
       larger of its two log magnitudes;
@@ -494,18 +474,18 @@ def probe(system, lams, rel_tol=DEFAULT_REL_TOL, rel_step=1e-4, vanish_rel=1e-6)
       signs), ~0 at a double root;
     * step class, the regime of the slope subwronskians at the joint, read
       from the endpoint pairs at lam: 1 when both spans' slope pairings are
-      nonzero at x = 0, 2 when both vanish (relative to their own triple's
-      scale), 3 when exactly one vanishes.
+      nonzero at x = 0, 2 when both vanish (below VANISH_REL of their own
+      triple's scale), 3 when exactly one vanishes.
     """
     lams = np.asarray(lams, dtype=float)
     n = lams.size
     s = lams ** 0.25
-    h = np.maximum(s, 1.0) * rel_step
+    h = np.maximum(s, 1.0) * PROBE_REL_STEP
     pairs, sign, log_abs = _batch_dets(
         system, np.concatenate([(s - h) ** 4, lams, (s + h) ** 4]), rel_tol)
     ref = np.maximum(log_abs[:n], log_abs[2 * n:])
-    f_lo = sign[:n] * np.exp(np.minimum(log_abs[:n] - ref, 700.0))
-    f_hi = sign[2 * n:] * np.exp(np.minimum(log_abs[2 * n:] - ref, 700.0))
+    f_lo = _descale(sign[:n], log_abs[:n], ref)
+    f_hi = _descale(sign[2 * n:], log_abs[2 * n:], ref)
     slope = (f_hi - f_lo) / (2.0 * h)
     margin = np.abs(f_hi - f_lo) / (np.abs(f_hi) + np.abs(f_lo) + 1e-300)
 
@@ -516,24 +496,22 @@ def probe(system, lams, rel_tol=DEFAULT_REL_TOL, rel_step=1e-4, vanish_rel=1e-6)
     wa, wb = np.moveaxis(pairs[:, n:2 * n], (2, 3), (0, 1))
     sigma = np.array([[eval_coeff(system.left, "sigma", 0.0)],
                       [eval_coeff(system.right, "sigma", 0.0)]])
-    slope_pairing = wa[0] * wb[1] - wb[0] * wa[1]
-    curvature = (wa[0] * wb[2] - wb[0] * wa[2]) / sigma
-    shear = wa[0] * wb[3] - wb[0] * wa[3]
-    scale = np.max(np.abs([slope_pairing, curvature, shear]), axis=0)
-    vanished = np.sum(np.abs(slope_pairing) <= vanish_rel * scale, axis=0)
+    triple = pairings(wa, wb, sigma)
+    scale = np.max(np.abs(triple), axis=0)
+    vanished = np.sum(np.abs(triple[0]) <= VANISH_REL * scale, axis=0)
     step_class = np.array([1, 3, 2])[vanished]
     return slope, margin, step_class
 
 
-def det_slope(system, lam, rel_tol=DEFAULT_REL_TOL, rel_step=1e-4):
+def det_slope(system, lam, rel_tol=DEFAULT_REL_TOL):
     """(slope, margin) of the determinant at lam: the one-lam case of probe."""
-    slope, margin, _ = probe(system, [lam], rel_tol, rel_step)
+    slope, margin, _ = probe(system, [lam], rel_tol)
     return float(slope[0]), float(margin[0])
 
 
-def step_classify(system, lam, rel_tol=DEFAULT_REL_TOL, vanish_rel=1e-6):
+def step_classify(system, lam, rel_tol=DEFAULT_REL_TOL):
     """Step class (1, 2 or 3) of the joint at lam: the one-lam case of probe."""
-    return int(probe(system, [lam], rel_tol, vanish_rel=vanish_rel)[2][0])
+    return int(probe(system, [lam], rel_tol)[2][0])
 
 
 def suggest_s_max(system, count):

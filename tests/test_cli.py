@@ -162,6 +162,26 @@ def test_modes_zero_is_usage_error(capsys):
     assert "modes" in err
 
 
+def fail_if_solved(*args, **kwargs):
+    raise AssertionError("a rejected argument must not reach the solver")
+
+
+def test_verify_single_mode_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr("beamspec.cli.solve_modes", fail_if_solved)
+    code, _, err = run(capsys, ["verify", UNIFORM_M0, "--modes", "1"])
+    assert code == 2
+    assert "modes" in err
+
+
+def test_oracle_modes_beyond_fem_dimension_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr("beamspec.cli.solve_modes", fail_if_solved)
+    # 4 elements per side give a 16-dimensional pencil
+    code, _, err = run(capsys, ["oracle", UNIFORM_M0, "--modes", "17",
+                                "--elements", "4"])
+    assert code == 2
+    assert "modes" in err
+
+
 @pytest.mark.parametrize("tol", ["1e-3", "1e-14", "nan"])
 def test_tol_out_of_range_is_usage_error(capsys, tol):
     code, out, err = run(capsys, ["spectrum", UNIFORM_M0, "--tol", tol])
