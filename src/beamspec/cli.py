@@ -33,63 +33,43 @@ def _fmt(value):
     return str(value)
 
 
-def _manifest_lines(command, args, extra=None):
-    lines = [
-        f"# command: {command}",
-        f"# config: {args.config}",
-        f"# tol: {_fmt(args.tol)}",
-        f"# modes: {getattr(args, 'modes', '-')}",
-        "# seed: -",
-        f"# version: {__version__}",
-    ]
-    for key, val in (extra or {}).items():
-        lines.append(f"# {key}: {val}")
-    return lines
+def _render(args, extras, header, body, wall_clock):
+    """The output text: the manifest, built once, then the body.
 
-
-def _csv(manifest, header, rows, wall_clock):
-    """CSV text: the manifest, the wall-clock line, the header and the rows."""
-    lines = manifest + [f"# wall_clock_s: {wall_clock:.3f}", ",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    A CSV body (header, then rows) follows the manifest as `# key: value`
+    lines and the wall-clock line; a JSON body (header None, a dict) gets
+    the manifest under "manifest".
+    """
+    manifest = {"command": args.command, "config": args.config, "tol": args.tol,
+                "modes": args.modes, "seed": None, "version": __version__, **extras}
+    if header is None:
+        manifest["wall_clock_s"] = round(wall_clock, 3)
+        return json.dumps({**body, "manifest": manifest}, indent=2) + "\n"
+    lines = [f"# {key}: {'-' if val is None else _fmt(val)}" for key, val in manifest.items()]
+    lines += [f"# wall_clock_s: {wall_clock:.3f}", ",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in body]
     return "\n".join(lines) + "\n"
 
 
-# Each handler returns (exit code, output text); main writes the text.
+# Each handler takes the loaded system and returns (exit code, manifest
+# extras, CSV header, rows); verify returns header None and its report dict.
 
-def cmd_spectrum(args):
-    system = load_system(args.config)
-    start = time.perf_counter()
+def cmd_spectrum(system, args):
     pairs = solve_modes(system, args.modes, rel_tol=args.tol)
     slopes, _, _ = probe(system, [pair.lam for pair in pairs], args.tol)
     rows = [(pair.index, pair.lam, pair.lam ** 0.25, pair.u0, float(slope), pair.sv_gap)
             for pair, slope in zip(pairs, slopes)]
-    return EXIT_OK, _csv(_manifest_lines("spectrum", args),
-                         ["n", "lambda", "s", "u0", "det_derivative", "sv_gap"],
-                         rows, time.perf_counter() - start)
+    return EXIT_OK, {}, ["n", "lambda", "s", "u0", "det_derivative", "sv_gap"], rows
 
 
-def cmd_verify(args):
-    system = load_system(args.config)
-    start = time.perf_counter()
+def cmd_verify(system, args):
     pairs = solve_modes(system, args.modes, rel_tol=args.tol)
     report = verify(system, pairs, rel_tol=args.tol)
-    doc = report.to_dict()
-    doc["manifest"] = {
-        "command": "verify",
-        "config": args.config,
-        "tol": args.tol,
-        "modes": args.modes,
-        "seed": None,
-        "version": __version__,
-        "wall_clock_s": round(time.perf_counter() - start, 3),
-    }
     code = EXIT_OK if report.theorem1_consistent else EXIT_VIOLATION
-    return code, json.dumps(doc, indent=2) + "\n"
+    return code, {}, None, report.to_dict()
 
 
-def cmd_modes(args):
-    system = load_system(args.config)
-    start = time.perf_counter()
+def cmd_modes(system, args):
     stations = args.stations if args.stations % 2 == 1 else args.stations + 1
     stations = max(stations, 129)   # eigenpair needs an odd count >= 129
     pairs = solve_modes(system, args.modes, rel_tol=args.tol,
@@ -100,32 +80,26 @@ def cmd_modes(args):
                          (pair.xs_right, pair.mode_right)):
             for x, w in zip(xs, mode):
                 rows.append((x, pair.index, w[0], w[1], w[2], w[3]))
-    return EXIT_OK, _csv(_manifest_lines("modes", args, {"stations_per_side": stations}),
-                         ["x", "n", "u", "du", "moment", "shear_q"], rows,
-                         time.perf_counter() - start)
+    return (EXIT_OK, {"stations_per_side": stations},
+            ["x", "n", "u", "du", "moment", "shear_q"], rows)
 
 
-def cmd_sweep(args):
-    system = load_system(args.config)
+def cmd_sweep(system, args):
     try:
         masses = [float(tok) for tok in args.mass_list.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"bad --mass-list value: {args.mass_list!r}")
     if not masses or any(m < 0 for m in masses):
         raise ConfigError("--mass-list needs nonnegative numbers")
-    start = time.perf_counter()
     rows = []
     for mass in masses:
         variant = dataclasses.replace(system, mass=mass)
         for pair in solve_modes(variant, args.modes, rel_tol=args.tol):
             rows.append((mass, pair.index, pair.lam))
-    return EXIT_OK, _csv(_manifest_lines("sweep", args, {"mass_list": args.mass_list}),
-                         ["M", "n", "lambda"], rows, time.perf_counter() - start)
+    return EXIT_OK, {"mass_list": args.mass_list}, ["M", "n", "lambda"], rows
 
 
-def cmd_oracle(args):
-    system = load_system(args.config)
-    start = time.perf_counter()
+def cmd_oracle(system, args):
     pairs = solve_modes(system, args.modes, rel_tol=args.tol)
     shooting = [p.lam for p in pairs]
     coarse = solve_generalized(assemble(system, args.elements), args.modes)
@@ -135,10 +109,9 @@ def cmd_oracle(args):
          r.rel_error_coarse, r.rel_error_richardson, r.order)
         for r in compare(shooting, coarse, fine)
     ]
-    return EXIT_OK, _csv(_manifest_lines("oracle", args, {"elements_per_side": args.elements}),
-                         ["n", "shooting", "oracle_coarse", "oracle_fine", "richardson",
-                          "rel_error_coarse", "rel_error_richardson", "order"],
-                         rows, time.perf_counter() - start)
+    return (EXIT_OK, {"elements_per_side": args.elements},
+            ["n", "shooting", "oracle_coarse", "oracle_fine", "richardson",
+             "rel_error_coarse", "rel_error_richardson", "order"], rows)
 
 
 def _build_parser():
@@ -201,7 +174,10 @@ def main(argv=None):
             print(f"error: {message}", file=sys.stderr)
             return EXIT_CONFIG
     try:
-        code, text = _HANDLERS[args.command](args)
+        system = load_system(args.config)
+        start = time.perf_counter()
+        code, extras, header, body = _HANDLERS[args.command](system, args)
+        text = _render(args, extras, header, body, time.perf_counter() - start)
         if args.out == "-":
             sys.stdout.write(text)
         else:

@@ -46,7 +46,7 @@ class ConstraintError(ConfigError):
 
 
 def horner(coeffs, x):
-    """Evaluate a polynomial with ascending coefficients at scalar x."""
+    """Evaluate a polynomial with ascending coefficients at x (scalar or array)."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -90,7 +90,7 @@ class CoefficientProfile:
             ("sigma", MIN_RHO_SIGMA, "nonpositive"),
             ("q", MIN_Q, "negative"),
         ):
-            vals = np.polynomial.polynomial.polyval(xs, getattr(self, name))
+            vals = horner(getattr(self, name), xs)
             i = int(np.argmin(vals))
             if vals[i] < floor:
                 raise ConstraintError(

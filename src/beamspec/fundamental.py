@@ -19,8 +19,9 @@ The shear pairing also equals u1'*sigma*u2'' - u2'*sigma*u1'', which is
 used here as an independent accuracy monitor.
 
 The pairs are integrated by quasi's one integrator (quasi._batch_final_states)
-and held as Trajectory objects; pairings between stations come from
-Trajectory.state_at.
+and held as Trajectory objects.  Past quasi.GROWTH_BOUND the true columns
+are nearly parallel and their 2x2 minors cancel, so the pairings are read
+from the pair's orthonormal frames, whose minors times det R lose no digits.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MIRROR, eval_stacked
-from .quasi import DEFAULT_REL_TOL, DEFAULT_STATIONS, Trajectory, _columns
+from .quasi import DEFAULT_REL_TOL, DEFAULT_STATIONS, Trajectory, _advance, _columns
 
 LEFT_UNIT_SLOPE = (0.0, 1.0, 0.0, 0.0)
 LEFT_UNIT_SHEAR = (0.0, 0.0, 0.0, 1.0)
@@ -51,7 +52,9 @@ class FundamentalSet:
     """The two pinned solutions of one span at a given lam.
 
     sign_ok records the span's sign-pattern check (None when lam == 0,
-    where the pattern statement does not apply).
+    where the pattern statement does not apply).  frames (S, 2, 4) and
+    log_det (S,) come from the same integration: at each station the true
+    pair's 2x2 minors are the frame's times exp(log_det).
     """
 
     side: str
@@ -61,6 +64,8 @@ class FundamentalSet:
     unit_shear: Trajectory
     sign_ok: bool | None
     sign_violation: tuple | None
+    frames: np.ndarray
+    log_det: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,8 @@ class SubwronskianTriple:
 
 
 def span_pair(profile, lam, rel_tol=DEFAULT_REL_TOL, n_stations=DEFAULT_STATIONS):
-    """Integrate the pinned pair of one span from its outer end to x = 0."""
+    """Integrate the pinned pair of one span from its outer end to x = 0:
+    its two Trajectory objects, frames and log det (see quasi._columns)."""
     x_from, signs = _SPANS[profile.side]
     inits = [signs * LEFT_UNIT_SLOPE, signs * LEFT_UNIT_SHEAR]
     return _columns(profile, lam, np.linspace(x_from, 0.0, n_stations), inits, rel_tol)
@@ -103,9 +109,9 @@ def _pattern_check(trajectories, signs):
 
 def _fundamental(system, side, lam, rel_tol):
     profile = getattr(system, side)
-    pair = span_pair(profile, lam, rel_tol)
+    pair, frames, log_det = span_pair(profile, lam, rel_tol)
     ok, violation = (None, None) if lam == 0 else _pattern_check(pair, _SPANS[side][1])
-    return FundamentalSet(side, lam, profile, pair[0], pair[1], ok, violation)
+    return FundamentalSet(side, lam, profile, *pair, ok, violation, frames, log_det)
 
 
 def left_fundamental(system, lam, rel_tol=DEFAULT_REL_TOL):
@@ -129,12 +135,18 @@ def pairings(wa, wb, sigma):
             wa[0] * wb[3] - wb[0] * wa[3])
 
 
+def _frame_at(fset, x):
+    """The pair's frame at x (2, 4) and the log of the factor that turns its
+    minors into the true pairings; the frame pair is integrated in one call."""
+    traj = fset.unit_slope
+    i, frame, log_r = _advance(fset.profile, fset.lam, traj.xs, fset.frames, x, traj.rel_tol)
+    return frame, fset.log_det[i] + log_r
+
+
 def subwronskians(fset, x):
-    """Evaluate the three pairings of the set at x (see Trajectory.state_at)."""
-    wa = fset.unit_slope.state_at(x)
-    wb = fset.unit_shear.state_at(x)
-    # products of two stored states: true value needs exp(2 * log_scale)
-    factor = math.exp(2.0 * fset.unit_slope.log_scale)
+    """Evaluate the three pairings of the set at x from its frames."""
+    (wa, wb), log_det = _frame_at(fset, x)
+    factor = math.exp(log_det)
     slope, curvature, shear = pairings(wa, wb, eval_stacked(fset.profile.sigma, "sigma", x))
     return SubwronskianTriple(
         slope=slope * factor,
@@ -151,9 +163,8 @@ def shear_identity_residual(fset, x):
     The two expressions agree identically; the residual measures integration
     accuracy and should stay below 1e-9 for rel_tol <= 1e-10.
     """
-    wa = fset.unit_slope.state_at(x)
-    wb = fset.unit_shear.state_at(x)
-    factor = math.exp(2.0 * fset.unit_slope.log_scale)
+    (wa, wb), log_det = _frame_at(fset, x)
+    factor = math.exp(log_det)
     lhs = pairings(wa, wb, 1.0)[2] * factor
     rhs = (wa[1] * wb[2] - wb[1] * wa[2]) * factor
     return abs(lhs - rhs) / max(1.0, abs(lhs))

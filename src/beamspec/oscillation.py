@@ -15,6 +15,10 @@ Four independent probes live here:
 * simple_zero_scan / dim_check: interior zeros of mass-free modes are simple,
   and the solution space pinned by one extra joint condition stays
   one-dimensional.
+
+Every integration here runs on quasi's integrator, the gauge included,
+except the warped reference path of transform_identity_residual: the only
+scipy solve_ivp call in the package.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MIRROR, CoefficientProfile, eval_coeff, eval_stacked
+from .config import MIRROR, CoefficientProfile, eval_coeff, eval_stacked, horner
 from .fundamental import first_violation, span_pair
-from .quasi import DEFAULT_REL_TOL, Trajectory, _columns, integrate_scaled
+from .quasi import DEFAULT_REL_TOL, Trajectory, _columns, integrate, integrate_scaled
 
 GAUGE_STATIONS = 257
 TRANSFORM_CHECK_POINTS = 65
@@ -98,35 +102,22 @@ def leighton_nehari_transform(profile, a, b, rel_tol=DEFAULT_REL_TOL):
     """Solve the gauge equation and build the warped problem data at
     GAUGE_STATIONS stations.
 
-    The warped coefficients are chosen so the warp preserves the equation
-    exactly (same eigenvalues): with c = gamma/(b - a),
+    The gauge comes from quasi's integrator: at lam = 0 the unit-slope
+    column (0, 1, 0, 0) started at x = a is exactly (integral of h, h,
+    sigma*h', 0).  The warped coefficients are chosen so the warp preserves
+    the equation exactly (same eigenvalues): with c = gamma/(b - a),
 
         sigma_tilde = (h/c)**3 * sigma,   rho_tilde = c * rho / h.
 
     With q = 0 the gauge is identically 1, gamma = b - a, and the warp is
     the identity.
     """
-    from scipy.integrate import solve_ivp
-
     lo, hi = profile.interval
     if not (lo - 1e-12 <= a < b <= hi + 1e-12):
         raise ValueError(f"[{a:g}, {b:g}] must lie inside the span [{lo:g}, {hi:g}]")
-    sig_c, q_c = profile.sigma, profile.q
-
-    def rhs(x, y):
-        # y = (h, sigma*h', integral of h)
-        return [y[1] / eval_stacked(sig_c, "sigma", x), eval_stacked(q_c, "q", x) * y[0],
-                y[0]]
-
-    xs = np.linspace(a, b, GAUGE_STATIONS)
-    sol = solve_ivp(rhs, (a, b), [1.0, 0.0, 0.0], method="DOP853",
-                    rtol=max(rel_tol / 10.0, 2.3e-14), atol=rel_tol * 1e-6,
-                    t_eval=xs, dense_output=False)
-    if not sol.success:
-        raise RuntimeError(f"gauge integration failed: {sol.message}")
-    h = sol.y[0]
-    flux = sol.y[1]
-    acc = sol.y[2]
+    gauge = integrate(profile, 0.0, a, b, (0.0, 1.0, 0.0, 0.0), rel_tol, GAUGE_STATIONS)
+    xs = gauge.xs
+    acc, h, flux, _ = gauge.states.T
     if np.any(h <= 0.0):
         i = int(np.argmax(h <= 0.0))
         raise TheoryViolationError(
@@ -157,6 +148,10 @@ def transform_identity_residual(profile, a, b, lambda_like, init, rel_tol=DEFAUL
 
         W1 = u,   W2 = c*u'/h,   W3 = (h*(sigma*u'') - u'*(sigma*h'))/c,
         W4 = Tu,              with c = gamma/(b - a).
+
+    The warped path runs on scipy's solve_ivp, the package's only use of it:
+    it is independent of quasi's integrator, which carries the original
+    path, and sigma_tilde and rho_tilde are not polynomials.
 
     Returns the worst relative mismatch over the four components at
     TRANSFORM_CHECK_POINTS points.  Each component is scaled by its own
@@ -201,7 +196,7 @@ def transform_identity_residual(profile, a, b, lambda_like, init, rel_tol=DEFAUL
 
     # the original equation integrated in x to the warp's points x(t)
     x_t, h_t, flux_t = sol.y[:3]
-    x_traj = _columns(profile, lambda_like, np.clip(x_t, a, b), [init], rel_tol)[0]
+    x_traj = _columns(profile, lambda_like, np.clip(x_t, a, b), [init], rel_tol)[0][0]
     w = x_traj.states.T * math.exp(x_traj.log_scale)
     images = np.stack([w[0], c * w[1] / h_t, (h_t * w[2] - w[1] * flux_t) / c, w[3]],
                       axis=1)
@@ -302,7 +297,7 @@ def dim_check(profile, lam, variant, rel_tol=DEFAULT_REL_TOL):
         raise ValueError("left-span variants need alpha*beta <= 0")
     if profile.side == "right" and prod < 0:
         raise ValueError("right-span variants need alpha*beta >= 0")
-    w1, w2 = (tr.final_state for tr in span_pair(profile, lam, rel_tol, n_stations=2))
+    w1, w2 = (tr.final_state for tr in span_pair(profile, lam, rel_tol, n_stations=2)[0])
     # the variant's functional on a state w: alpha*w[i] - beta*w[j]/d
     if variant.kind == "slope_vs_curvature":
         i, j, d = 1, 2, eval_coeff(profile, "sigma", 0.0)
@@ -325,7 +320,7 @@ def random_profile(rng, side="right", max_degree=3, allow_zero_q=True):
             deg = int(rng.integers(0, max_degree + 1))
             c0 = float(rng.uniform(0.4, 3.0))
             coeffs = [c0] + [float(rng.uniform(-0.5, 0.5) * c0) for _ in range(deg)]
-            if np.min(np.polynomial.polynomial.polyval(xs, coeffs)) >= floor:
+            if np.min(horner(coeffs, xs)) >= floor:
                 return tuple(coeffs)
 
     def draw_nonneg():
@@ -335,7 +330,7 @@ def random_profile(rng, side="right", max_degree=3, allow_zero_q=True):
             deg = int(rng.integers(0, max_degree + 1))
             c0 = float(rng.uniform(0.0, 2.0))
             coeffs = [c0] + [float(rng.uniform(-0.3, 0.3)) for _ in range(deg)]
-            if np.min(np.polynomial.polynomial.polyval(xs, coeffs)) >= 0.0:
+            if np.min(horner(coeffs, xs)) >= 0.0:
                 return tuple(coeffs)
 
     return CoefficientProfile(

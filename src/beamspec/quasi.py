@@ -104,22 +104,28 @@ class Trajectory:
         return self.states[-1]
 
     def state_at(self, x):
-        """State at any covered x, in the stored (common) scale.
+        """State at any covered x, in the stored (common) scale (see _advance)."""
+        _, frame, log_r = _advance(self.profile, self.lam, self.xs, self.states[:, None], x,
+                                   self.rel_tol)
+        return frame[0] * math.exp(log_r)
 
-        Integrates from the nearest station before x (in the direction of
-        integration) through _batch_final_states.
-        """
-        lo, hi = sorted((self.xs[0], self.xs[-1]))
-        if not lo - 1e-12 <= x <= hi + 1e-12:
-            raise ValueError(f"x={x:g} not covered by this trajectory")
-        x = min(max(x, lo), hi)
-        direction = 1.0 if self.xs[-1] > self.xs[0] else -1.0
-        i = int(np.count_nonzero((x - self.xs) * direction >= 0.0)) - 1
-        if x == self.xs[i]:
-            return self.states[i]
-        shot = _batch_final_states(self.profile, [self.lam], self.xs[i], x,
-                                   [self.states[i]], self.rel_tol)
-        return shot.frames[0, -1, 0] * math.exp(shot.log_scale[0])
+
+def _advance(profile, lam, xs, frames, x, rel_tol):
+    """k columns, stored as frames (S, k, 4) at the stations xs, carried to a
+    covered x from the station xs[i] before it (in the direction of
+    integration).  Returns i, the frame at x (k, 4) and log det of the R
+    factors taken on the way (0 at a station).
+    """
+    lo, hi = sorted((xs[0], xs[-1]))
+    if not lo - 1e-12 <= x <= hi + 1e-12:
+        raise ValueError(f"x={x:g} not covered by this trajectory")
+    x = min(max(x, lo), hi)
+    direction = 1.0 if xs[-1] > xs[0] else -1.0
+    i = int(np.count_nonzero((x - xs) * direction >= 0.0)) - 1
+    if x == xs[i]:
+        return i, frames[i], 0.0
+    shot = _batch_final_states(profile, [lam], xs[i], x, frames[i], rel_tol)
+    return i, shot.frames[0, -1], float(shot.log_scale[0])
 
 
 def _check_args(profile, lam, x_from, x_to, rel_tol):
@@ -135,17 +141,20 @@ def _check_args(profile, lam, x_from, x_to, rel_tol):
 
 
 def _columns(profile, lam, xs, inits, rel_tol):
-    """Integrate one or two initial states jointly; one Trajectory each.
+    """Integrate one or two initial states jointly.
 
     xs are the stations, from the start in the direction of integration.
-    At a station of epoch e the true columns are the frame times
-    R_e ... R_1; that product is carried with its own log scale, so it
-    cannot overflow, and the last one sets the common log_scale.
+    Returns one Trajectory per column, the frames (S, k, 4) and, per
+    station, log det R_e ... R_1.  At a station of epoch e the true columns
+    are the frame times R_e ... R_1, so their k x k minors are the frame's
+    times exp(log det); the product itself is carried with its own log
+    scale, so it cannot overflow, and the last one sets the common
+    log_scale.
     """
     shot = _batch_final_states(profile, [lam], xs[0], xs, inits, rel_tol)
-    frames, epochs = shot.frames[0], shot.epochs[0]
+    frames, epochs, r_factors = shot.frames[0], shot.epochs[0], shot.r_factors[0]
     products, logs = [np.eye(len(inits))], [0.0]
-    for r in shot.r_factors[0, 1:epochs[-1] + 1]:
+    for r in r_factors[1:epochs[-1] + 1]:
         p = r @ products[-1]
         big = float(np.max(np.abs(p)))
         products.append(p / big)
@@ -154,8 +163,9 @@ def _columns(profile, lam, xs, inits, rel_tol):
     scale = np.exp(np.array(logs)[epochs] - logs[-1])
     # column i of the true pair is sum_j frame[:, j] * product[j, i]
     states = np.einsum("sjc,sji->sic", frames, products) * scale[:, None, None]
-    return [Trajectory(lam, xs, states[:, i], logs[-1], profile, rel_tol)
-            for i in range(len(inits))]
+    log_det = np.cumsum(np.linalg.slogdet(r_factors)[1])[epochs]
+    return ([Trajectory(lam, xs, states[:, i], logs[-1], profile, rel_tol)
+             for i in range(len(inits))], frames, log_det)
 
 
 def integrate(profile, lam, x_from, x_to, init, rel_tol=DEFAULT_REL_TOL,
@@ -177,7 +187,7 @@ def integrate_scaled(profile, lam, x_from, x_to, init, rel_tol=DEFAULT_REL_TOL,
     if n_stations < 64:
         raise ValueError("need at least 64 stations")
     return _columns(profile, lam, np.linspace(x_from, x_to, n_stations), [init],
-                    rel_tol)[0]
+                    rel_tol)[0][0]
 
 
 def __getattr__(name):
@@ -309,7 +319,7 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
                        for name in ("rho", "sigma", "q"))
     lam = np.tile(lams, len(profiles))
     x = np.full(n, float(x_from))
-    # first trial: the whole way on a short span, as from state_at
+    # first trial: the whole way on a short span, as from _advance
     h = np.full(n, min(0.01, abs(x_to - x_from)))
     nxt = np.zeros(n, dtype=int)
     y = np.empty((4, k, n))

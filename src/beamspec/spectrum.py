@@ -530,17 +530,17 @@ def suggest_s_max(system, count):
     return (count + 2) * (math.pi / 2.0) * ratio ** 0.25
 
 
-def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL, ds=DEFAULT_DS,
+def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL,
                 stations_per_side=DEFAULT_MODE_STATIONS):
     """First `count` eigenpairs, ascending, via scan + refine_brackets + assembly."""
     if count < 1:
         raise ValueError("count must be >= 1")
     s_max = suggest_s_max(system, count)
-    brackets = scan(system, s_max, ds, rel_tol)
+    brackets = scan(system, s_max, DEFAULT_DS, rel_tol)
     tries = 0
     while len(brackets) < count and tries < 6:
         s_max *= 1.3
-        brackets = _extend_scan(system, brackets, s_max, ds, rel_tol)
+        brackets = _extend_scan(system, brackets, s_max, DEFAULT_DS, rel_tol)
         tries += 1
     if len(brackets) < count:
         raise RuntimeError(

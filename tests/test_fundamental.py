@@ -80,6 +80,30 @@ def test_subwronskians_vanish_at_start():
         assert abs(t.shear) < 1e-12
 
 
+def uniform_pairings(s, xi):
+    """Closed-form (slope, curvature, shear) pairings of the uniform left
+    pair at lam = s**4, xi = x + 1."""
+    sn, cs, sh, ch = math.sin(s * xi), math.cos(s * xi), math.sinh(s * xi), math.cosh(s * xi)
+    return ((sn * ch - sh * cs) / (2 * s ** 3), sh * sn / s ** 2,
+            (sh * cs + sn * ch) / (2 * s))
+
+
+@pytest.mark.parametrize("s", [5.0, 20.0, 30.0, 40.0])
+def test_subwronskians_closed_form_at_large_lam(s):
+    # past GROWTH_BOUND the true columns are nearly parallel and their
+    # minors cancel (the slope pairing at s = 40, x = 0 lost every digit);
+    # the frame's minors do not.  The mirror flips the slope and shear
+    # pairings.  x = -0.3 lies between stations.
+    lf = left_fundamental(UNIFORM, s ** 4)
+    rf = right_fundamental(UNIFORM, s ** 4)
+    for x in (0.0, -0.3):
+        exact = uniform_pairings(s, x + 1.0)
+        for fset, x_at, signs in ((lf, x, (1, 1, 1)), (rf, -x, (-1, 1, -1))):
+            t = subwronskians(fset, x_at)
+            for got, sign, want in zip((t.slope, t.curvature, t.shear), signs, exact):
+                assert got == pytest.approx(sign * want, rel=1e-8), (fset.side, x)
+
+
 def test_shear_identity_uniform_lam0():
     fset = left_fundamental(UNIFORM, 0.0)
     assert shear_identity_residual(fset, 0.0) < 1e-12

@@ -9,6 +9,7 @@ from beamspec.fundamental import left_fundamental, right_fundamental
 from beamspec.oscillation import (
     BoundaryVariant,
     dim_check,
+    leighton_nehari_transform,
     positivity_propagation,
     simple_zero_scan,
 )
@@ -119,8 +120,8 @@ def test_dop853_tableau_is_scipys():
 
 
 def test_no_call_goes_through_solve_ivp(monkeypatch):
-    # one integration primitive: modes, fundamental pairs, trajectories and
-    # the oscillation probes below all step the batched DOP853
+    # one integration primitive: modes, fundamental pairs, trajectories,
+    # the gauge and the oscillation probes below all step the batched DOP853
     def banned(*args, **kwargs):
         raise AssertionError("solve_ivp called")
 
@@ -137,6 +138,7 @@ def test_no_call_goes_through_solve_ivp(monkeypatch):
     assert positivity_propagation(system.right, 1.0, (0, 1, 0, 0)).passed
     assert dim_check(system.left, 1.0, BoundaryVariant("slope_vs_curvature", 1.0, 0.0)) == 1
     assert len(simple_zero_scan(system, pairs[2])) == 2
+    leighton_nehari_transform(system.right, 0.0, 1.0)
 
 
 def test_linearity():

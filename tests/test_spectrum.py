@@ -231,10 +231,16 @@ def test_refine_closed_form_to_mode_40(mass):
     # u(0) = 0 makes lam = (n pi/2)**4 for every mass: all modes at M = 0,
     # the even ones at M = 1; without orthonormalisation the determinant
     # loses its sign change from mode 24 on
+    # all brackets are refined in one lock-step call; refine is its
+    # one-bracket case and gives the same bits
     system = uniform_system(mass)
-    for n in range(1, 41) if mass == 0.0 else range(2, 41, 2):
+    ns = list(range(1, 41) if mass == 0.0 else range(2, 41, 2))
+    brackets = [(n * math.pi / 2 - 0.05, n * math.pi / 2 + 0.07) for n in ns]
+    lams = refine_brackets(system, brackets)
+    for i in (0, -1):
+        assert refine(system, brackets[i]) == lams[i]
+    for n, lam in zip(ns, lams):
         s = n * math.pi / 2
-        lam = refine(system, (s - 0.05, s + 0.07))
         assert abs(lam - s ** 4) <= 1e-10 * s ** 4, n
 
 
