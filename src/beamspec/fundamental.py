@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MIRROR, eval_stacked
-from .quasi import DEFAULT_REL_TOL, DEFAULT_STATIONS, Trajectory, _advance, _columns
+from .quasi import (DEFAULT_REL_TOL, DEFAULT_STATIONS, Trajectory, _advance,
+                    _batch_final_states, _columns)
 
 LEFT_UNIT_SLOPE = (0.0, 1.0, 0.0, 0.0)
 LEFT_UNIT_SHEAR = (0.0, 0.0, 0.0, 1.0)
@@ -188,29 +189,32 @@ def vanishing_scan(system, side, lambdas, n_x=20, rel_tol=DEFAULT_REL_TOL):
     At every grid point where one pairing has magnitude below
     VANISH_ZERO_REL * scale, the other two must exceed VANISH_APART_REL *
     scale, where scale is the largest magnitude seen over the whole scan.
+    All lambdas are integrated in one batched pass with the x grid as
+    stations, and the pairings read from the frames as in subwronskians.
     """
-    xs = np.linspace(_SPANS[side][0], 0.0, n_x + 1)[1:]
-    triples = []
-    for lam in lambdas:
-        fset = _fundamental(system, side, lam, rel_tol)
-        for x in xs:
-            t = subwronskians(fset, x)
-            triples.append((lam, float(x), (t.slope, t.curvature, t.shear)))
-    scale = max(max(abs(v) for v in vals) for _, _, vals in triples)
-    near_zero = 0
-    violations = []
-    for lam, x, vals in triples:
-        for i in range(3):
-            if abs(vals[i]) < VANISH_ZERO_REL * scale:
-                near_zero += 1
-                others = [abs(vals[j]) for j in range(3) if j != i]
-                if min(others) <= VANISH_APART_REL * scale:
-                    violations.append((lam, x, i, vals))
+    x_from, signs = _SPANS[side]
+    profile = getattr(system, side)
+    xs = np.linspace(x_from, 0.0, n_x + 1)[1:]
+    shot = _batch_final_states(profile, lambdas, x_from, xs,
+                               [signs * LEFT_UNIT_SLOPE, signs * LEFT_UNIT_SHEAR], rel_tol)
+    log_det = np.take_along_axis(
+        np.cumsum(np.linalg.slogdet(shot.r_factors)[1], axis=1), shot.epochs, axis=1)
+    wa, wb = np.moveaxis(shot.frames, (2, 3), (0, 1))
+    # (3, points), points ordered by lam, then x
+    vals = (np.stack(pairings(wa, wb, eval_stacked(profile.sigma, "sigma", xs)))
+            * np.exp(log_det)).reshape(3, -1)
+    mags = np.abs(vals)
+    scale = float(np.max(mags))
+    near = mags < VANISH_ZERO_REL * scale
+    violations = [(float(lambdas[k // xs.size]), float(xs[k % xs.size]), int(i),
+                   tuple(vals[:, k].tolist()))
+                  for k, i in zip(*np.nonzero(near.T))
+                  if np.min(np.delete(mags[:, k], i)) <= VANISH_APART_REL * scale]
     return VanishingScanReport(
         side=side,
-        n_points=len(triples),
+        n_points=vals.shape[1],
         scale=scale,
-        near_zero_points=near_zero,
+        near_zero_points=int(np.count_nonzero(near)),
         ok=not violations,
         violations=tuple(violations),
     )

@@ -16,13 +16,13 @@ growth bound each span's column pair is kept orthonormal, so the
 determinant is tracked as (sign, log magnitude) without the cancellation
 between the two exponentially growing columns at large lam.  The scan runs
 on a uniform grid in s = lam**(1/4), where the roots are asymptotically
-equispaced, and reads all determinant signs from one stacked determinant.
-The paper's theorem (every eigenvalue is simple) makes each bracket hold
-one root, so solve_modes refines all brackets in lock step, one batched
-pass per iteration, starting from the determinant values the scan kept at
-the bracket ends (refine is the one-bracket case); verify reads the
-simplicity slope and the joint step class of every mode from one batched
-probe.  solve_modes assembles all its modes from one more batched pass with
+equispaced, up to a proven bound past the requested modes, and reads all
+determinant signs from one stacked determinant.  The paper's theorem
+(every eigenvalue is simple) makes each bracket hold one root, so
+solve_modes refines all brackets in lock step, one batched pass per
+iteration, starting from the determinant values the scan kept at the
+bracket ends (refine is the one-bracket case).  solve_modes assembles all
+its modes, with their simplicity probes, from one more batched pass with
 stations (eigenpair is the one-lam case): the joint null vector of the last
 frames is carried back through the orthonormalisations, so the modes keep
 their shape at large lam too.
@@ -36,11 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import GRID_POINTS, MIRROR, eval_coeff, mirrored
+from .config import MIRROR, eval_coeff, mirrored
 from .fundamental import LEFT_UNIT_SHEAR, LEFT_UNIT_SLOPE, pairings
 # perfbench's tracer wraps these two names; the module itself does not call them
 from .fundamental import left_fundamental, right_fundamental  # noqa: F401
-from .quasi import DEFAULT_REL_TOL, _batch_final_states
+from .quasi import DEFAULT_REL_TOL, Shot, _batch_final_states
 
 DEFAULT_DS = 0.02
 DEFAULT_MODE_STATIONS = 257   # per side; keeps Simpson quadrature error ~1e-8
@@ -107,7 +107,7 @@ def _signed_log_det(matrices, col_log_scale):
 
 def char_det(system, lam, rel_tol=DEFAULT_REL_TOL):
     """Characteristic determinant at lam, sign-exact: (sign, log |det|)."""
-    _, sign, log_abs = _batch_dets(system, np.array([float(lam)]), rel_tol)
+    sign, log_abs = _batch_dets(system, np.array([float(lam)]), rel_tol)
     return int(sign[0]), float(log_abs[0])
 
 
@@ -117,18 +117,11 @@ def _descale(sign, log_abs, ref):
 
 
 class _Brackets(list):
-    """Sign-change brackets of a scan, plus what extending and refining need.
-
-    n is the number of grid points s = j*ds scanned so far, last the
-    (s, (sign, log |det|)) of the last one with a nonzero determinant, and
-    ends[i] the (sign, log |det|) at the low and at the high end of
-    bracket i.
-    """
+    """Sign-change brackets of a scan; ends[i] holds the (sign, log |det|)
+    at the low and at the high end of bracket i, which refining reuses."""
 
     def __init__(self):
         super().__init__()
-        self.n = 0
-        self.last = None
         self.ends = []
 
 
@@ -152,45 +145,13 @@ def _batch_matrices(system, lams, rel_tol, stations=(0.0,)):
 
 
 def _batch_dets(system, lams, rel_tol):
-    """Endpoint pairs and (sign, log |det|) at every lam, in one batched pass.
-
-    Returns (pairs, sign, log_abs), pairs of shape (2, N, 2, 4) holding the
-    left and the mirrored right endpoint pairs.
-    """
-    shot, matrices, col_log = _batch_matrices(system, lams, rel_tol)
-    return (shot.frames[:, :, -1], *_signed_log_det(matrices, col_log))
-
-
-def _grid_dets(system, s, rel_tol):
-    """(sign, log |det|) at every s of a grid, in one batched pass."""
-    return _batch_dets(system, s ** 4, rel_tol)[1:]
-
-
-def _extend_scan(system, brackets, s_max, ds, rel_tol):
-    """Add the grid points in (previous ceiling, s_max] to brackets, in place.
-
-    Only the new points are integrated; the signs already found are kept.
-    """
-    n = int(math.floor(s_max / ds + 1e-9))
-    if n <= brackets.n:
-        return brackets
-    s = ds * np.arange(brackets.n + 1, n + 1)
-    sign, log_abs = _grid_dets(system, s, rel_tol)
-    for s_j, det in zip(s.tolist(), zip(sign.tolist(), log_abs.tolist())):
-        if det[0] == 0:
-            # exact zero on a grid point: vanishingly unlikely; skip the point
-            # and let the neighbours bracket the root
-            continue
-        if brackets.last is not None and det[0] != brackets.last[1][0]:
-            brackets.append((brackets.last[0], s_j))
-            brackets.ends.append((brackets.last[1], det))
-        brackets.last = (s_j, det)
-    brackets.n = n
-    return brackets
+    """(sign, log |det|) at every lam, in one batched pass."""
+    _, matrices, col_log = _batch_matrices(system, lams, rel_tol)
+    return _signed_log_det(matrices, col_log)
 
 
 def scan(system, s_max, ds=DEFAULT_DS, rel_tol=DEFAULT_REL_TOL):
-    """Sign-change brackets of the determinant on the uniform s-grid.
+    """Sign-change brackets of the determinant on the grid s = j*ds <= s_max.
 
     Roots of fourth-order problems are asymptotically equispaced in
     s = lam**(1/4), so a fine enough ds skips none.  All grid points are
@@ -200,7 +161,19 @@ def scan(system, s_max, ds=DEFAULT_DS, rel_tol=DEFAULT_REL_TOL):
         raise ValueError("s_max must be finite and > 0")
     if not 0.0 < ds < math.inf:
         raise ValueError("ds must be finite and > 0")
-    return _extend_scan(system, _Brackets(), s_max, ds, rel_tol)
+    s = ds * np.arange(1, int(math.floor(s_max / ds + 1e-9)) + 1)
+    sign, log_abs = _batch_dets(system, s ** 4, rel_tol)
+    brackets, last = _Brackets(), None
+    for s_j, det in zip(s.tolist(), zip(sign.tolist(), log_abs.tolist())):
+        if det[0] == 0:
+            # exact zero on a grid point: vanishingly unlikely; skip the point
+            # and let the neighbours bracket the root
+            continue
+        if last is not None and det[0] != last[1][0]:
+            brackets.append((last[0], s_j))
+            brackets.ends.append((last[1], det))
+        last = (s_j, det)
+    return brackets
 
 
 def refine(system, bracket, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_TOL):
@@ -221,45 +194,51 @@ def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_
     per unfinished bracket in one batched integration.  ends, when given,
     holds the (sign, log |det|) at the low and the high end of every bracket
     as a scan found them (its ends attribute); they are then not integrated
-    again.  Returns the eigenvalues in bracket order.
+    again; otherwise they share a pass with the first trial points, the
+    midpoints.  Returns the eigenvalues in bracket order.
     """
     if not brackets:
         return []
     s_lo, s_hi = (np.array(side, dtype=float) for side in zip(*brackets))
     n = s_lo.size
     if ends is None:
-        _, sign, log_abs = _batch_dets(system, np.concatenate([s_lo, s_hi]) ** 4, rel_tol)
+        # the midpoint as _chandrupatla forms it, so it has the same bits
+        s_mid = s_lo + 0.5 * (s_hi - s_lo)
+        sign, log_abs = _batch_dets(system, np.concatenate([s_lo, s_hi, s_mid]) ** 4,
+                                    rel_tol)
     else:
         # low ends first, then high ends, as in the pass above
         sign, log_abs = np.array(ends, dtype=float).T.reshape(2, -1)
         sign = sign.astype(int)
-    bad = np.flatnonzero(sign[:n] * sign[n:] >= 0)
+    bad = np.flatnonzero(sign[:n] * sign[n:2 * n] >= 0)
     if bad.size:
         i = bad[0]
         raise BracketError(
             f"determinant does not change sign on [{s_lo[i]:g}, {s_hi[i]:g}]")
-    ref = np.maximum(log_abs[:n], log_abs[n:])
-    f = _descale(sign, log_abs, np.tile(ref, 2))
+    ref = np.maximum(log_abs[:n], log_abs[n:2 * n])
+    f = _descale(sign, log_abs, np.tile(ref, sign.size // n))
 
     def descaled(s, running):
-        _, sign, log_abs = _batch_dets(system, s ** 4, rel_tol)
+        sign, log_abs = _batch_dets(system, s ** 4, rel_tol)
         return _descale(sign, log_abs, ref[running])
 
     # xrtol is relative in s, and lam = s**4 has four times the relative
     # error: /4 would just meet tol_lambda_rel, /40 leaves a factor of ten
-    s, converged = _chandrupatla(descaled, s_lo, s_hi, f[:n], f[n:], xatol=1e-14,
-                                 xrtol=max(tol_lambda_rel / 40.0, 4e-16))
+    s, converged = _chandrupatla(descaled, s_lo, s_hi, f[:n], f[n:2 * n], xatol=1e-14,
+                                 xrtol=max(tol_lambda_rel / 40.0, 4e-16),
+                                 f_first=f[2 * n:] if ends is None else None)
     if not np.all(converged):
         i = int(np.flatnonzero(~converged)[0])
         raise RuntimeError(f"root refinement failed on [{s_lo[i]:g}, {s_hi[i]:g}]")
     return (s ** 4).tolist()
 
 
-def _chandrupatla(func, x1, x2, f1, f2, xatol, xrtol):
+def _chandrupatla(func, x1, x2, f1, f2, xatol, xrtol, f_first=None):
     """Roots of func in the brackets [x1, x2], elementwise (Chandrupatla 1997).
 
     f1 and f2 are func at x1 and x2, of opposite signs.  func(x, running)
     gets the trial points of the brackets still running and their indices.
+    f_first, if given, is func at the first trial points x1 + 0.5*(x2 - x1).
     A port of the Chandrupatla step of scipy.optimize.elementwise.find_root
     at fatol = smallest normal, frtol = 0: the same update order and
     tolerances, so each root has the bits find_root gives.  Returns the
@@ -306,7 +285,8 @@ def _chandrupatla(func, x1, x2, f1, f2, xatol, xrtol):
             tl = 0.5 * tol / dx
             t = np.clip(t, tl, 1 - tl)
         x_new = x1 + t * (x2 - x1)
-        f_new = func(x_new, running)
+        f_new = func(x_new, running) if f_first is None else f_first[running]
+        f_first = None
         # keep the sign change in [x1, x2]; x3 is the end dropped
         x3, f3 = x2.copy(), f2.copy()
         same = np.sign(f_new) == np.sign(f1)
@@ -323,7 +303,8 @@ class Eigenpair:
     coeffs = (a, b, c, d) has unit Euclidean norm with the sign convention
     a >= 0 (b > 0 when a vanishes).  Mode samples are scaled separately to
     unit H-norm, i.e. samples = (a*u1 + b*u2, c*v1 + d*v2) / ||.||_H;
-    each sample row is (u, u', sigma*u'', Tu).
+    each sample row is (u, u', sigma*u'', Tu).  det_derivative, det_margin
+    and step_class are the simplicity probe at lam (see _probe).
     """
 
     index: int | None
@@ -336,6 +317,9 @@ class Eigenpair:
     u0: float
     interface_residuals: np.ndarray
     singular_values: np.ndarray
+    det_derivative: float
+    det_margin: float
+    step_class: int
 
     @property
     def sv_gap(self):
@@ -376,13 +360,13 @@ def _eigenpairs(system, lams, rel_tol, stations_per_side, indices):
     is carried back one epoch at a time, c_(j-1) = R_j^-1 c_j, each R_j
     being upper triangular with a positive diagonal; the R_j grow in the
     direction of integration, so this recursion is stable.  A station of
-    epoch e then holds the mode as its frame times c_e.
+    epoch e then holds the mode as its frame times c_e.  The pass is _probe's.
     """
     if stations_per_side < 129 or stations_per_side % 2 == 0:
         raise ValueError("stations_per_side must be odd and >= 129")
     lams = np.asarray(lams, dtype=float)
     xs = np.linspace(-1.0, 0.0, stations_per_side)
-    shot, matrices, _ = _batch_matrices(system, lams, rel_tol, xs)
+    shot, matrices, slopes, margins, classes = _probe(system, lams, rel_tol, xs)
     unit, norms = _unit_columns(matrices)
     _, svals, vt = np.linalg.svd(unit)
     # coeffs[span, entry, epoch]: the span's pair coefficients in that epoch
@@ -423,7 +407,8 @@ def _eigenpairs(system, lams, rel_tol, stations_per_side, indices):
         pairs.append(Eigenpair(index=index, lam=lam, coeffs=sign * c, xs_left=xs,
                                mode_left=mode_l, xs_right=xs_r, mode_right=mode_r, u0=u0,
                                interface_residuals=np.abs(residual) / scale,
-                               singular_values=sv))
+                               singular_values=sv, det_derivative=float(slopes[i]),
+                               det_margin=float(margins[i]), step_class=int(classes[i])))
     return pairs
 
 
@@ -461,11 +446,12 @@ def energy_form(system, phi, psi):
     return float(out)
 
 
-def probe(system, lams, rel_tol=DEFAULT_REL_TOL):
+def _probe(system, lams, rel_tol, stations=(0.0,)):
     """Simplicity slope, margin and joint step class at every lam, batched.
 
-    One batched integration covers s - h, s and s + h for every lam
-    (s = lam**0.25, h = max(s, 1) * PROBE_REL_STEP).  Returns three arrays:
+    One _batch_matrices pass to the given stations covers s, s - h and s + h
+    for every lam (s = lam**0.25, h = max(s, 1) * PROBE_REL_STEP).  Returns
+    the Shot and the joint matrices of the lams alone, then three arrays:
 
     * slope: centred difference in s of the determinant, descaled by the
       larger of its two log magnitudes;
@@ -481,11 +467,12 @@ def probe(system, lams, rel_tol=DEFAULT_REL_TOL):
     n = lams.size
     s = lams ** 0.25
     h = np.maximum(s, 1.0) * PROBE_REL_STEP
-    pairs, sign, log_abs = _batch_dets(
-        system, np.concatenate([(s - h) ** 4, lams, (s + h) ** 4]), rel_tol)
-    ref = np.maximum(log_abs[:n], log_abs[2 * n:])
+    shot, matrices, col_log = _batch_matrices(
+        system, np.concatenate([lams, (s - h) ** 4, (s + h) ** 4]), rel_tol, stations)
+    sign, log_abs = _signed_log_det(matrices[n:], col_log[n:])
+    ref = np.maximum(log_abs[:n], log_abs[n:])
     f_lo = _descale(sign[:n], log_abs[:n], ref)
-    f_hi = _descale(sign[2 * n:], log_abs[2 * n:], ref)
+    f_hi = _descale(sign[n:], log_abs[n:], ref)
     slope = (f_hi - f_lo) / (2.0 * h)
     margin = np.abs(f_hi - f_lo) / (np.abs(f_hi) + np.abs(f_lo) + 1e-300)
 
@@ -493,41 +480,52 @@ def probe(system, lams, rel_tol=DEFAULT_REL_TOL):
     # the sign of the slope and shear pairings, which the test ignores);
     # an orthonormalised pair gives them divided by det R > 0, a factor
     # common to the three that cancels in the relative test
-    wa, wb = np.moveaxis(pairs[:, n:2 * n], (2, 3), (0, 1))
+    wa, wb = np.moveaxis(shot.frames[:, :n, -1], (2, 3), (0, 1))
     sigma = np.array([[eval_coeff(system.left, "sigma", 0.0)],
                       [eval_coeff(system.right, "sigma", 0.0)]])
     triple = pairings(wa, wb, sigma)
     scale = np.max(np.abs(triple), axis=0)
     vanished = np.sum(np.abs(triple[0]) <= VANISH_REL * scale, axis=0)
     step_class = np.array([1, 3, 2])[vanished]
-    return slope, margin, step_class
+    return Shot(*(a[:, :n] for a in shot)), matrices[:n], slope, margin, step_class
 
 
 def det_slope(system, lam, rel_tol=DEFAULT_REL_TOL):
-    """(slope, margin) of the determinant at lam: the one-lam case of probe."""
-    slope, margin, _ = probe(system, [lam], rel_tol)
+    """(slope, margin) of the determinant at lam: the one-lam case of _probe."""
+    slope, margin, _ = _probe(system, [lam], rel_tol)[2:]
     return float(slope[0]), float(margin[0])
 
 
 def step_classify(system, lam, rel_tol=DEFAULT_REL_TOL):
-    """Step class (1, 2 or 3) of the joint at lam: the one-lam case of probe."""
-    return int(probe(system, [lam], rel_tol)[2][0])
+    """Step class (1, 2 or 3) of the joint at lam: the one-lam case of _probe."""
+    return int(_probe(system, [lam], rel_tol)[4][0])
 
 
 def suggest_s_max(system, count):
-    """Scan ceiling for the requested mode count.
+    """Scan ceiling past the first `count` eigenvalues, in s = lam**(1/4).
 
-    Uses the heuristic (count + 2) * pi/2 * max(sigma/rho)**(1/4); validated
-    against the finite-element oracle rather than any asymptotic formula.
+    By the min-max principle, lam_n is at most the largest Rayleigh quotient
+    (int sigma u''**2 + q u'**2) / (int rho u**2 + M u(0)**2) over the span
+    of sin(j pi (x + 1)/2), j <= n, which are admissible here.  The mass
+    only adds to the denominator, so with sigma_max, q_max and rho_min over
+    both spans the quotient is at most that of a uniform massless beam,
+    whose modes these are: lam_n <= (sigma_max k**4 + q_max k**2) / rho_min
+    with k = n pi/2.  One DEFAULT_DS more keeps a grid point past the root
+    where the bound is exact (uniform M = 0).
     """
-    ratio = 0.0
-    for profile in (system.left, system.right):
-        lo, hi = profile.interval
-        xs = np.linspace(lo, hi, GRID_POINTS)
-        sig = eval_coeff(profile, "sigma", xs)
-        rho = eval_coeff(profile, "rho", xs)
-        ratio = max(ratio, float(np.max(sig / rho)))
-    return (count + 2) * (math.pi / 2.0) * ratio ** 0.25
+    def values(which):
+        # at the span ends and at the real parts of the critical points inside
+        out = []
+        for profile in (system.left, system.right):
+            lo, hi = profile.interval
+            slope = [k * c for k, c in enumerate(getattr(profile, which))][1:]
+            x = np.roots(slope[::-1]).real   # np.roots takes the highest power first
+            out.extend(eval_coeff(profile, which, np.array([lo, hi, *x[(lo < x) & (x < hi)]])))
+        return out
+
+    k = count * math.pi / 2.0
+    lam = (max(values("sigma")) * k ** 4 + max(values("q")) * k ** 2) / min(values("rho"))
+    return float(lam ** 0.25) + DEFAULT_DS
 
 
 def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL,
@@ -537,14 +535,11 @@ def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL,
         raise ValueError("count must be >= 1")
     s_max = suggest_s_max(system, count)
     brackets = scan(system, s_max, DEFAULT_DS, rel_tol)
-    tries = 0
-    while len(brackets) < count and tries < 6:
-        s_max *= 1.3
-        brackets = _extend_scan(system, brackets, s_max, DEFAULT_DS, rel_tol)
-        tries += 1
     if len(brackets) < count:
+        # below a proven ceiling: the grid stepped over a pair of roots
         raise RuntimeError(
-            f"found only {len(brackets)} determinant roots below s={s_max:g}")
+            f"found only {len(brackets)} determinant roots below s={s_max:g}, "
+            f"which bounds the first {count}")
     lams = refine_brackets(system, brackets[:count], rel_tol=rel_tol,
                            ends=brackets.ends[:count])
     return _eigenpairs(system, lams, rel_tol, stations_per_side, range(1, count + 1))
@@ -612,12 +607,11 @@ class VerificationReport:
         }
 
 
-def verify(system, eigenpairs, rel_tol=DEFAULT_REL_TOL):
+def verify(system, eigenpairs):
     """Check positivity, ordering, simplicity, sign products and orthogonality."""
     if len(eigenpairs) < 2:
         raise ValueError("need at least two eigenpairs")
     n = len(eigenpairs)
-    slopes, margins, classes = probe(system, [p.lam for p in eigenpairs], rel_tol)
     modes = []
     for k, pair in enumerate(eigenpairs):
         sv = pair.singular_values
@@ -627,14 +621,14 @@ def verify(system, eigenpairs, rel_tol=DEFAULT_REL_TOL):
         modes.append(ModeVerification(
             index=pair.index if pair.index is not None else k + 1,
             lam=pair.lam,
-            det_derivative=float(slopes[k]),
-            det_margin=float(margins[k]),
+            det_derivative=pair.det_derivative,
+            det_margin=pair.det_margin,
             sv_smallest=float(sv[3]),
             sv_second=float(sv[2]),
             sv_gap=pair.sv_gap,
             product_left=p_left,
             product_right=p_right,
-            step_class=int(classes[k]),
+            step_class=pair.step_class,
             rayleigh_residual=abs(pair.lam - energy),
         ))
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import beamspec as bs
+import conftest
 from beamspec.fem import assemble, compare, solve_generalized
 from beamspec.fundamental import (
     left_fundamental,
@@ -26,7 +27,7 @@ from beamspec.oscillation import (
     simple_zero_scan,
     transform_identity_residual,
 )
-from beamspec.spectrum import scan, solve_modes, suggest_s_max, verify
+from beamspec.spectrum import scan, solve_modes, verify
 
 PI4 = math.pi ** 4
 
@@ -95,7 +96,7 @@ def test_criterion_4_simplicity(shipped_systems, shipped_modes):
         worst_gap = min(worst_gap, min(m.sv_gap for m in rep.modes))
         worst_margin = min(worst_margin, min(m.det_margin for m in rep.modes))
         # identical root counts under grid refinement (same snapped ceiling)
-        s_max = 0.02 * math.floor(suggest_s_max(system, 6) / 0.02)
+        s_max = 0.02 * math.floor(conftest.heuristic_s_max(system, 6) / 0.02)
         counts_match &= len(scan(system, s_max, ds=0.02)) == \
             len(scan(system, s_max, ds=0.01))
     ok = worst_gap >= 1e3 and worst_margin >= 1e-6 and counts_match

@@ -86,7 +86,7 @@ def test_verify_json(capsys):
 
 
 def test_spectrum_slopes_match_verify(capsys):
-    # both commands read det_derivative from the same batched probe
+    # both commands read det_derivative from the probe in the mode pass
     _, out, _ = run(capsys, ["spectrum", UNIFORM_M1, "--modes", "4"])
     _, rows = csv_rows(out)
     _, doc, _ = run(capsys, ["verify", UNIFORM_M1, "--modes", "4"])
@@ -274,8 +274,8 @@ def test_verification_violation_exit_4(capsys, monkeypatch):
 
     real_verify = cli.verify
 
-    def pessimist(system, pairs, rel_tol=1e-10):
-        report = real_verify(system, pairs, rel_tol)
+    def pessimist(system, pairs):
+        report = real_verify(system, pairs)
         return dataclasses.replace(report, theorem1_consistent=False)
 
     monkeypatch.setattr("beamspec.cli.verify", pessimist)

@@ -14,7 +14,7 @@ from beamspec.oscillation import (
     simple_zero_scan,
 )
 from beamspec.quasi import _batch_final_states, integrate, integrate_scaled, vector_field
-from beamspec.spectrum import char_det, eigenpair, probe, scan, solve_modes
+from beamspec.spectrum import char_det, det_slope, eigenpair, scan, solve_modes
 
 UNIFORM_LEFT = uniform_system().left
 
@@ -91,7 +91,7 @@ NON_FINITE_CALLS = {
     "eigenpair": lambda: eigenpair(uniform_system(), math.nan),
     "char_det_nan": lambda: char_det(uniform_system(), math.nan),
     "char_det_inf": lambda: char_det(uniform_system(), math.inf),
-    "probe": lambda: probe(uniform_system(), [math.nan]),
+    "det_slope": lambda: det_slope(uniform_system(), math.nan),
     "scan_nan": lambda: scan(uniform_system(), math.nan),
     "scan_inf": lambda: scan(uniform_system(), math.inf),
     "scan_ds_nan": lambda: scan(uniform_system(), 5.0, ds=math.nan),

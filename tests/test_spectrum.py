@@ -22,7 +22,6 @@ from beamspec.spectrum import (
     energy_form,
     h_inner,
     interface_matrix,
-    probe,
     refine,
     refine_brackets,
     scan,
@@ -156,8 +155,8 @@ def test_refine_brackets_rejects_bad_bracket():
 def test_refine_brackets_rejects_bad_scan_ends():
     # the same check when the bracket ends come from a scan
     brackets = [(1.56, 1.58), (1.60, 1.62)]
-    _, sign, log_abs = spectrum._batch_dets(UNIFORM, np.array(brackets).T.ravel() ** 4,
-                                            DEFAULT_REL_TOL)
+    sign, log_abs = spectrum._batch_dets(UNIFORM, np.array(brackets).T.ravel() ** 4,
+                                         DEFAULT_REL_TOL)
     ends = list(zip(zip(sign[:2], log_abs[:2]), zip(sign[2:], log_abs[2:])))
     refine_brackets(UNIFORM, brackets[:1], ends=ends[:1])
     with pytest.raises(BracketError):
@@ -170,12 +169,12 @@ def find_root_pinned(system, brackets):
     from scipy.optimize.elementwise import find_root
 
     s_lo, s_hi = (np.array(side) for side in zip(*brackets))
-    _, sign, log_abs = spectrum._batch_dets(system, np.concatenate([s_lo, s_hi]) ** 4,
-                                            DEFAULT_REL_TOL)
+    sign, log_abs = spectrum._batch_dets(system, np.concatenate([s_lo, s_hi]) ** 4,
+                                         DEFAULT_REL_TOL)
     ref = np.maximum(log_abs[:s_lo.size], log_abs[s_lo.size:])
 
     def descaled(s, ref):
-        _, sign, log_abs = spectrum._batch_dets(system, s ** 4, DEFAULT_REL_TOL)
+        sign, log_abs = spectrum._batch_dets(system, s ** 4, DEFAULT_REL_TOL)
         return sign * np.exp(np.minimum(log_abs - ref, 700.0))
 
     tolerances = {"xatol": 1e-14, "xrtol": 1e-10 / 40.0}
@@ -285,7 +284,7 @@ def test_solve_modes_bit_identical(variable_m1):
 
 
 # upper grid index j of every bracket (s_(j-1), s_j) of scan(system,
-# suggest_s_max(system, 6), ds=0.01), as the Dormand-Prince 5(4) scan found
+# heuristic_s_max(system, 6), ds=0.01), as the Dormand-Prince 5(4) scan found
 # them; the scan's brackets must not depend on its integrator
 BRACKETS_DS_001 = {
     "uniform_m0": [158, 315, 472, 629, 786, 943, 1100],
@@ -300,7 +299,7 @@ BRACKETS_DS_001 = {
 @pytest.mark.parametrize("name", sorted(BRACKETS_DS_001))
 def test_scan_brackets_unchanged_at_ds_001(shipped_systems, name):
     system = shipped_systems[name]
-    brackets = scan(system, suggest_s_max(system, 6), ds=0.01)
+    brackets = scan(system, conftest.heuristic_s_max(system, 6), ds=0.01)
     assert [(round(lo / 0.01), round(hi / 0.01)) for lo, hi in brackets] == \
         [(j - 1, j) for j in BRACKETS_DS_001[name]]
 
@@ -319,13 +318,13 @@ def test_batched_signs_follow_the_root_count(shipped_systems, name):
     system = shipped_systems[name]
     if name == "uniform_m0":
         roots = math.pi / 2 * np.arange(1, 9)
-        n = int(math.floor(suggest_s_max(system, 6) / DEFAULT_DS + 1e-9))
+        n = int(math.floor(conftest.heuristic_s_max(system, 6) / DEFAULT_DS + 1e-9))
     else:
         roots = np.array(reference_lams()[name]) ** 0.25
         n = int(math.ceil(roots[-1] / DEFAULT_DS)) - 1
     s = DEFAULT_DS * np.arange(1, n + 1)
     assert s[-1] < roots[-1]
-    sign, _ = spectrum._grid_dets(system, s, DEFAULT_REL_TOL)
+    sign, _ = spectrum._batch_dets(system, s ** 4, DEFAULT_REL_TOL)
     crossed = np.sum(roots[None, :] < s[:, None], axis=1)
     np.testing.assert_array_equal(sign, sign[0] * (-1) ** crossed)
 
@@ -371,7 +370,7 @@ def assert_mirrored_pass_exact(system, lams):
     np.testing.assert_array_equal(both.frames[1, :, -1] * MIRROR, right)
     np.testing.assert_array_equal(both.log_scale, [log_l, log_r])
 
-    _, sign, log_abs = spectrum._batch_dets(system, lams, DEFAULT_REL_TOL)
+    sign, log_abs = spectrum._batch_dets(system, lams, DEFAULT_REL_TOL)
     matrices = spectrum._build_matrix(left, right, system.mass, lams)
     col_log = np.stack([log_l, log_l, log_r, log_r], axis=-1) / 2.0
     ref_sign, ref_log_abs = spectrum._signed_log_det(matrices, col_log)
@@ -384,7 +383,7 @@ def assert_mirrored_pass_exact(system, lams):
 def test_mirrored_pass_matches_one_profile_calls(shipped_systems, name):
     # every grid point of the scan
     system = shipped_systems[name]
-    n = int(math.floor(suggest_s_max(system, 6) / DEFAULT_DS + 1e-9))
+    n = int(math.floor(conftest.heuristic_s_max(system, 6) / DEFAULT_DS + 1e-9))
     assert_mirrored_pass_exact(system, (DEFAULT_DS * np.arange(1, n + 1)) ** 4)
 
 
@@ -419,23 +418,47 @@ def test_refinement_reuses_the_scan_bracket_ends(monkeypatch):
         assert lams.size <= count and not np.isin(lams, ends).any()
 
 
-def test_retry_extends_grid_with_new_points_only(monkeypatch, uniform_m0_modes):
-    # a ceiling of 3.15 ends the first grid at 3.14, just below the root at
-    # pi; the retries must bracket it across the old ceiling
-    seen = []
-    real = spectrum._grid_dets
-
-    def spy(system, s, rel_tol):
-        seen.append(s)
-        return real(system, s, rel_tol)
-
-    monkeypatch.setattr(spectrum, "_grid_dets", spy)
+def test_too_few_brackets_below_the_ceiling_raise(monkeypatch):
+    # a ceiling of 3.15 ends the grid at 3.14, just below the root at pi:
+    # below a proven ceiling that can only mean a missed root pair, and
+    # the brackets found would carry the wrong mode indices
     monkeypatch.setattr(spectrum, "suggest_s_max", lambda system, count: 3.15)
-    pairs = solve_modes(UNIFORM, 4)
-    assert [p.lam for p in pairs] == [p.lam for p in uniform_m0_modes[:4]]
-    assert len(seen) > 1
-    grid = np.concatenate(seen)
-    np.testing.assert_array_equal(grid, DEFAULT_DS * np.arange(1, len(grid) + 1))
+    with pytest.raises(RuntimeError, match="found only 1 determinant roots"):
+        solve_modes(UNIFORM, 4)
+
+
+def count_passes(monkeypatch):
+    """The lam arrays of every batched integration the spectrum module runs
+    from now on."""
+    passes = []
+    real = spectrum._batch_final_states
+
+    def spy(profiles, lams, *args):
+        passes.append(lams)
+        return real(profiles, lams, *args)
+
+    monkeypatch.setattr(spectrum, "_batch_final_states", spy)
+    return passes
+
+
+def test_solve_and_verify_take_seven_passes(monkeypatch, uniform_m0):
+    # one scan, five lock-step refinement passes and one mode pass, which
+    # also carries the probe points: verify integrates nothing
+    passes = count_passes(monkeypatch)
+    verify(uniform_m0, solve_modes(uniform_m0, 6))
+    assert len(passes) == 7
+    assert passes[-1].size == 3 * 6
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_refine_takes_the_first_point_with_the_ends(monkeypatch, n):
+    # the bracket ends and Chandrupatla's first trial point, the midpoint,
+    # share the first pass
+    passes = count_passes(monkeypatch)
+    lam = refine(UNIFORM, (n * math.pi / 2 - 0.05, n * math.pi / 2 + 0.05))
+    assert len(passes) == 2
+    assert passes[0].size == 3
+    assert abs(lam - (n * math.pi / 2) ** 4) <= 1e-10 * lam
 
 
 def test_eigenpair_mode1_closed_form(uniform_m0_modes):
@@ -548,14 +571,13 @@ def dense_probe(system, lam, rel_step=1e-4, vanish_rel=1e-6):
 
 @pytest.mark.parametrize("name", ["uniform_m1", "variable_m1", "uniform_m10"])
 def test_probe_matches_dense_route(shipped_systems, shipped_modes, name):
+    # the probe each eigenpair carries from the mode pass
     system = shipped_systems[name]
-    lams = [p.lam for p in shipped_modes[name]]
-    slopes, margins, classes = probe(system, lams)
-    for lam, slope, margin, step_class in zip(lams, slopes, margins, classes):
-        ref_slope, ref_margin, ref_class = dense_probe(system, lam)
-        assert step_class == ref_class
-        assert abs(margin - ref_margin) <= 1e-9
-        assert slope == pytest.approx(ref_slope, rel=1e-6)
+    for pair in shipped_modes[name]:
+        ref_slope, ref_margin, ref_class = dense_probe(system, pair.lam)
+        assert pair.step_class == ref_class
+        assert abs(pair.det_margin - ref_margin) <= 1e-9
+        assert pair.det_derivative == pytest.approx(ref_slope, rel=1e-6)
 
 def test_verify_uniform_m0(uniform_m0_modes):
     report = verify(UNIFORM, uniform_m0_modes[:4])
@@ -615,10 +637,29 @@ def test_solve_modes_guards():
         eigenpair(UNIFORM, 10.0, stations_per_side=100)
 
 
-def test_suggest_s_max_covers_requested_modes(shipped_systems, shipped_modes):
-    for name, pairs in shipped_modes.items():
-        s_max = suggest_s_max(shipped_systems[name], 6)
-        assert pairs[-1].lam ** 0.25 < s_max
+def test_suggest_s_max_covers_requested_modes(shipped_systems):
+    # the ceiling for n modes lies past s_n for every n
+    for name, lams in reference_lams().items():
+        for n, lam in enumerate(lams, start=1):
+            assert lam ** 0.25 < suggest_s_max(shipped_systems[name], n), (name, n)
+
+
+def test_suggest_s_max_covers_uniform_modes_to_40():
+    # s_n = n pi/2: the bound is exact here, and the extra DEFAULT_DS keeps
+    # a grid point past the root
+    for n in range(1, 41):
+        assert n * math.pi / 2 < suggest_s_max(UNIFORM, n) <= n * math.pi / 2 + DEFAULT_DS
+
+
+@pytest.mark.parametrize("name", sorted(conftest.SHIPPED_BUILDERS))
+def test_first_scan_brackets_the_requested_modes(shipped_systems, name):
+    # the grid up to each ceiling holds a bracket for every mode requested,
+    # so solve_modes does not stop on a missed root pair
+    system = shipped_systems[name]
+    brackets = scan(system, suggest_s_max(system, 6))
+    for count in range(1, 7):
+        last = math.floor(suggest_s_max(system, count) / DEFAULT_DS + 1e-9)
+        assert sum(round(hi / DEFAULT_DS) <= last for _, hi in brackets) >= count
 
 
 def test_mass_sweep_monotonicity(shipped_modes):
