@@ -18,14 +18,15 @@ between the two exponentially growing columns at large lam.  The scan runs
 on a uniform grid in s = lam**(1/4), where the roots are asymptotically
 equispaced, up to a proven bound past the requested modes, and reads all
 determinant signs from one stacked determinant.  The paper's theorem
-(every eigenvalue is simple) makes each bracket hold one root, so
-solve_modes refines all brackets in lock step, one batched pass per
-iteration, starting from the determinant values the scan kept at the
-bracket ends (refine is the one-bracket case).  solve_modes assembles all
-its modes, with their simplicity probes, from one more batched pass with
-stations (eigenpair is the one-lam case): the joint null vector of the last
-frames is carried back through the orthonormalisations, so the modes keep
-their shape at large lam too.
+(every eigenvalue is simple) makes each bracket hold one root with a
+nonzero slope, so solve_modes refines all brackets in lock step by a
+bracketed Newton iteration, one batched pass per iteration, starting from
+the determinant values the scan kept at the bracket ends (refine is the
+one-bracket case).  solve_modes assembles all its modes, with their
+simplicity probes, from one more batched pass with stations (eigenpair is
+the one-lam case): the joint null vector of the last frames is carried back
+through the orthonormalisations, so the modes keep their shape at large lam
+too.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ SIGN_CONVENTION_EPS = 1e-12
 DEGENERACY_GAP = 1e3
 PROBE_REL_STEP = 1e-4
 VANISH_REL = 1e-6
+NEWTON_REL_STEP = 1e-6
+NEWTON_FAN = (1.0, 4.0, 16.0)
+MAX_REFINE_PASSES = 100
 
 SIGN_NOTE = (
     "published sign conventions for the endpoint products u'*Tu disagree "
@@ -188,112 +192,90 @@ def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_
                     ends=None):
     """Roots inside many sign-change brackets at once, to tol_lambda_rel in lam.
 
-    Eigenvalues are simple, so each bracket holds one root and the brackets
-    are independent: all are refined in lock step by Chandrupatla's method
-    (_chandrupatla), and every pass evaluates the determinant at one new s
-    per unfinished bracket in one batched integration.  ends, when given,
-    holds the (sign, log |det|) at the low and the high end of every bracket
-    as a scan found them (its ends attribute); they are then not integrated
-    again; otherwise they share a pass with the first trial points, the
-    midpoints.  Returns the eigenvalues in bracket order.
+    Eigenvalues are simple, so each bracket holds one root, where the
+    determinant's slope is nonzero, and all brackets are refined in lock step
+    by a bracketed Newton iteration in s.  Each pass integrates, per
+    unfinished bracket and in one batch, the Newton point x, x -+ d for the
+    slope (d = NEWTON_REL_STEP*|x|) and x -+ k*c for k in NEWTON_FAN, where
+    c is half the stopping width xrtol*|x| + 1e-14.  The points inside the
+    bracket narrow it to the sign change nearest the next Newton point, which
+    then stands for the root if it lies in the bracket (else the end with the
+    smaller |det| does); a bracket stops once it is no wider than the
+    stopping width.  A Newton point that is not finite or leaves the bracket
+    is replaced by the midpoint.  ends, when given, holds the (sign,
+    log |det|) at the low and the high end of every bracket as a scan found
+    them (its ends attribute); they are not integrated again, and Newton
+    starts at their regula falsi point.  Otherwise the ends share the first
+    pass with the points of the midpoint, from which Newton starts.
+    Returns the eigenvalues in bracket order.
     """
+    if not 0.0 < tol_lambda_rel < math.inf:
+        raise ValueError("tol_lambda_rel must be finite and > 0")
     if not brackets:
         return []
-    s_lo, s_hi = (np.array(side, dtype=float) for side in zip(*brackets))
-    n = s_lo.size
+    lo, hi = np.sort(np.array(brackets, dtype=float), axis=1).T
+    n = lo.size
+    # xrtol is relative in s, and lam = s**4 has four times the relative
+    # error: /4 would just meet tol_lambda_rel, /40 leaves a factor of ten
+    xrtol = max(tol_lambda_rel / 40.0, 4e-16)
+    points = r = None
     if ends is None:
-        # the midpoint as _chandrupatla forms it, so it has the same bits
-        s_mid = s_lo + 0.5 * (s_hi - s_lo)
-        sign, log_abs = _batch_dets(system, np.concatenate([s_lo, s_hi, s_mid]) ** 4,
-                                    rel_tol)
+        points = _newton_points(lo + 0.5 * (hi - lo), xrtol)
+        sign, log_abs = (a.reshape(n, -1) for a in _batch_dets(
+            system, np.column_stack([lo, hi, points]).ravel() ** 4, rel_tol))
     else:
-        # low ends first, then high ends, as in the pass above
-        sign, log_abs = np.array(ends, dtype=float).T.reshape(2, -1)
-        sign = sign.astype(int)
-    bad = np.flatnonzero(sign[:n] * sign[n:2 * n] >= 0)
+        sign, log_abs = np.moveaxis(np.array(ends, dtype=float), -1, 0)
+    bad = np.flatnonzero(sign[:, 0] * sign[:, 1] >= 0)
     if bad.size:
         i = bad[0]
         raise BracketError(
-            f"determinant does not change sign on [{s_lo[i]:g}, {s_hi[i]:g}]")
-    ref = np.maximum(log_abs[:n], log_abs[n:2 * n])
-    f = _descale(sign, log_abs, np.tile(ref, sign.size // n))
+            f"determinant does not change sign on [{lo[i]:g}, {hi[i]:g}]")
+    ref = np.max(log_abs[:, :2], axis=1)
+    f = _descale(sign, log_abs, ref[:, None])
+    f_lo, f_hi, f = f[:, 0], f[:, 1], f[:, 2:]
+    if ends is not None:
+        r = lo - f_lo * (hi - lo) / (f_hi - f_lo)    # regula falsi
+    roots, running = np.full(n, math.nan), np.arange(n)
+    for _ in range(MAX_REFINE_PASSES):
+        if points is None:
+            points = _newton_points(np.where((lo < r) & (r < hi), r, lo + 0.5 * (hi - lo)),
+                                    xrtol)
+            sign, log_abs = _batch_dets(system, points.ravel() ** 4, rel_tol)
+            f = _descale(sign.reshape(points.shape), log_abs.reshape(points.shape),
+                         ref[running, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = points[:, 0] - f[:, 0] * (points[:, 2] - points[:, 1]) / (f[:, 2] - f[:, 1])
+        # near a root at large lam the determinant's rounding noise can flip
+        # its sign more than once, so keep the sign change nearest r
+        inside = (lo[:, None] < points) & (points < hi[:, None])
+        xs = np.column_stack([lo, np.where(inside, points, lo[:, None]), hi])
+        fs = np.column_stack([f_lo, np.where(inside, f, f_lo[:, None]), f_hi])
+        order = np.argsort(xs, axis=1)
+        xs, fs = np.take_along_axis(xs, order, 1), np.take_along_axis(fs, order, 1)
+        at = np.nan_to_num(r)[:, None]
+        gap = np.maximum(np.maximum(xs[:, :-1] - at, at - xs[:, 1:]), 0.0)
+        gap[np.sign(fs[:, :-1]) * np.sign(fs[:, 1:]) > 0] = math.inf
+        j = np.argmin(gap, axis=1)[:, None]
+        lo, hi, f_lo, f_hi = (np.take_along_axis(a, j + k, 1)[:, 0]
+                              for a, k in ((xs, 0), (xs, 1), (fs, 0), (fs, 1)))
+        root = np.where((lo <= r) & (r <= hi), r,
+                        np.where(np.abs(f_lo) < np.abs(f_hi), lo, hi))
+        done = hi - lo <= xrtol * np.abs(root) + 1e-14
+        roots[running[done]] = root[done]
+        running, lo, hi, f_lo, f_hi, r = (a[~done] for a in (running, lo, hi, f_lo, f_hi, r))
+        if not running.size:
+            return (roots ** 4).tolist()
+        points = None
+    i = running[0]
+    raise RuntimeError(f"root refinement failed on [{brackets[i][0]:g}, {brackets[i][1]:g}]")
 
-    def descaled(s, running):
-        sign, log_abs = _batch_dets(system, s ** 4, rel_tol)
-        return _descale(sign, log_abs, ref[running])
 
-    # xrtol is relative in s, and lam = s**4 has four times the relative
-    # error: /4 would just meet tol_lambda_rel, /40 leaves a factor of ten
-    s, converged = _chandrupatla(descaled, s_lo, s_hi, f[:n], f[n:2 * n], xatol=1e-14,
-                                 xrtol=max(tol_lambda_rel / 40.0, 4e-16),
-                                 f_first=f[2 * n:] if ends is None else None)
-    if not np.all(converged):
-        i = int(np.flatnonzero(~converged)[0])
-        raise RuntimeError(f"root refinement failed on [{s_lo[i]:g}, {s_hi[i]:g}]")
-    return (s ** 4).tolist()
-
-
-def _chandrupatla(func, x1, x2, f1, f2, xatol, xrtol, f_first=None):
-    """Roots of func in the brackets [x1, x2], elementwise (Chandrupatla 1997).
-
-    f1 and f2 are func at x1 and x2, of opposite signs.  func(x, running)
-    gets the trial points of the brackets still running and their indices.
-    f_first, if given, is func at the first trial points x1 + 0.5*(x2 - x1).
-    A port of the Chandrupatla step of scipy.optimize.elementwise.find_root
-    at fatol = smallest normal, frtol = 0: the same update order and
-    tolerances, so each root has the bits find_root gives.  Returns the
-    roots and whether each converged (a root that did not is nan).
-    """
-    n = x1.size
-    x, converged = np.full(n, math.nan), np.zeros(n, dtype=bool)
-    running = np.arange(n)
-    x3 = f3 = None
-    t = 0.5
-    fatol = np.finfo(float).smallest_normal
-    # find_root's default cap: log2(max) - log2(smallest normal) evaluations
-    for evaluations in range(2047):
-        # Chandrupatla's termination test; x_min is the end with smaller |f|
-        i = np.abs(f1) < np.abs(f2)
-        x_min, f_min = np.where(i, x1, x2), np.where(i, f1, f2)
-        small = np.abs(f_min) <= fatol
-        invalid = ~small & ((np.sign(f1) == np.sign(f2))
-                            | ~(np.isfinite(x1) & np.isfinite(x2))
-                            | (np.isnan(f1) & np.isnan(f2)))
-        x_min[invalid] = math.nan
-        dx = np.abs(x2 - x1)
-        tol = np.abs(x_min) * xrtol + xatol
-        done = small | (dx < tol)
-        stop = done | invalid
-        x[running[stop]], converged[running[stop]] = x_min[stop], done[stop]
-        go = ~stop
-        running = running[go]
-        if not running.size or evaluations == 2046:
-            break
-        x1, f1, x2, f2, dx, tol = x1[go], f1[go], x2[go], f2[go], dx[go], tol[go]
-        if x3 is not None:
-            x3, f3 = x3[go], f3[go]
-            # inverse quadratic interpolation where it is safe, else bisection
-            xi1 = (x1 - x2) / (x3 - x2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                phi1 = (f1 - f2) / (f3 - f2)
-            alpha = (x3 - x1) / (x2 - x1)
-            j = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
-            f1j, f2j, f3j, alphaj = f1[j], f2[j], f3[j], alpha[j]
-            t = np.full_like(alpha, 0.5)
-            t[j] = (f1j / (f1j - f2j) * f3j / (f3j - f2j)
-                    - alphaj * f1j / (f3j - f1j) * f2j / (f2j - f3j))
-            tl = 0.5 * tol / dx
-            t = np.clip(t, tl, 1 - tl)
-        x_new = x1 + t * (x2 - x1)
-        f_new = func(x_new, running) if f_first is None else f_first[running]
-        f_first = None
-        # keep the sign change in [x1, x2]; x3 is the end dropped
-        x3, f3 = x2.copy(), f2.copy()
-        same = np.sign(f_new) == np.sign(f1)
-        x3[same], f3[same] = x1[same], f1[same]
-        x2[~same], f2[~same] = x1[~same], f1[~same]
-        x1, f1 = x_new, f_new
-    return x, converged
+def _newton_points(x, xrtol):
+    """Columns x, x - d, x + d, x - k*c, x + k*c (k in NEWTON_FAN) of a Newton
+    pass, with d = NEWTON_REL_STEP*|x| and c half the stopping width."""
+    d, c = NEWTON_REL_STEP * np.abs(x), 0.5 * (xrtol * np.abs(x) + 1e-14)
+    fan = np.outer(c, NEWTON_FAN)
+    return np.column_stack([x, x - d, x + d, x[:, None] - fan, x[:, None] + fan])
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,9 @@ from beamspec.spectrum import (
 )
 from test_fundamental import slope_zero_lam
 
+# entries per bracket in a Newton pass: x, x -+ d and the symmetric fan
+NEWTON_POINTS = 3 + 2 * len(spectrum.NEWTON_FAN)
+
 UNIFORM = uniform_system()
 UNIFORM_M1 = uniform_system(1.0)
 PI4 = math.pi ** 4
@@ -163,9 +166,14 @@ def test_refine_brackets_rejects_bad_scan_ends():
         refine_brackets(UNIFORM, brackets, ends=ends)
 
 
+def stopping_width(s, tol_lambda_rel=1e-10):
+    """The bracket width at which refine_brackets stops, in s."""
+    return tol_lambda_rel / 40.0 * np.abs(s) + 1e-14
+
+
 def find_root_pinned(system, brackets):
     """Roots in s of refine_brackets' descaled determinant by scipy's
-    find_root and by the port, with the tolerances refine_brackets uses."""
+    find_root, at the stopping tolerances of refine_brackets."""
     from scipy.optimize.elementwise import find_root
 
     s_lo, s_hi = (np.array(side) for side in zip(*brackets))
@@ -177,29 +185,33 @@ def find_root_pinned(system, brackets):
         sign, log_abs = spectrum._batch_dets(system, s ** 4, DEFAULT_REL_TOL)
         return sign * np.exp(np.minimum(log_abs - ref, 700.0))
 
-    tolerances = {"xatol": 1e-14, "xrtol": 1e-10 / 40.0}
-    theirs = find_root(descaled, (s_lo, s_hi), args=(ref,), tolerances=tolerances)
-    ours, converged = spectrum._chandrupatla(
-        lambda s, running: descaled(s, ref[running]), s_lo, s_hi,
-        descaled(s_lo, ref), descaled(s_hi, ref), **tolerances)
-    assert theirs.success.all() and converged.all()
-    return theirs.x, ours
+    theirs = find_root(descaled, (s_lo, s_hi), args=(ref,),
+                       tolerances={"xatol": 1e-14, "xrtol": 1e-10 / 40.0})
+    assert theirs.success.all()
+    return theirs.x
 
 
 @pytest.mark.parametrize("name", sorted(conftest.SHIPPED_BUILDERS))
-def test_chandrupatla_port_matches_find_root(shipped_systems, name):
+def test_newton_refinement_matches_find_root(shipped_systems, name):
+    # with and without the scan's bracket ends, every root lies within two
+    # stopping widths of scipy's, and the determinant changes sign across
+    # its stopping interval
     system = shipped_systems[name]
-    brackets = scan(system, suggest_s_max(system, 6))[:6]
-    theirs, ours = find_root_pinned(system, brackets)
-    np.testing.assert_array_equal(ours, theirs)
-    assert refine_brackets(system, brackets) == (ours ** 4).tolist()
+    brackets = scan(system, suggest_s_max(system, 6))
+    theirs = find_root_pinned(system, brackets[:6])
+    for ends in (None, brackets.ends[:6]):
+        s = np.array(refine_brackets(system, brackets[:6], ends=ends)) ** 0.25
+        assert np.all(np.abs(s - theirs) <= 2.0 * stopping_width(s))
+        for s_i, w in zip(s, stopping_width(s)):
+            assert char_det(system, (s_i - w) ** 4)[0] * char_det(system, (s_i + w) ** 4)[0] < 0
 
 
-def test_chandrupatla_port_matches_find_root_to_mode_40():
+def test_newton_refinement_matches_find_root_to_mode_40():
     # the high_modes benchmark brackets: one root each, lam up to 2.4e7
     brackets = [(n * math.pi / 2 - 0.05, n * math.pi / 2 + 0.05) for n in range(1, 41)]
-    theirs, ours = find_root_pinned(UNIFORM, brackets)
-    np.testing.assert_array_equal(ours, theirs)
+    theirs = find_root_pinned(UNIFORM, brackets)
+    s = np.array(refine_brackets(UNIFORM, brackets)) ** 0.25
+    assert np.all(np.abs(s - theirs) <= 2.0 * stopping_width(s))
 
 
 @pytest.mark.parametrize("stations", [129, 257])
@@ -217,12 +229,19 @@ def test_simpson_port_matches_scipy(stations):
 @pytest.mark.parametrize("name", sorted(conftest.SHIPPED_BUILDERS))
 def test_refine_brackets_matches_scalar_refine(shipped_systems, shipped_modes, name):
     # solve_modes' lock-step refinement lands within 1e-11 of the reference
-    # eigenvalues, and refine on a single bracket gives the same bits
+    # eigenvalues.  Each bracket alone gives the same bits as in the batch,
+    # from the scan's ends and from fresh ends alike; the two starts (regula
+    # falsi and midpoint) differ by less than one stopping width
     system = shipped_systems[name]
     lams = [p.lam for p in shipped_modes[name]]
     np.testing.assert_allclose(lams, reference_lams()[name], rtol=1e-11, atol=0)
-    brackets = scan(system, suggest_s_max(system, 6))[:6]
-    assert [refine(system, b) for b in brackets] == lams
+    brackets = scan(system, suggest_s_max(system, 6))
+    assert [refine_brackets(system, [b], ends=[e])[0]
+            for b, e in zip(brackets[:6], brackets.ends)] == lams
+    fresh = refine_brackets(system, brackets[:6])
+    assert [refine(system, b) for b in brackets[:6]] == fresh
+    s = np.array(lams) ** 0.25
+    assert np.all(np.abs(np.array(fresh) ** 0.25 - s) <= stopping_width(s))
 
 
 @pytest.mark.parametrize("mass", [0.0, 1.0])
@@ -396,12 +415,12 @@ def test_mirrored_pass_matches_in_mixed_batch():
 
 def test_refinement_reuses_the_scan_bracket_ends(monkeypatch):
     # the scan already evaluated every bracket end: no batched pass after it
-    # integrates one again, and the eigenvalues equal those refined from
-    # freshly integrated ends
+    # integrates one again, and the eigenvalues lie within one stopping width
+    # of those refined from freshly integrated ends
     count = 6
     brackets = scan(UNIFORM, suggest_s_max(UNIFORM, count))[:count]
     ends = np.array(brackets).T.reshape(-1) ** 4
-    fresh = refine_brackets(UNIFORM, brackets)
+    fresh = np.array(refine_brackets(UNIFORM, brackets)) ** 0.25
     passes = []
     real = spectrum._batch_dets
 
@@ -410,12 +429,13 @@ def test_refinement_reuses_the_scan_bracket_ends(monkeypatch):
         return real(system, lams, rel_tol)
 
     monkeypatch.setattr(spectrum, "_batch_dets", spy)
-    assert [p.lam for p in solve_modes(UNIFORM, count)] == fresh
+    s = np.array([p.lam for p in solve_modes(UNIFORM, count)]) ** 0.25
+    assert np.all(np.abs(s - fresh) <= stopping_width(s))
     scan_pass, *refine_passes = passes
     assert np.isin(ends, scan_pass).all()
     assert refine_passes
     for lams in refine_passes:
-        assert lams.size <= count and not np.isin(lams, ends).any()
+        assert lams.size <= NEWTON_POINTS * count and not np.isin(lams, ends).any()
 
 
 def test_too_few_brackets_below_the_ceiling_raise(monkeypatch):
@@ -441,24 +461,58 @@ def count_passes(monkeypatch):
     return passes
 
 
-def test_solve_and_verify_take_seven_passes(monkeypatch, uniform_m0):
-    # one scan, five lock-step refinement passes and one mode pass, which
+@pytest.mark.parametrize("name", sorted(conftest.SHIPPED_BUILDERS))
+def test_solve_and_verify_pass_counts(monkeypatch, shipped_systems, name):
+    # one scan pass, at most three Newton passes and one mode pass, which
     # also carries the probe points: verify integrates nothing
+    system = shipped_systems[name]
     passes = count_passes(monkeypatch)
-    verify(uniform_m0, solve_modes(uniform_m0, 6))
-    assert len(passes) == 7
-    assert passes[-1].size == 3 * 6
+    verify(system, solve_modes(system, 6))
+    scan_pass, *refine_passes, mode_pass = passes
+    np.testing.assert_allclose(scan_pass ** 0.25, DEFAULT_DS * np.arange(1, scan_pass.size + 1))
+    assert 1 <= len(refine_passes) <= 3
+    assert all(p.size % NEWTON_POINTS == 0 and p.size <= 6 * NEWTON_POINTS
+               for p in refine_passes)
+    assert mode_pass.size == 3 * 6
 
 
-@pytest.mark.parametrize("n", [1, 6])
+@pytest.mark.parametrize("n", range(1, 41))
 def test_refine_takes_the_first_point_with_the_ends(monkeypatch, n):
-    # the bracket ends and Chandrupatla's first trial point, the midpoint,
-    # share the first pass
+    # the high_modes benchmark brackets: the bracket ends and the points of
+    # the midpoint share the first pass, and no bracket takes more than two
     passes = count_passes(monkeypatch)
     lam = refine(UNIFORM, (n * math.pi / 2 - 0.05, n * math.pi / 2 + 0.05))
-    assert len(passes) == 2
-    assert passes[0].size == 3
+    assert 1 <= len(passes) <= 2
+    assert passes[0].size == 2 + NEWTON_POINTS
     assert abs(lam - (n * math.pi / 2) ** 4) <= 1e-10 * lam
+
+
+@pytest.mark.parametrize("bracket", [(0.5, 2.5), (1.58, 1.56)])
+def test_refine_wide_and_reversed_brackets(monkeypatch, bracket):
+    # Newton falls back to the midpoint while its steps leave the bracket;
+    # a reversed bracket is the same bracket
+    passes = count_passes(monkeypatch)
+    lam = refine(UNIFORM, bracket)
+    assert abs(lam - (math.pi / 2) ** 4) <= 1e-10 * lam
+    assert len(passes) <= 6
+
+
+def test_refine_pass_cap_raises(monkeypatch):
+    # a bracket still open after MAX_REFINE_PASSES is a solver failure
+    monkeypatch.setattr(spectrum, "MAX_REFINE_PASSES", 2)
+    with pytest.raises(RuntimeError, match="root refinement failed on \\[0.5, 2.5\\]"):
+        refine(UNIFORM, (0.5, 2.5))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_refine_rejects_bad_tolerance(monkeypatch, tol):
+    # a usage error, raised before any integration
+    passes = count_passes(monkeypatch)
+    with pytest.raises(ValueError, match="tol_lambda_rel"):
+        refine(UNIFORM, (1.56, 1.58), tol_lambda_rel=tol)
+    with pytest.raises(ValueError, match="tol_lambda_rel"):
+        refine_brackets(UNIFORM, [(1.56, 1.58)], tol_lambda_rel=tol)
+    assert passes == []
 
 
 def test_eigenpair_mode1_closed_form(uniform_m0_modes):
