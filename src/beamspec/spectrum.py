@@ -243,7 +243,7 @@ def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_
             sign, log_abs = _batch_dets(system, points.ravel() ** 4, rel_tol)
             f = _descale(sign.reshape(points.shape), log_abs.reshape(points.shape),
                          ref[running, None])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):     # a flat or non-finite slope: midpoint
             r = points[:, 0] - f[:, 0] * (points[:, 2] - points[:, 1]) / (f[:, 2] - f[:, 1])
         # near a root at large lam the determinant's rounding noise can flip
         # its sign more than once, so keep the sign change nearest r
