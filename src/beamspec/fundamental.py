@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import MIRROR, eval_stacked
 from .quasi import (DEFAULT_REL_TOL, DEFAULT_STATIONS, Trajectory, _advance,
-                    _batch_final_states, _columns)
+                    _batch_final_states, _columns, _station_log_det)
 
 LEFT_UNIT_SLOPE = (0.0, 1.0, 0.0, 0.0)
 LEFT_UNIT_SHEAR = (0.0, 0.0, 0.0, 1.0)
@@ -197,12 +197,10 @@ def vanishing_scan(system, side, lambdas, n_x=20, rel_tol=DEFAULT_REL_TOL):
     xs = np.linspace(x_from, 0.0, n_x + 1)[1:]
     shot = _batch_final_states(profile, lambdas, x_from, xs,
                                [signs * LEFT_UNIT_SLOPE, signs * LEFT_UNIT_SHEAR], rel_tol)
-    log_det = np.take_along_axis(
-        np.cumsum(np.linalg.slogdet(shot.r_factors)[1], axis=1), shot.epochs, axis=1)
     wa, wb = np.moveaxis(shot.frames, (2, 3), (0, 1))
     # (3, points), points ordered by lam, then x
     vals = (np.stack(pairings(wa, wb, eval_stacked(profile.sigma, "sigma", xs)))
-            * np.exp(log_det)).reshape(3, -1)
+            * np.exp(_station_log_det(shot))).reshape(3, -1)
     mags = np.abs(vals)
     scale = float(np.max(mags))
     near = mags < VANISH_ZERO_REL * scale

@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import MIRROR, CoefficientProfile, eval_coeff, eval_stacked, horner
 from .fundamental import first_violation, span_pair
-from .quasi import DEFAULT_REL_TOL, Trajectory, _columns, integrate, integrate_scaled
+from .quasi import DEFAULT_REL_TOL, Trajectory, _columns, integrate
 
 GAUGE_STATIONS = 257
 TRANSFORM_CHECK_POINTS = 65
@@ -76,7 +76,7 @@ def positivity_propagation(profile, lambda_like, init, direction="forward",
 
     lo, hi = profile.interval
     x_from, x_to = (lo, hi) if direction == "forward" else (hi, lo)
-    traj = integrate_scaled(profile, lambda_like, x_from, x_to, init, rel_tol)
+    traj = integrate(profile, lambda_like, x_from, x_to, init, rel_tol)
     violation = first_violation(traj, signs)
     if violation is None:
         return PropagationResult(passed=True)
@@ -117,7 +117,7 @@ def leighton_nehari_transform(profile, a, b, rel_tol=DEFAULT_REL_TOL):
         raise ValueError(f"[{a:g}, {b:g}] must lie inside the span [{lo:g}, {hi:g}]")
     gauge = integrate(profile, 0.0, a, b, (0.0, 1.0, 0.0, 0.0), rel_tol, GAUGE_STATIONS)
     xs = gauge.xs
-    acc, h, flux, _ = gauge.states.T
+    acc, h, flux, _ = (gauge.states * math.exp(gauge.log_scale)).T
     if np.any(h <= 0.0):
         i = int(np.argmax(h <= 0.0))
         raise TheoryViolationError(
@@ -161,8 +161,8 @@ def transform_identity_residual(profile, a, b, lambda_like, init, rel_tol=DEFAUL
     """
     from scipy.integrate import solve_ivp
 
-    if lambda_like < 0:
-        raise ValueError("lambda_like must be >= 0")
+    if not 0.0 <= lambda_like < math.inf:
+        raise ValueError("lambda_like must be finite and >= 0")
     td = leighton_nehari_transform(profile, a, b, rel_tol)
     c = td.gamma / (b - a)
     sig_c, q_c, rho_c = profile.sigma, profile.q, profile.rho

@@ -21,7 +21,9 @@ determinant its sign or a mode its shape.  At each requested station the
 entry's frame and its epoch (the number of orthonormalisations so far) are
 recorded, read from DOP853's dense output inside the span and from a step
 clipped to land on the far end.  Every determinant, every mode and every
-Trajectory comes from this integrator.  The solve puts both spans in
+Trajectory comes from this integrator; the public entry point is integrate,
+one column across a span, overflow-safe: its true states are the stored
+ones times exp(log_scale).  The solve puts both spans in
 one pass: the right span enters as its mirror on (-1, 0)
 (config.mirrored), whose state is (u, -u', sigma*u'', -Tu); those sign
 flips are exact, so the mirror reproduces the right span's states bit for
@@ -30,7 +32,6 @@ bit.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 import math
 from collections import namedtuple
@@ -39,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import CoefficientProfile, eval_coeff, eval_stacked, stack_coeffs
+from .config import CoefficientProfile, eval_stacked, stack_coeffs
 
 # The integrator orthonormalises an entry's columns once its state passes this
 # bound.  Both columns pick up the fastest-growing solution, so the plane
@@ -71,21 +72,14 @@ def _check_lam(lam):
         raise ValueError("lam must be finite and >= 0")
 
 
-def vector_field(profile, lam, x, state):
-    """Right-hand side (w2, w3/sigma, w4 + q*w2, lam*rho*w1) at one point."""
-    sig, q, rho = (eval_coeff(profile, name, x) for name in ("sigma", "q", "rho"))
-    _check_lam(lam)
-    w1, w2, w3, w4 = (float(c) for c in state)
-    return np.array([w2, w3 / sig, w4 + q * w2, lam * rho * w1])
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """One integrated column at stations xs, the first being its start.
 
-    Stored states carry a common scaling: true value = states * exp(log_scale).
-    While the column stays below GROWTH_BOUND log_scale is 0.  profile and
-    rel_tol let state_at integrate between stations.
+    Stored states carry a common scaling: true value = states * exp(log_scale),
+    so they cannot overflow.  While the column stays below GROWTH_BOUND,
+    log_scale is 0 and the states are the true ones.  profile and rel_tol let
+    state_at integrate between stations.
     """
 
     lam: float
@@ -140,16 +134,23 @@ def _check_args(profile, lam, x_from, x_to, rel_tol):
         raise ValueError("x_from and x_to must differ")
 
 
+def _station_log_det(shot):
+    """log det R_e ... R_1 at every station of a Shot, shape (..., S) for
+    any leading axes.  At a station of epoch e the true columns are the
+    frame times R_e ... R_1, so their k x k minors are the frame's times
+    exp of this."""
+    return np.take_along_axis(np.cumsum(np.linalg.slogdet(shot.r_factors)[1], axis=-1),
+                              shot.epochs, axis=-1)
+
+
 def _columns(profile, lam, xs, inits, rel_tol):
     """Integrate one or two initial states jointly.
 
     xs are the stations, from the start in the direction of integration.
     Returns one Trajectory per column, the frames (S, k, 4) and, per
-    station, log det R_e ... R_1.  At a station of epoch e the true columns
-    are the frame times R_e ... R_1, so their k x k minors are the frame's
-    times exp(log det); the product itself is carried with its own log
-    scale, so it cannot overflow, and the last one sets the common
-    log_scale.
+    station, log det R_e ... R_1 (see _station_log_det).  The product
+    R_e ... R_1 itself is carried with its own log scale, so it cannot
+    overflow, and the last one sets the common log_scale.
     """
     shot = _batch_final_states(profile, [lam], xs[0], xs, inits, rel_tol)
     frames, epochs, r_factors = shot.frames[0], shot.epochs[0], shot.r_factors[0]
@@ -163,26 +164,18 @@ def _columns(profile, lam, xs, inits, rel_tol):
     scale = np.exp(np.array(logs)[epochs] - logs[-1])
     # column i of the true pair is sum_j frame[:, j] * product[j, i]
     states = np.einsum("sjc,sji->sic", frames, products) * scale[:, None, None]
-    log_det = np.cumsum(np.linalg.slogdet(r_factors)[1])[epochs]
     return ([Trajectory(lam, xs, states[:, i], logs[-1], profile, rel_tol)
-             for i in range(len(inits))], frames, log_det)
+             for i in range(len(inits))], frames, _station_log_det(shot)[0])
 
 
 def integrate(profile, lam, x_from, x_to, init, rel_tol=DEFAULT_REL_TOL,
               n_stations=DEFAULT_STATIONS):
-    """Propagate one quasi-derivative state across the span; true states,
-    log_scale 0 (they overflow where the solution does)."""
-    traj = integrate_scaled(profile, lam, x_from, x_to, init, rel_tol, n_stations)
-    return dataclasses.replace(traj, states=traj.states * np.exp(traj.log_scale),
-                               log_scale=0.0)
+    """Propagate one quasi-derivative state across the span, from x_from to
+    x_to, as a Trajectory at n_stations equispaced stations.
 
-
-def integrate_scaled(profile, lam, x_from, x_to, init, rel_tol=DEFAULT_REL_TOL,
-                     n_stations=DEFAULT_STATIONS):
-    """Like integrate, but overflow-safe: the state is normalised whenever
-    it passes GROWTH_BOUND.
-
-    The returned trajectory equals the unscaled one times exp(log_scale).
+    Overflow-safe: the state is normalised whenever it passes GROWTH_BOUND,
+    and the true states are the returned ones times exp(log_scale);
+    log_scale stays 0 until the first normalisation.
     """
     if n_stations < 64:
         raise ValueError("need at least 64 stations")

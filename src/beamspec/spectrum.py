@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -287,6 +288,8 @@ class Eigenpair:
     unit H-norm, i.e. samples = (a*u1 + b*u2, c*v1 + d*v2) / ||.||_H;
     each sample row is (u, u', sigma*u'', Tu).  det_derivative, det_margin
     and step_class are the simplicity probe at lam (see _probe).
+    product_left and product_right are the endpoint products u'*Tu at the
+    hinges x = -1 and x = +1.
     """
 
     index: int | None
@@ -307,6 +310,14 @@ class Eigenpair:
     def sv_gap(self):
         sv = self.singular_values
         return float(sv[2] / max(sv[3], 1e-300))
+
+    @property
+    def product_left(self):
+        return float(self.mode_left[0, 1] * self.mode_left[0, 3])
+
+    @property
+    def product_right(self):
+        return float(self.mode_right[-1, 1] * self.mode_right[-1, 3])
 
 
 def _simpson(y, x):
@@ -528,23 +539,14 @@ def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL,
 
 
 @dataclass(frozen=True)
-class ModeVerification:
-    index: int
-    lam: float
-    det_derivative: float
-    det_margin: float
-    sv_smallest: float
-    sv_second: float
-    sv_gap: float
-    product_left: float
-    product_right: float
-    step_class: int
-    rayleigh_residual: float
-
-
-@dataclass(frozen=True)
 class VerificationReport:
-    """Numerical evidence for the spectral claims, one entry per mode."""
+    """Numerical evidence for the spectral claims.
+
+    modes holds the Eigenpairs that were checked, in order, each numbered
+    (a pair without an index gets its position, from 1); to_dict reports
+    per mode the probe and singular values they carry, and their endpoint
+    products.
+    """
 
     modes: tuple
     positivity: bool
@@ -557,7 +559,7 @@ class VerificationReport:
     sign_left: int
     sign_right: int
     theorem1_consistent: bool
-    note: str = SIGN_NOTE
+    note: ClassVar[str] = SIGN_NOTE
 
     def to_dict(self):
         return {
@@ -569,8 +571,8 @@ class VerificationReport:
                     "lambda": m.lam,
                     "det_derivative": m.det_derivative,
                     "det_margin": m.det_margin,
-                    "sv_smallest": m.sv_smallest,
-                    "sv_second": m.sv_second,
+                    "sv_smallest": float(m.singular_values[3]),
+                    "sv_second": float(m.singular_values[2]),
                     "sv_gap": m.sv_gap,
                 }
                 for m in self.modes
@@ -594,25 +596,8 @@ def verify(system, eigenpairs):
     if len(eigenpairs) < 2:
         raise ValueError("need at least two eigenpairs")
     n = len(eigenpairs)
-    modes = []
-    for k, pair in enumerate(eigenpairs):
-        sv = pair.singular_values
-        p_left = float(pair.mode_left[0, 1] * pair.mode_left[0, 3])
-        p_right = float(pair.mode_right[-1, 1] * pair.mode_right[-1, 3])
-        energy = energy_form(system, pair, pair)
-        modes.append(ModeVerification(
-            index=pair.index if pair.index is not None else k + 1,
-            lam=pair.lam,
-            det_derivative=pair.det_derivative,
-            det_margin=pair.det_margin,
-            sv_smallest=float(sv[3]),
-            sv_second=float(sv[2]),
-            sv_gap=pair.sv_gap,
-            product_left=p_left,
-            product_right=p_right,
-            step_class=pair.step_class,
-            rayleigh_residual=abs(pair.lam - energy),
-        ))
+    modes = tuple(pair if pair.index is not None else replace(pair, index=k + 1)
+                  for k, pair in enumerate(eigenpairs))
 
     gram = np.empty((n, n))
     for i in range(n):
@@ -636,12 +621,13 @@ def verify(system, eigenpairs):
     consistent = positivity and ordering and simple and nonvanishing and constant_sign
 
     return VerificationReport(
-        modes=tuple(modes),
+        modes=modes,
         positivity=positivity,
         strict_ordering=ordering,
         orthogonality=gram,
         orthogonality_max_offdiag=offdiag,
-        rayleigh_max_residual=max(m.rayleigh_residual for m in modes),
+        rayleigh_max_residual=max(abs(pair.lam - energy_form(system, pair, pair))
+                                  for pair in eigenpairs),
         products_nonvanishing=nonvanishing,
         products_constant_sign=constant_sign,
         sign_left=sign_left,

@@ -12,8 +12,9 @@ from beamspec.oscillation import (
     leighton_nehari_transform,
     positivity_propagation,
     simple_zero_scan,
+    transform_identity_residual,
 )
-from beamspec.quasi import _batch_final_states, integrate, integrate_scaled, vector_field
+from beamspec.quasi import _batch_final_states, integrate
 from beamspec.spectrum import char_det, det_slope, eigenpair, scan, solve_modes
 
 UNIFORM_LEFT = uniform_system().left
@@ -31,19 +32,18 @@ def closed_form_state(s, tau):
     ])
 
 
-def test_vector_field_examples():
-    np.testing.assert_allclose(
-        vector_field(UNIFORM_LEFT, 0.0, -0.5, (0, 1, 0, 0)), [1, 0, 0, 0])
-    np.testing.assert_allclose(
-        vector_field(UNIFORM_LEFT, 1.0, -0.2, (1, 0, 0, 0)), [0, 0, 0, 1])
+def test_axial_closed_form():
+    # the q-term of the right-hand side: sigma = rho = 1, q = 2, lam = 0 from
+    # (0, 1, 0, 0) gives u = sinh(r*tau)/r with r = sqrt(2), tau = x + 1,
+    # and Tu = (sigma*u'')' - q*u' = 0
     axial = CoefficientProfile("left", rho=(1.0,), sigma=(1.0,), q=(2.0,))
-    np.testing.assert_allclose(
-        vector_field(axial, 0.0, -0.5, (0, 1, 3, 5)), [1, 3, 7, 0])
-
-
-def test_vector_field_domain_error():
-    with pytest.raises(ValueError):
-        vector_field(UNIFORM_LEFT, 0.0, 0.5, (0, 1, 0, 0))
+    traj = integrate(axial, 0.0, -1.0, 0.0, (0, 1, 0, 0))
+    r = math.sqrt(2.0)
+    tau = traj.xs + 1.0
+    exact = np.stack([np.sinh(r * tau) / r, np.cosh(r * tau), r * np.sinh(r * tau),
+                      np.zeros_like(tau)], axis=1)
+    assert traj.log_scale == 0.0
+    assert np.max(np.abs(traj.states - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
 def test_lam0_linear_solution():
@@ -95,14 +95,18 @@ NON_FINITE_CALLS = {
     "scan_nan": lambda: scan(uniform_system(), math.nan),
     "scan_inf": lambda: scan(uniform_system(), math.inf),
     "scan_ds_nan": lambda: scan(uniform_system(), 5.0, ds=math.nan),
-    "vector_field": lambda: vector_field(UNIFORM_LEFT, math.nan, -0.5, (0, 1, 0, 0)),
+    "transform_nan": lambda: transform_identity_residual(UNIFORM_LEFT, -1.0, 0.0, math.nan,
+                                                         (0, 1, 0, 0)),
+    "transform_inf": lambda: transform_identity_residual(UNIFORM_LEFT, -1.0, 0.0, math.inf,
+                                                         (0, 1, 0, 0)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
 def test_non_finite_lam_rejected(name):
-    # NaN passes a `lam < 0` test: integrate and eigenpair then never
-    # finished, and char_det returned a garbage sign
+    # NaN passes a `lam < 0` test: integrate, eigenpair and the warped
+    # integration of transform_identity_residual then never finished, and
+    # char_det returned a garbage sign
     with pytest.raises(ValueError):
         NON_FINITE_CALLS[name]()
 
@@ -134,7 +138,6 @@ def test_no_call_goes_through_solve_ivp(monkeypatch):
     left_fundamental(system, 40.0)
     right_fundamental(system, 40.0)
     integrate(UNIFORM_LEFT, 40.0, -1.0, 0.0, (0, 1, 0, 0))
-    integrate_scaled(UNIFORM_LEFT, 40.0, -1.0, 0.0, (0, 1, 0, 0))
     assert positivity_propagation(system.right, 1.0, (0, 1, 0, 0)).passed
     assert dim_check(system.left, 1.0, BoundaryVariant("slope_vs_curvature", 1.0, 0.0)) == 1
     assert len(simple_zero_scan(system, pairs[2])) == 2
@@ -180,17 +183,18 @@ def test_quasi_derivatives_match_closed_form():
 
 
 def test_scaled_matches_unscaled_at_desk_lam():
+    # below GROWTH_BOUND the stored states are the true ones
     for lam in (10.0, 1e4):
-        plain = integrate(UNIFORM_LEFT, lam, -1.0, 0.0, (0, 1, 0, 0))
-        scaled = integrate_scaled(UNIFORM_LEFT, lam, -1.0, 0.0, (0, 1, 0, 0))
-        assert scaled.log_scale == 0.0
-        np.testing.assert_allclose(scaled.states, plain.states, rtol=1e-12)
+        traj = integrate(UNIFORM_LEFT, lam, -1.0, 0.0, (0, 1, 0, 0))
+        assert traj.log_scale == 0.0
+        exact = np.array([closed_form_state(lam ** 0.25, x + 1.0) for x in traj.xs])
+        assert np.max(np.abs(traj.states - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
 def test_scaled_huge_lam_matches_growth():
     lam = 1e12
     s = lam ** 0.25
-    traj = integrate_scaled(UNIFORM_LEFT, lam, -1.0, 0.0, (0, 1, 0, 0))
+    traj = integrate(UNIFORM_LEFT, lam, -1.0, 0.0, (0, 1, 0, 0))
     assert traj.log_scale > 0.0
     final = traj.final_state
     # closed-form logs: sinh/cosh terms dominated by exp(s)/2
@@ -208,9 +212,9 @@ def test_scaled_superposition():
     a = np.array([0.0, 1.0, 0.0, 0.0])
     b = np.array([0.0, 0.0, 0.0, 1.0])
     lam = 500.0
-    fa = integrate_scaled(UNIFORM_LEFT, lam, -1.0, 0.0, a).final_state
-    fb = integrate_scaled(UNIFORM_LEFT, lam, -1.0, 0.0, b).final_state
-    fab = integrate_scaled(UNIFORM_LEFT, lam, -1.0, 0.0, a + b).final_state
+    fa = integrate(UNIFORM_LEFT, lam, -1.0, 0.0, a).final_state
+    fb = integrate(UNIFORM_LEFT, lam, -1.0, 0.0, b).final_state
+    fab = integrate(UNIFORM_LEFT, lam, -1.0, 0.0, a + b).final_state
     scale = np.max(np.abs(fab))
     assert np.max(np.abs(fab - (fa + fb))) <= 1e-10 * scale
 

@@ -657,6 +657,22 @@ def test_verify_uniform_m1(uniform_m1_modes):
                         "theorem1_consistent"}
 
 
+def test_verify_reports_the_pairs(uniform_m1_modes):
+    # the report holds the checked pairs themselves; a pair assembled
+    # without an index is numbered by its position
+    bare = [eigenpair(UNIFORM_M1, pair.lam) for pair in uniform_m1_modes[:3]]
+    assert all(pair.index is None for pair in bare)
+    doc = verify(UNIFORM_M1, bare).to_dict()
+    assert [m["n"] for m in doc["simplicity"]] == [1, 2, 3]
+    # eigenpair at a solve_modes eigenvalue has its bits
+    assert doc == verify(UNIFORM_M1, uniform_m1_modes[:3]).to_dict()
+    report = verify(UNIFORM_M1, uniform_m1_modes)
+    assert all(m is pair for m, pair in zip(report.modes, uniform_m1_modes, strict=True))
+    for pair in bare:
+        assert pair.product_left == pair.mode_left[0, 1] * pair.mode_left[0, 3]
+        assert pair.product_right == pair.mode_right[-1, 1] * pair.mode_right[-1, 3]
+
+
 def test_verify_needs_two_pairs(uniform_m0_modes):
     with pytest.raises(ValueError):
         verify(UNIFORM, uniform_m0_modes[:1])
