@@ -225,7 +225,11 @@ def parse_system(text):
 
 def load_system(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_system(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"not UTF-8 text: {exc}") from exc
+    return parse_system(text)
 
 
 def serialize_system(system):

@@ -162,13 +162,25 @@ def shear_identity_residual(fset, x):
     """|shear - (u1'*sigma*u2'' - u2'*sigma*u1'')| / max(1, |shear|) at x.
 
     The two expressions agree identically; the residual measures integration
-    accuracy and should stay below 1e-9 for rel_tol <= 1e-10.
+    accuracy and should stay below 1e-9 for rel_tol <= 1e-10.  A point x
+    gives a float; a 1-D array of points gives an array, read as the
+    stations of one pass from the span's outer end, as in vanishing_scan.
     """
-    (wa, wb), log_det = _frame_at(fset, x)
-    factor = math.exp(log_det)
+    if np.ndim(x) == 0:
+        (wa, wb), log_det = _frame_at(fset, x)
+        factor = math.exp(log_det)
+    else:
+        x_from = _SPANS[fset.side][0]
+        # the points and x = 0, in the direction of integration, -x_from
+        stations, where = np.unique(np.append(x, 0.0) * -x_from, return_inverse=True)
+        shot = _batch_final_states(fset.profile, [fset.lam], x_from, stations * -x_from,
+                                   fset.frames[0], fset.unit_slope.rel_tol)
+        wa, wb = np.moveaxis(shot.frames[0, where[:-1]], 0, -1)
+        factor = np.exp(_station_log_det(shot)[0, where[:-1]])
     lhs = pairings(wa, wb, 1.0)[2] * factor
     rhs = (wa[1] * wb[2] - wb[1] * wa[2]) * factor
-    return abs(lhs - rhs) / max(1.0, abs(lhs))
+    residual = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
+    return float(residual) if np.ndim(x) == 0 else residual
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ alignment of the two columns with the fastest-growing solution costs a
 determinant its sign or a mode its shape.  At each requested station the
 entry's frame and its epoch (the number of orthonormalisations so far) are
 recorded, read from DOP853's dense output inside the span and from a step
-clipped to land on the far end.  Every determinant, every mode and every
+clipped to land on the far end.  The dense output is evaluated outside
+the step loop, for a few steps that passed a station at once, and only for
+the entries whose stations are read.  Every determinant, every mode and every
 Trajectory comes from this integrator; the public entry point is integrate,
 one column across a span, overflow-safe: its true states are the stored
 ones times exp(log_scale).  The solve puts both spans in
@@ -55,6 +57,10 @@ REL_TOL_MIN = 1e-13
 REL_TOL_MAX = 1e-6
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_STATIONS = 129
+# steps whose dense output is evaluated together: they share its fixed
+# numpy calls, and their kept stages stay small (at 8 or more, the peak RSS
+# of repeated high-mode solves crept up pass by pass)
+_DENSE_BLOCK = 4
 
 
 class IntegrationError(RuntimeError):
@@ -249,8 +255,71 @@ def _orthonormalise(y, *carried):
 Shot = namedtuple("Shot", "frames epochs r_factors log_scale")
 
 
+def _rhs(w, sig, q, lam_rho, out):
+    out[0] = w[1]
+    np.divide(w[2], sig, out=out[1])
+    np.multiply(w[1], q, out=out[2])
+    out[2] += w[3]
+    np.multiply(w[0], lam_rho, out=out[3])
+
+
+def _coefficients(cols, x):
+    """sigma, q and lam*rho at points x (..., entries), from the entries'
+    coefficient columns and lam, cols = (rho, sigma, q, lam)."""
+    rho_c, sig_c, q_c, lam = cols
+    return (eval_stacked(sig_c, "sigma", x), eval_stacked(q_c, "q", x),
+            lam * eval_stacked(rho_c, "rho", x))
+
+
+def _fill_stages(stages, first, y, hs, coeffs):
+    """DOP853 stages first, first + 1, ... of steps hs from y, in place, one
+    per row of coeffs (see _coefficients); the last two rows of stages are
+    scratch, and the last keeps the argument of the last stage.  Stage sums
+    use einsum, not tensordot: the BLAS matrix-vector product goes
+    multithreaded past ~1000 entries and then ran 8x slower per step on two
+    cores shared with another process."""
+    tmp, arg = stages[-2:]
+    for i, (sig, q, lam_rho) in enumerate(zip(*coeffs), start=first):
+        np.einsum("i,i...->...", _DOP_A[i, :i], stages[:i], out=tmp)
+        np.multiply(hs, tmp, out=tmp)
+        np.add(y, tmp, out=arg)
+        _rhs(arg, sig, q, lam_rho, stages[i])
+
+
+def _dense_output(records, stations, cols, frames, epochs):
+    """Write the interior stations that recorded steps passed into frames
+    and epochs, each read from the dense output of its step, in the epoch of
+    that step: stages 13..15 and DOP853's interpolant for all the steps at
+    once.  A record (see _batch_final_states) holds, for a step's entries,
+    the rows of its stage array; x and hs; and their index, first and
+    past-last station and epoch.  cols are all the entries' (see
+    _coefficients).  Empties records.
+    """
+    kept, (x, hs), (entry, lo, hi, epoch) = (np.concatenate(a, axis=-1) for a in zip(*records))
+    records.clear()
+    y, y_new = kept[_N_STAGES + 1], kept[-1]
+    stages = np.empty((_DOP_C.size + 2,) + y.shape)
+    stages[:_N_STAGES + 1] = kept[:_N_STAGES + 1]
+    _fill_stages(stages, _N_STAGES + 1, y, hs, _coefficients(
+        tuple(c[..., entry] for c in cols), x + _DOP_C[_N_STAGES + 1:, None] * hs))
+    # the interpolant, highest power first, in Horner form in theta and
+    # 1 - theta; row `step` of each station is the step that passed it
+    dy = y_new - y
+    poly = [*(hs * np.einsum("ji,i...->j...", _DOP_D[::-1], stages[:_DOP_C.size])),
+            2.0 * dy - hs * (stages[_N_STAGES] + stages[0]), hs * stages[0] - dy, dy]
+    step = np.repeat(np.arange(lo.size), hi - lo)
+    at = lo[step] + np.arange(step.size) - np.searchsorted(step, step)
+    theta = (stations[at] - x[step]) / hs[step]
+    factors = (theta, 1.0 - theta)
+    w = poly[0][..., step] * theta
+    for j, f in enumerate(poly[1:], start=1):
+        w = (w + f[..., step]) * factors[j % 2]
+    frames[:, :, at, entry[step]] = w + y[..., step]
+    epochs[at, entry[step]] = epoch[step]
+
+
 def _batch_final_states(profiles, lams, x_from, stations, inits,
-                        rel_tol=DEFAULT_REL_TOL):
+                        rel_tol=DEFAULT_REL_TOL, sampled=None):
     """Frames of one or two initial columns at stations, for N values of lam at once.
 
     profiles is one CoefficientProfile or a sequence of P profiles on the
@@ -260,9 +329,13 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     alone).  Every entry takes its own adaptive DOP853 steps, advanced
     together as numpy operations over an entry axis, so the result of one
     entry does not depend on which others share the batch; its last step is
-    clipped to land on the far end, where it leaves the batch, and its
-    frames at the other stations come from the dense output of the step
-    that passed them.
+    clipped to land on the far end, where it leaves the batch.  Its frames
+    at the other stations come from the dense output of the step that
+    passed them, evaluated outside the step loop for _DENSE_BLOCK such
+    steps at once, and for the rest after the last step.
+    Only the first `sampled` lams of each profile (all by default) record
+    these interior stations; the interior frames of the rest are NaN, and
+    everything else they return is as if they were sampled.
     The step error of an entry is DOP853's combined 5th/3rd-order estimate,
     taken per component and maxed over all its components (an RMS would
     average away the error of the fastest-growing one).  Once an entry's
@@ -285,6 +358,9 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     if single:
         profiles = (profiles,)
     lams = np.asarray(lams, dtype=float)
+    sampled = lams.size if sampled is None else sampled
+    if not 0 <= sampled <= lams.size:
+        raise ValueError(f"sampled must lie in [0, {lams.size}]")
     stations = np.atleast_1d(np.asarray(stations, dtype=float))
     x_to = float(stations[-1])
     direction = 1.0 if x_to > x_from else -1.0
@@ -300,51 +376,33 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     k = inits.shape[0]
     # layout (4 components, k columns, n entries): the entry is the
     # contiguous axis, so every per-entry factor broadcasts along it
-    frames = np.empty((4, k, stations.size, n))
-    epochs = np.empty((stations.size, n), dtype=int)
+    frames = np.full((4, k, stations.size, n), np.nan)
+    epochs = np.zeros((stations.size, n), dtype=int)
     final_log = np.zeros(n)
     events = []     # (entries, their epoch, R) of every orthonormalisation
+    records = []    # what the dense output needs of steps past a station
     # the running entries: their index, coefficient columns
-    # (degree + 1, entries), lam, position, next trial step, next station,
-    # state, epoch, log scale and FSAL stage
+    # (degree + 1, entries) and lam, position, next trial step, next
+    # station, epoch and log scale; and, as rows of one array, the stages
+    # 0..12 of a step (stage 0 is FSAL), the state y and two scratch rows
+    # (see _fill_stages).  The arrays shrink only when entries finish.
     idx = np.arange(n)
-    rho_c, sig_c, q_c = (np.repeat(stack_coeffs(profiles, name), lams.size, axis=1)
-                       for name in ("rho", "sigma", "q"))
-    lam = np.tile(lams, len(profiles))
+    all_cols = cols = (*(np.repeat(stack_coeffs(profiles, name), lams.size, axis=1)
+                         for name in ("rho", "sigma", "q")), np.tile(lams, len(profiles)))
     x = np.full(n, float(x_from))
     # first trial: the whole way on a short span, as from _advance
     h = np.full(n, min(0.01, abs(x_to - x_from)))
-    nxt = np.zeros(n, dtype=int)
-    y = np.empty((4, k, n))
+    # interior stations in the direction of integration, for searchsorted;
+    # an entry that is not sampled starts past all of them
+    ahead = stations[:-1] * direction
+    nxt = np.where(np.tile(np.arange(lams.size) < sampled, len(profiles)), 0, ahead.size)
+    stages = np.empty((_DOP_C.size, 4, k, n))
+    y, y_new = stages[_N_STAGES + 1], stages[-1]
     y[:] = inits.T[:, :, None]
     epoch = np.zeros(n, dtype=int)
     log_scale = np.zeros(n)
-
-    def rhs(w, sig, q, lam_rho, out):
-        out[0] = w[1]
-        np.divide(w[2], sig, out=out[1])
-        np.multiply(w[1], q, out=out[2])
-        out[2] += w[3]
-        np.multiply(w[0], lam_rho, out=out[3])
-
-    def coeffs(x):
-        # sigma, q and lam*rho at points x (..., entries)
-        return (eval_stacked(sig_c, "sigma", x), eval_stacked(q_c, "q", x),
-                lam * eval_stacked(rho_c, "rho", x))
-
-    def combine(weights, upto):
-        # stage sums use einsum, not tensordot: the BLAS matrix-vector
-        # product goes multithreaded past ~1000 entries and then ran 8x
-        # slower per step on two cores shared with another process
-        return np.einsum("i,i...->...", weights[:upto], stages[:upto])
-
-    f0 = np.empty_like(y)
-    rhs(y, *coeffs(x), f0)
-    # interior stations in the direction of integration, for searchsorted
-    ahead = stations[:-1] * direction
+    _rhs(y, *_coefficients(cols, x), stages[0])
     while idx.size:
-        stages = np.empty((_DOP_C.size,) + y.shape)
-        stages[0] = f0
         rest = np.abs(x_to - x)
         last = h >= rest
         h = np.where(last, rest, h)
@@ -355,68 +413,55 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
             stuck &= ~last
             if stuck.any():
                 raise IntegrationError("step size underflow", float(x[stuck][0]))
-        # the last abscissa is x + h (C[11] = 1), where stage 12 is taken too
-        sig, q, lam_rho = coeffs(x + _DOP_C[1:_N_STAGES, None] * hs)
-        for i in range(1, _N_STAGES):
-            rhs(y + hs * combine(_DOP_A[i], i), sig[i - 1], q[i - 1], lam_rho[i - 1],
-                stages[i])
-        y_new = y + hs * combine(_DOP_B, _N_STAGES)
+        # stage 12 is f(x + h, y_new) (A[12] = B, C[12] = 1), and its
+        # argument y_new stays in the last scratch row
+        _fill_stages(stages, 1, y, hs,
+                     _coefficients(cols, x + _DOP_C[1:_N_STAGES + 1, None] * hs))
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err5 = combine(_DOP_E5, _N_STAGES) / scale
-        err3 = combine(_DOP_E3, _N_STAGES) / scale
+        err5 = np.einsum("i,i...->...", _DOP_E5, stages[:_N_STAGES]) / scale
+        err3 = np.einsum("i,i...->...", _DOP_E3, stages[:_N_STAGES]) / scale
         err5 *= err5
         denom = np.sqrt(err5 + 0.01 * err3 * err3)
-        err = np.max(np.divide(err5, denom, out=np.zeros_like(err5), where=denom > 0.0),
-                     axis=(0, 1)) * h
+        err = np.divide(err5, denom, out=np.zeros(err5.shape), where=denom > 0.0).max(
+            axis=(0, 1)) * h
         ok = err <= 1.0
-        rhs(y_new, sig[-1], q[-1], lam_rho[-1], stages[_N_STAGES])
         x_new = np.where(ok, np.where(last, x_to, x + hs), x)
-        reached = np.searchsorted(ahead, x_new * direction, side="right") if ahead.size else nxt
-        if ahead.size and (reached > nxt).any():
-            # the interior stations this step passed, read from its dense
-            # output in the epoch of the step
-            sig, q, lam_rho = coeffs(x + _DOP_C[_N_STAGES + 1:, None] * hs)
-            for j, i in enumerate(range(_N_STAGES + 1, _DOP_C.size)):
-                rhs(y + hs * combine(_DOP_A[i], i), sig[j], q[j], lam_rho[j], stages[i])
-            # DOP853's interpolant, highest power first, in Horner form in
-            # theta and 1 - theta; row i of `at` is each entry's i-th
-            # station of this step
-            dy = y_new - y
-            poly = [*(hs * np.einsum("ji,i...->j...", _DOP_D[::-1], stages)),
-                    2.0 * dy - hs * (stages[_N_STAGES] + stages[0]), hs * stages[0] - dy, dy]
-            at = nxt + np.arange(np.max(reached - nxt))[:, None]
-            theta = ((stations[np.minimum(at, ahead.size - 1)] - x) / hs)[:, None, None, :]
-            factors = (theta, 1.0 - theta)
-            w = poly[0] * theta
-            for j, f in enumerate(poly[1:], start=1):
-                w = (w + f) * factors[j % 2]
-            row, col = np.nonzero(at < reached)
-            at, entries = at[row, col], idx[col]
-            frames[:, :, at, entries] = w[row, :, :, col].transpose(1, 2, 0) + y[..., col]
-            epochs[at, entries] = epoch[col]
-            nxt = reached
+        if ahead.size:
+            reached = np.searchsorted(ahead, x_new * direction, side="right")
+            passed = reached > nxt
+            if passed.any():
+                records.append((stages[..., passed], np.stack((x, hs))[:, passed],
+                               np.stack((idx, nxt, reached, epoch))[:, passed]))
+                nxt = np.maximum(nxt, reached)
+                if len(records) == _DENSE_BLOCK:
+                    _dense_output(records, stations, all_cols, frames, epochs)
         x = x_new
-        y = np.where(ok, y_new, y)
-        f0 = np.where(ok, stages[_N_STAGES], f0)
+        np.copyto(y, y_new, where=ok)
+        np.copyto(stages[0], stages[_N_STAGES], where=ok)
         grown = np.abs(y).max(axis=(0, 1)) > GROWTH_BOUND
         if grown.any():
-            y[..., grown], r, log_det_r, f0[..., grown] = _orthonormalise(
-                y[..., grown], f0[..., grown])
+            y[..., grown], r, log_det_r, stages[0][..., grown] = _orthonormalise(
+                y[..., grown], stages[0][..., grown])
             log_scale[grown] += log_det_r
             epoch[grown] += 1
             events.append((idx[grown], epoch[grown], r))
         with np.errstate(divide="ignore"):
-            h = h * np.clip(0.9 * err ** -0.125, 0.2, 10.0)
+            h = h * np.minimum(np.maximum(0.9 * err ** -0.125, 0.2), 10.0)
         done = ok & last
         if done.any():
             frames[:, :, -1, idx[done]] = y[..., done]
             epochs[-1, idx[done]] = epoch[done]
             final_log[idx[done]] = log_scale[done]
             keep = ~done
-            idx, lam, x, h, nxt = idx[keep], lam[keep], x[keep], h[keep], nxt[keep]
-            rho_c, sig_c, q_c = rho_c[:, keep], sig_c[:, keep], q_c[:, keep]
-            y, f0 = y[..., keep], f0[..., keep]
+            idx, x, h, nxt = idx[keep], x[keep], h[keep], nxt[keep]
+            cols = tuple(c[..., keep] for c in cols)
             epoch, log_scale = epoch[keep], log_scale[keep]
+            # compress, not a mask: a masked last axis would come out
+            # entry-major, and every row operation after it strided
+            stages = np.compress(keep, stages, axis=-1)
+            y, y_new = stages[_N_STAGES + 1], stages[-1]
+    if records:
+        _dense_output(records, stations, all_cols, frames, epochs)
     fired = epochs[-1] > 0
     if fired.any():
         frames[:, :, -1, fired], r, log_det_r = _orthonormalise(frames[:, :, -1, fired])

@@ -130,7 +130,7 @@ class _Brackets(list):
         self.ends = []
 
 
-def _batch_matrices(system, lams, rel_tol, stations=(0.0,)):
+def _batch_matrices(system, lams, rel_tol, stations=(0.0,), sampled=None):
     """Both spans' frames and the joint matrices at every lam, in one batched pass.
 
     The right span is integrated as its mirror on (-1, 0), next to the left
@@ -140,10 +140,11 @@ def _batch_matrices(system, lams, rel_tol, stations=(0.0,)):
     Returns (shot, matrices, col_log): the Shot of the left and the
     mirrored right span (leading axes (2, N)), the joint matrices (N, 4, 4)
     from their last frames, and per-column log scales (N, 4), each column
-    carrying half of its span's log scale.
+    carrying half of its span's log scale.  Only the first `sampled` lams
+    (all by default) record the interior stations.
     """
     shot = _batch_final_states((system.left, mirrored(system.right)), lams, -1.0,
-                               stations, [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR], rel_tol)
+                               stations, [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR], rel_tol, sampled)
     matrices = _build_matrix(shot.frames[0, :, -1], shot.frames[1, :, -1] * MIRROR,
                              system.mass, lams)
     return shot, matrices, np.repeat(shot.log_scale.T / 2.0, 2, axis=-1)
@@ -443,8 +444,10 @@ def _probe(system, lams, rel_tol, stations=(0.0,)):
     """Simplicity slope, margin and joint step class at every lam, batched.
 
     One _batch_matrices pass to the given stations covers s, s - h and s + h
-    for every lam (s = lam**0.25, h = max(s, 1) * PROBE_REL_STEP).  Returns
-    the Shot and the joint matrices of the lams alone, then three arrays:
+    for every lam (s = lam**0.25, h = max(s, 1) * PROBE_REL_STEP); only the
+    lams themselves record the interior stations, since the s -+ h entries
+    are read at x = 0 alone.  Returns the Shot and the joint matrices of the
+    lams alone, then three arrays:
 
     * slope: centred difference in s of the determinant, descaled by the
       larger of its two log magnitudes;
@@ -461,7 +464,7 @@ def _probe(system, lams, rel_tol, stations=(0.0,)):
     s = lams ** 0.25
     h = np.maximum(s, 1.0) * PROBE_REL_STEP
     shot, matrices, col_log = _batch_matrices(
-        system, np.concatenate([lams, (s - h) ** 4, (s + h) ** 4]), rel_tol, stations)
+        system, np.concatenate([lams, (s - h) ** 4, (s + h) ** 4]), rel_tol, stations, n)
     sign, log_abs = _signed_log_det(matrices[n:], col_log[n:])
     ref = np.maximum(log_abs[:n], log_abs[n:])
     f_lo = _descale(sign[:n], log_abs[:n], ref)

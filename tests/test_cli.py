@@ -235,6 +235,14 @@ def test_bad_config_exit_2(tmp_path, capsys):
     assert "sigma" in err
 
 
+def test_non_utf8_config_exit_2(tmp_path, capsys):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, ["spectrum", str(path)])
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_missing_config_exit_2(capsys):
     code, _, _ = run(capsys, ["spectrum", "no_such_file.json"])
     assert code == 2

@@ -10,6 +10,7 @@ from beamspec.config import (
     ConstraintError,
     eval_coeff,
     eval_stacked,
+    load_system,
     mirrored,
     parse_system,
     serialize_system,
@@ -135,6 +136,14 @@ def test_schema_violations(doc, fragment):
     with pytest.raises(ConfigError, match=fragment) as exc_info:
         parse_system(doc)
     assert not isinstance(exc_info.value, ConstraintError) or "nonpositive" in str(exc_info.value)
+
+
+def test_non_utf8_document_is_a_config_error(tmp_path):
+    # UnicodeDecodeError is a ValueError, which the CLI reports as a solver failure
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_system(path)
 
 
 def test_degree_bound():

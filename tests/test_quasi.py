@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import beamspec.quasi as quasi
-from beamspec.config import CoefficientProfile, uniform_system, variable_system
+from beamspec.config import CoefficientProfile, mirrored, uniform_system, variable_system
 from beamspec.fundamental import left_fundamental, right_fundamental
 from beamspec.oscillation import (
     BoundaryVariant,
@@ -121,6 +121,9 @@ def test_dop853_tableau_is_scipys():
                  "A", "B", "C", "D", "E3", "E5"):
         np.testing.assert_array_equal(getattr(quasi._dop853, name),
                                       getattr(scipy_tableau, name), err_msg=name)
+    # the step takes y_new as the argument of stage 12, f(x + h, y_new)
+    np.testing.assert_array_equal(quasi._DOP_A[12, :12], quasi._DOP_B)
+    assert quasi._DOP_C[12] == 1.0
 
 
 def test_no_call_goes_through_solve_ivp(monkeypatch):
@@ -248,3 +251,63 @@ def test_batch_result_does_not_depend_on_the_batch(side):
         epochs = alone.epochs[0, -1] + 1
         np.testing.assert_array_equal(alone.r_factors[0], shot.r_factors[i, :epochs])
         assert alone.log_scale[0] == shot.log_scale[i]
+
+
+def test_sampled_entries_keep_their_bits():
+    # entries past the first `sampled` lams of each profile record no
+    # interior station; nothing else about any entry changes
+    system = variable_system()
+    profiles = (system.left, mirrored(system.right))
+    inits = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
+    lams = [10.0, 240.0 ** 4, 3e3, 40.0 ** 4, 77.7]
+    stations = np.linspace(-1.0, 0.0, 33)
+    every = _batch_final_states(profiles, lams, -1.0, stations, inits)
+    some = _batch_final_states(profiles, lams, -1.0, stations, inits, sampled=2)
+    np.testing.assert_array_equal(some.frames[:, :2], every.frames[:, :2])
+    np.testing.assert_array_equal(some.epochs[:, :2], every.epochs[:, :2])
+    np.testing.assert_array_equal(some.frames[:, :, -1], every.frames[:, :, -1])
+    np.testing.assert_array_equal(some.epochs[:, :, -1], every.epochs[:, :, -1])
+    np.testing.assert_array_equal(some.r_factors, every.r_factors)
+    np.testing.assert_array_equal(some.log_scale, every.log_scale)
+    assert np.all(np.isnan(some.frames[:, 2:, :-1]))
+    assert not np.any(np.isnan(every.frames))
+
+
+@pytest.mark.parametrize("sampled", [-1, 3])
+def test_sampled_out_of_range(sampled):
+    with pytest.raises(ValueError, match="sampled"):
+        _batch_final_states(UNIFORM_LEFT, [1.0, 2.0], -1.0, [-0.5, 0.0], (0, 1, 0, 0),
+                            sampled=sampled)
+
+
+def test_station_epochs_at_large_lam():
+    # the s = 40 column is orthonormalised inside the span; each station is
+    # read from the step that passed it, in that step's epoch, so its frame
+    # times R_e ... R_1 is the true state (an epoch off by one would be off
+    # by a factor of about GROWTH_BOUND)
+    s_values = [40.0, 2.0, 12.0, 25.0]
+    stations = np.linspace(-1.0, 0.0, 33)[1:]
+    shot = _batch_final_states(UNIFORM_LEFT, np.array(s_values) ** 4, -1.0, stations,
+                               (0.0, 1.0, 0.0, 0.0))
+    assert shot.epochs[0, -2] > 1 and np.all(np.diff(shot.epochs[0, :-1]) >= 0)
+    true = shot.frames[..., 0, :] * np.exp(quasi._station_log_det(shot))[..., None]
+    for i, s in enumerate(s_values):
+        for x, state in zip(stations[:-1], true[i, :-1]):
+            exact = closed_form_state(s, x + 1.0)
+            assert np.max(np.abs(state - exact)) <= 1e-8 * np.max(np.abs(exact)), (s, x)
+
+
+def test_dense_output_blocks_keep_the_bits(monkeypatch):
+    # the dense output is evaluated for a few recorded steps at a time; how
+    # the steps are grouped changes no frame or epoch
+    system = variable_system()
+    profiles = (system.left, mirrored(system.right))
+    inits = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
+    lams = [10.0, 3e3, 40.0 ** 4]
+    stations = np.linspace(-1.0, 0.0, 65)
+    shots = []
+    for block in (1, 10 ** 6):
+        monkeypatch.setattr(quasi, "_DENSE_BLOCK", block)
+        shots.append(_batch_final_states(profiles, lams, -1.0, stations, inits))
+    for a, b in zip(*shots):
+        np.testing.assert_array_equal(a, b)
