@@ -19,9 +19,11 @@ The shear pairing also equals u1'*sigma*u2'' - u2'*sigma*u1'', which is
 used here as an independent accuracy monitor.
 
 The pairs are integrated by quasi's one integrator (quasi._batch_final_states)
-and held as Trajectory objects.  Past quasi.GROWTH_BOUND the true columns
-are nearly parallel and their 2x2 minors cancel, so the pairings are read
-from the pair's orthonormal frames, whose minors times det R lose no digits.
+and held as Trajectory objects.  A pair is read at given points from one
+pass of its frames with the points as stations (_pair_frames).  Past
+quasi.GROWTH_BOUND the true columns are nearly parallel and their 2x2
+minors cancel, so the pairings are read from the frames, whose minors
+times det R lose no digits.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MIRROR, eval_stacked
-from .quasi import (DEFAULT_REL_TOL, DEFAULT_STATIONS, Trajectory, _advance,
-                    _batch_final_states, _columns, _station_log_det)
+from .quasi import (DEFAULT_REL_TOL, DEFAULT_STATIONS, Trajectory, _batch_final_states,
+                    _columns, _station_log_det)
 
 LEFT_UNIT_SLOPE = (0.0, 1.0, 0.0, 0.0)
 LEFT_UNIT_SHEAR = (0.0, 0.0, 0.0, 1.0)
+_LEFT_PAIR = np.array([LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR])
 
 SIGN_TOL = -1e-12
 
@@ -46,6 +49,7 @@ _SPANS = {"left": (-1.0, np.ones(4)), "right": (1.0, MIRROR)}
 
 VANISH_ZERO_REL = 1e-8
 VANISH_APART_REL = 1e-4
+VANISH_X_POINTS = 20
 
 
 @dataclass(frozen=True)
@@ -53,9 +57,7 @@ class FundamentalSet:
     """The two pinned solutions of one span at a given lam.
 
     sign_ok records the span's sign-pattern check (None when lam == 0,
-    where the pattern statement does not apply).  frames (S, 2, 4) and
-    log_det (S,) come from the same integration: at each station the true
-    pair's 2x2 minors are the frame's times exp(log_det).
+    where the pattern statement does not apply).
     """
 
     side: str
@@ -65,8 +67,6 @@ class FundamentalSet:
     unit_shear: Trajectory
     sign_ok: bool | None
     sign_violation: tuple | None
-    frames: np.ndarray
-    log_det: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,6 @@ class SubwronskianTriple:
     slope: float
     curvature: float
     shear: float
-    x: float
-    lam: float
-
-
-def span_pair(profile, lam, rel_tol=DEFAULT_REL_TOL, n_stations=DEFAULT_STATIONS):
-    """Integrate the pinned pair of one span from its outer end to x = 0:
-    its two Trajectory objects, frames and log det (see quasi._columns)."""
-    x_from, signs = _SPANS[profile.side]
-    inits = [signs * LEFT_UNIT_SLOPE, signs * LEFT_UNIT_SHEAR]
-    return _columns(profile, lam, np.linspace(x_from, 0.0, n_stations), inits, rel_tol)
 
 
 def first_violation(traj, signs):
@@ -110,9 +100,11 @@ def _pattern_check(trajectories, signs):
 
 def _fundamental(system, side, lam, rel_tol):
     profile = getattr(system, side)
-    pair, frames, log_det = span_pair(profile, lam, rel_tol)
-    ok, violation = (None, None) if lam == 0 else _pattern_check(pair, _SPANS[side][1])
-    return FundamentalSet(side, lam, profile, *pair, ok, violation, frames, log_det)
+    x_from, signs = _SPANS[side]
+    pair = _columns(profile, lam, np.linspace(x_from, 0.0, DEFAULT_STATIONS),
+                    signs * _LEFT_PAIR, rel_tol)
+    ok, violation = (None, None) if lam == 0 else _pattern_check(pair, signs)
+    return FundamentalSet(side, lam, profile, *pair, ok, violation)
 
 
 def left_fundamental(system, lam, rel_tol=DEFAULT_REL_TOL):
@@ -136,26 +128,32 @@ def pairings(wa, wb, sigma):
             wa[0] * wb[3] - wb[0] * wa[3])
 
 
-def _frame_at(fset, x):
-    """The pair's frame at x (2, 4) and the log of the factor that turns its
-    minors into the true pairings; the frame pair is integrated in one call."""
-    traj = fset.unit_slope
-    i, frame, log_r = _advance(fset.profile, fset.lam, traj.xs, fset.frames, x, traj.rel_tol)
-    return frame, fset.log_det[i] + log_r
+def _pair_frames(profile, lams, x, rel_tol):
+    """The span's pinned pair at the points x for each of N lams: the two
+    frame columns (4, N, P) and log det R_e ... R_1 (N, P), whose exp turns
+    the frame's 2x2 minors into the true pairings.  One pass from the
+    span's outer end to x = 0 with the points as stations.
+    """
+    x_from, signs = _SPANS[profile.side]
+    x = np.asarray(x, dtype=float)
+    lo, hi = profile.interval
+    outside = x[~((lo <= x) & (x <= hi))]
+    if outside.size:
+        raise ValueError(f"x={outside[0]:g} outside span [{lo:g}, {hi:g}]")
+    # the points and x = 0, in the direction of integration, -x_from
+    stations, where = np.unique(np.append(x, 0.0) * -x_from, return_inverse=True)
+    shot = _batch_final_states(profile, lams, x_from, stations * -x_from,
+                               signs * _LEFT_PAIR, rel_tol)
+    wa, wb = np.moveaxis(shot.frames[:, where[:-1]], (2, 3), (0, 1))
+    return wa, wb, _station_log_det(shot)[:, where[:-1]]
 
 
 def subwronskians(fset, x):
     """Evaluate the three pairings of the set at x from its frames."""
-    (wa, wb), log_det = _frame_at(fset, x)
-    factor = math.exp(log_det)
-    slope, curvature, shear = pairings(wa, wb, eval_stacked(fset.profile.sigma, "sigma", x))
-    return SubwronskianTriple(
-        slope=slope * factor,
-        curvature=curvature * factor,
-        shear=shear * factor,
-        x=float(x),
-        lam=fset.lam,
-    )
+    wa, wb, log_det = _pair_frames(fset.profile, [fset.lam], x, fset.unit_slope.rel_tol)
+    factor = math.exp(log_det[0, 0])
+    sigma = eval_stacked(fset.profile.sigma, "sigma", x)
+    return SubwronskianTriple(*(p * factor for p in pairings(wa[:, 0, 0], wb[:, 0, 0], sigma)))
 
 
 def shear_identity_residual(fset, x):
@@ -163,24 +161,14 @@ def shear_identity_residual(fset, x):
 
     The two expressions agree identically; the residual measures integration
     accuracy and should stay below 1e-9 for rel_tol <= 1e-10.  A point x
-    gives a float; a 1-D array of points gives an array, read as the
-    stations of one pass from the span's outer end, as in vanishing_scan.
+    gives a float; a 1-D array of points gives an array.
     """
-    if np.ndim(x) == 0:
-        (wa, wb), log_det = _frame_at(fset, x)
-        factor = math.exp(log_det)
-    else:
-        x_from = _SPANS[fset.side][0]
-        # the points and x = 0, in the direction of integration, -x_from
-        stations, where = np.unique(np.append(x, 0.0) * -x_from, return_inverse=True)
-        shot = _batch_final_states(fset.profile, [fset.lam], x_from, stations * -x_from,
-                                   fset.frames[0], fset.unit_slope.rel_tol)
-        wa, wb = np.moveaxis(shot.frames[0, where[:-1]], 0, -1)
-        factor = np.exp(_station_log_det(shot)[0, where[:-1]])
-    lhs = pairings(wa, wb, 1.0)[2] * factor
-    rhs = (wa[1] * wb[2] - wb[1] * wa[2]) * factor
+    wa, wb, log_det = _pair_frames(fset.profile, [fset.lam], x, fset.unit_slope.rel_tol)
+    factor = np.exp(log_det[0])
+    lhs = pairings(wa[:, 0], wb[:, 0], 1.0)[2] * factor
+    rhs = (wa[1, 0] * wb[2, 0] - wb[1, 0] * wa[2, 0]) * factor
     residual = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
-    return float(residual) if np.ndim(x) == 0 else residual
+    return float(residual[0]) if np.ndim(x) == 0 else residual
 
 
 @dataclass(frozen=True)
@@ -195,24 +183,21 @@ class VanishingScanReport:
     violations: tuple
 
 
-def vanishing_scan(system, side, lambdas, n_x=20, rel_tol=DEFAULT_REL_TOL):
+def vanishing_scan(system, side, lambdas, rel_tol=DEFAULT_REL_TOL):
     """Probe that no two subwronskians vanish together at any (x, lam).
 
     At every grid point where one pairing has magnitude below
     VANISH_ZERO_REL * scale, the other two must exceed VANISH_APART_REL *
     scale, where scale is the largest magnitude seen over the whole scan.
-    All lambdas are integrated in one batched pass with the x grid as
-    stations, and the pairings read from the frames as in subwronskians.
+    The grid is VANISH_X_POINTS points of x past the outer end for every
+    lam, all read in one batched pass (see _pair_frames).
     """
-    x_from, signs = _SPANS[side]
     profile = getattr(system, side)
-    xs = np.linspace(x_from, 0.0, n_x + 1)[1:]
-    shot = _batch_final_states(profile, lambdas, x_from, xs,
-                               [signs * LEFT_UNIT_SLOPE, signs * LEFT_UNIT_SHEAR], rel_tol)
-    wa, wb = np.moveaxis(shot.frames, (2, 3), (0, 1))
+    xs = np.linspace(_SPANS[side][0], 0.0, VANISH_X_POINTS + 1)[1:]
+    wa, wb, log_det = _pair_frames(profile, lambdas, xs, rel_tol)
     # (3, points), points ordered by lam, then x
     vals = (np.stack(pairings(wa, wb, eval_stacked(profile.sigma, "sigma", xs)))
-            * np.exp(_station_log_det(shot))).reshape(3, -1)
+            * np.exp(log_det)).reshape(3, -1)
     mags = np.abs(vals)
     scale = float(np.max(mags))
     near = mags < VANISH_ZERO_REL * scale

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MIRROR, CoefficientProfile, eval_coeff, eval_stacked, horner
-from .fundamental import first_violation, span_pair
+from .fundamental import _pair_frames, first_violation
 from .quasi import DEFAULT_REL_TOL, Trajectory, _columns, integrate
 
 GAUGE_STATIONS = 257
@@ -196,7 +196,7 @@ def transform_identity_residual(profile, a, b, lambda_like, init, rel_tol=DEFAUL
 
     # the original equation integrated in x to the warp's points x(t)
     x_t, h_t, flux_t = sol.y[:3]
-    x_traj = _columns(profile, lambda_like, np.clip(x_t, a, b), [init], rel_tol)[0][0]
+    x_traj = _columns(profile, lambda_like, np.clip(x_t, a, b), [init], rel_tol)[0]
     w = x_traj.states.T * math.exp(x_traj.log_scale)
     images = np.stack([w[0], c * w[1] / h_t, (h_t * w[2] - w[1] * flux_t) / c, w[3]],
                       axis=1)
@@ -297,7 +297,8 @@ def dim_check(profile, lam, variant, rel_tol=DEFAULT_REL_TOL):
         raise ValueError("left-span variants need alpha*beta <= 0")
     if profile.side == "right" and prod < 0:
         raise ValueError("right-span variants need alpha*beta >= 0")
-    w1, w2 = (tr.final_state for tr in span_pair(profile, lam, rel_tol, n_stations=2)[0])
+    # the pair's frame at x = 0: the row's rank does not depend on the basis
+    w1, w2 = (w[:, 0, 0] for w in _pair_frames(profile, [lam], 0.0, rel_tol)[:2])
     # the variant's functional on a state w: alpha*w[i] - beta*w[j]/d
     if variant.kind == "slope_vs_curvature":
         i, j, d = 1, 2, eval_coeff(profile, "sigma", 0.0)

@@ -23,7 +23,9 @@ recorded, read from DOP853's dense output inside the span and from a step
 clipped to land on the far end.  The dense output is evaluated outside
 the step loop, for a few steps that passed a station at once, and only for
 the entries whose stations are read.  Every determinant, every mode and every
-Trajectory comes from this integrator; the public entry point is integrate,
+Trajectory comes from this integrator, and a point between stations is
+read as a station of a new pass (or by Trajectory.state_at, a short step
+from the station before it); the public entry point is integrate,
 one column across a span, overflow-safe: its true states are the stored
 ones times exp(log_scale).  The solve puts both spans in
 one pass: the right span enters as its mirror on (-1, 0)
@@ -104,28 +106,20 @@ class Trajectory:
         return self.states[-1]
 
     def state_at(self, x):
-        """State at any covered x, in the stored (common) scale (see _advance)."""
-        _, frame, log_r = _advance(self.profile, self.lam, self.xs, self.states[:, None], x,
+        """State at any covered x, in the stored (common) scale, integrated
+        from the station before x in the direction of integration."""
+        xs = self.xs
+        lo, hi = sorted((xs[0], xs[-1]))
+        if not lo - 1e-12 <= x <= hi + 1e-12:
+            raise ValueError(f"x={x:g} not covered by this trajectory")
+        x = min(max(x, lo), hi)
+        direction = 1.0 if xs[-1] > xs[0] else -1.0
+        i = int(np.count_nonzero((x - xs) * direction >= 0.0)) - 1
+        if x == xs[i]:
+            return self.states[i]
+        shot = _batch_final_states(self.profile, [self.lam], xs[i], x, self.states[i],
                                    self.rel_tol)
-        return frame[0] * math.exp(log_r)
-
-
-def _advance(profile, lam, xs, frames, x, rel_tol):
-    """k columns, stored as frames (S, k, 4) at the stations xs, carried to a
-    covered x from the station xs[i] before it (in the direction of
-    integration).  Returns i, the frame at x (k, 4) and log det of the R
-    factors taken on the way (0 at a station).
-    """
-    lo, hi = sorted((xs[0], xs[-1]))
-    if not lo - 1e-12 <= x <= hi + 1e-12:
-        raise ValueError(f"x={x:g} not covered by this trajectory")
-    x = min(max(x, lo), hi)
-    direction = 1.0 if xs[-1] > xs[0] else -1.0
-    i = int(np.count_nonzero((x - xs) * direction >= 0.0)) - 1
-    if x == xs[i]:
-        return i, frames[i], 0.0
-    shot = _batch_final_states(profile, [lam], xs[i], x, frames[i], rel_tol)
-    return i, shot.frames[0, -1], float(shot.log_scale[0])
+        return shot.frames[0, -1, 0] * math.exp(shot.log_scale[0])
 
 
 def _check_args(profile, lam, x_from, x_to, rel_tol):
@@ -153,9 +147,8 @@ def _columns(profile, lam, xs, inits, rel_tol):
     """Integrate one or two initial states jointly.
 
     xs are the stations, from the start in the direction of integration.
-    Returns one Trajectory per column, the frames (S, k, 4) and, per
-    station, log det R_e ... R_1 (see _station_log_det).  The product
-    R_e ... R_1 itself is carried with its own log scale, so it cannot
+    Returns one Trajectory per column: the frames times R_e ... R_1 at each
+    station.  That product is carried with its own log scale, so it cannot
     overflow, and the last one sets the common log_scale.
     """
     shot = _batch_final_states(profile, [lam], xs[0], xs, inits, rel_tol)
@@ -170,8 +163,8 @@ def _columns(profile, lam, xs, inits, rel_tol):
     scale = np.exp(np.array(logs)[epochs] - logs[-1])
     # column i of the true pair is sum_j frame[:, j] * product[j, i]
     states = np.einsum("sjc,sji->sic", frames, products) * scale[:, None, None]
-    return ([Trajectory(lam, xs, states[:, i], logs[-1], profile, rel_tol)
-             for i in range(len(inits))], frames, _station_log_det(shot)[0])
+    return [Trajectory(lam, xs, states[:, i], logs[-1], profile, rel_tol)
+            for i in range(len(inits))]
 
 
 def integrate(profile, lam, x_from, x_to, init, rel_tol=DEFAULT_REL_TOL,
@@ -185,8 +178,7 @@ def integrate(profile, lam, x_from, x_to, init, rel_tol=DEFAULT_REL_TOL,
     """
     if n_stations < 64:
         raise ValueError("need at least 64 stations")
-    return _columns(profile, lam, np.linspace(x_from, x_to, n_stations), [init],
-                    rel_tol)[0][0]
+    return _columns(profile, lam, np.linspace(x_from, x_to, n_stations), [init], rel_tol)[0]
 
 
 def __getattr__(name):
@@ -390,7 +382,7 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     all_cols = cols = (*(np.repeat(stack_coeffs(profiles, name), lams.size, axis=1)
                          for name in ("rho", "sigma", "q")), np.tile(lams, len(profiles)))
     x = np.full(n, float(x_from))
-    # first trial: the whole way on a short span, as from _advance
+    # first trial: the whole way on a short span, as from state_at
     h = np.full(n, min(0.01, abs(x_to - x_from)))
     # interior stations in the direction of integration, for searchsorted;
     # an entry that is not sampled starts past all of them

@@ -173,7 +173,7 @@ def test_criterion_7_lemma_suites():
     scans_ok = True
     lambdas = np.linspace(20.0, 520.0, 10)
     for side in ("left", "right"):
-        rep = vanishing_scan(bs.variable_system(1.0), side, lambdas, n_x=20)
+        rep = vanishing_scan(bs.variable_system(1.0), side, lambdas)
         scans_ok &= rep.ok and rep.n_points == 200
 
     ok = (prop_pass == trials and gauge_pass == trials

@@ -124,10 +124,33 @@ def test_shear_identity_dense(system):
     for lam in (2.0, 120.0):
         lf = left_fundamental(system, lam)
         rf = right_fundamental(system, lam)
-        for x in np.linspace(-1.0, 0.0, 64):
-            assert shear_identity_residual(lf, x) <= 1e-9
-        for x in np.linspace(0.0, 1.0, 64):
-            assert shear_identity_residual(rf, x) <= 1e-9
+        assert np.max(shear_identity_residual(lf, np.linspace(-1.0, 0.0, 64))) <= 1e-9
+        assert np.max(shear_identity_residual(rf, np.linspace(0.0, 1.0, 64))) <= 1e-9
+
+
+@pytest.mark.parametrize("lam", [700.0, 40.0 ** 4])
+def test_pair_is_read_one_way(lam):
+    # points between the set's stations: a point read alone and the same
+    # point among others come from the same steps of the same pass
+    system = variable_system(1.0)
+    xs = np.linspace(-0.97, -0.03, 8)
+    for fset, points in ((left_fundamental(system, lam), xs),
+                         (right_fundamental(system, lam), -xs)):
+        assert not np.isin(points, fset.unit_slope.xs).any()
+        np.testing.assert_array_equal(shear_identity_residual(fset, points),
+                                      [shear_identity_residual(fset, x) for x in points])
+
+
+def test_points_outside_the_span_rejected():
+    lf = left_fundamental(VARIABLE, 50.0)
+    with pytest.raises(ValueError, match=r"^x=-1.5 outside span \[-1, 0\]$"):
+        shear_identity_residual(lf, np.array([-1.5, -0.5]))
+    with pytest.raises(ValueError, match=r"^x=0.25 outside span \[-1, 0\]$"):
+        shear_identity_residual(lf, np.array([-0.5, 0.25]))
+    with pytest.raises(ValueError, match=r"^x=-1.5 outside span \[-1, 0\]$"):
+        shear_identity_residual(lf, -1.5)
+    with pytest.raises(ValueError, match=r"^x=0.5 outside span \[-1, 0\]$"):
+        subwronskians(lf, 0.5)
 
 
 def slope_zero_lam(system, side, x0, lam_lo, lam_hi):
@@ -143,7 +166,7 @@ def slope_zero_lam(system, side, x0, lam_lo, lam_hi):
 def test_vanishing_scan_clean():
     lambdas = np.linspace(20.0, 520.0, 10)
     for side in ("left", "right"):
-        report = vanishing_scan(VARIABLE, side, lambdas, n_x=20)
+        report = vanishing_scan(VARIABLE, side, lambdas)
         assert report.n_points == 200
         assert report.ok, report.violations
 

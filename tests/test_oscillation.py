@@ -185,6 +185,15 @@ def test_dim_check_never_two_on_lambda_grid():
             assert dim_check(right, float(lam), v) <= 1
 
 
+def test_dim_check_past_growth_bound():
+    # at s = 40 the pair is orthonormalised, and the rank is read in the
+    # frame's basis of the family's plane
+    system = variable_system()
+    for profile, beta in ((system.left, -0.5), (system.right, 0.5)):
+        for kind in ("slope_vs_curvature", "shear_vs_displacement"):
+            assert dim_check(profile, 40.0 ** 4, BoundaryVariant(kind, 1.0, beta)) == 1
+
+
 def test_gauge_rejects_bad_interval():
     with pytest.raises(ValueError):
         leighton_nehari_transform(UNIT_RIGHT, 0.8, 0.2)
