@@ -15,6 +15,10 @@ JSON schema accepted by :func:`parse_system` / :func:`load_system`::
 Admissibility is checked by sampling each polynomial on a 1001-point uniform
 grid of the closed span: rho and sigma must stay >= 1e-8 and q >= -1e-12
 (q values in the tiny-negative band are clamped to zero on evaluation).
+
+The one coefficient evaluator, rho_sigma_q, clamps q; the one span rule,
+in_span, accepts points within SPAN_SLACK of a span and names the first
+point outside.  eval_coeff reads one named coefficient through both.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ GRID_POINTS = 1001
 MIN_RHO_SIGMA = 1e-8
 MIN_Q = -1e-12
 MAX_DEGREE = 8
+SPAN_SLACK = 1e-12
 
 _INTERVALS = {"left": (-1.0, 0.0), "right": (0.0, 1.0)}
 
@@ -101,6 +106,10 @@ class CoefficientProfile:
     def interval(self):
         return _INTERVALS[self.side]
 
+    @property
+    def coeffs(self):
+        return self.rho, self.sigma, self.q
+
 
 @dataclass(frozen=True)
 class BeamSystem:
@@ -119,49 +128,44 @@ class BeamSystem:
         object.__setattr__(self, "mass", float(m))
 
 
-def eval_coeff(profile, which, x):
-    """Horner evaluation of one named coefficient at x inside the closed span.
+def in_span(interval, x):
+    """x (a point or an array) clipped onto the closed span interval = (lo, hi).
 
-    x may be a scalar (a float is returned) or an array of points.
-    q is clamped to zero from below (the accepted tiny-negative band).
+    Points within SPAN_SLACK of the span are accepted; a ValueError names
+    the first point farther out.
     """
-    if which not in ("rho", "sigma", "q"):
-        raise ValueError(f"which must be 'rho', 'sigma' or 'q', got {which!r}")
-    lo, hi = profile.interval
+    lo, hi = interval
     xs = np.asarray(x, dtype=float)
-    inside = (lo - 1e-12 <= xs) & (xs <= hi + 1e-12)
+    inside = (lo - SPAN_SLACK <= xs) & (xs <= hi + SPAN_SLACK)
     if not np.all(inside):
-        raise ValueError(f"x={xs[~inside][0]:g} outside span [{lo:g}, {hi:g}]")
-    val = eval_stacked(getattr(profile, which), which, xs)
+        raise ValueError(f"x={float(xs[~inside][0])!r} outside span [{lo:g}, {hi:g}]")
+    return np.clip(xs, lo, hi)
+
+
+def rho_sigma_q(coeffs, x):
+    """Horner evaluation of the coefficients (rho, sigma, q) at x.
+
+    coeffs is one profile's (CoefficientProfile.coeffs) or arrays
+    (degree + 1, k) of columns stacked over k entries, each zero-padded to
+    its highest degree (the padding leaves Horner's values unchanged to the
+    last bit); x broadcasts against the columns, e.g. x of shape (..., k)
+    evaluates column j at x[..., j].  No span check: callers keep x inside
+    (see in_span).  q is clamped to zero from below (the accepted
+    tiny-negative band), here and nowhere else.
+    """
+    rho, sigma, q = coeffs
+    return horner(rho, x), horner(sigma, x), np.maximum(horner(q, x), 0.0)
+
+
+def eval_coeff(profile, which, x):
+    """One named coefficient of rho_sigma_q at x inside the closed span (a
+    point within SPAN_SLACK of it is read at the span end).  x may be a
+    scalar (a float is returned) or an array of points."""
+    names = ("rho", "sigma", "q")
+    if which not in names:
+        raise ValueError(f"which must be 'rho', 'sigma' or 'q', got {which!r}")
+    val = rho_sigma_q(profile.coeffs, in_span(profile.interval, x))[names.index(which)]
     return float(val) if val.ndim == 0 else val
-
-
-def stack_coeffs(profiles, which):
-    """One named coefficient of several profiles as columns.
-
-    Returns an array (degree + 1, len(profiles)), ascending powers, each
-    column zero-padded to the highest degree (the padding leaves Horner's
-    values unchanged to the last bit).
-    """
-    columns = [getattr(p, which) for p in profiles]
-    out = np.zeros((max(map(len, columns)), len(columns)))
-    for j, c in enumerate(columns):
-        out[:len(c), j] = c
-    return out
-
-
-def eval_stacked(coeffs, which, x):
-    """Horner evaluation of ascending coefficients, one set or stacked columns.
-
-    coeffs is a sequence of coefficients or an array (degree + 1, k) from
-    stack_coeffs; x broadcasts against its columns, e.g. x of shape (..., k)
-    evaluates column j at x[..., j].  No span check: callers keep x inside.
-    q is clamped to zero from below (the accepted tiny-negative band).
-    """
-    val = horner(coeffs, x)
-    if which == "q":
-        val = np.maximum(val, 0.0)
-    return val
 
 
 # the quasi-derivative state (u, u', sigma*u'', Tu) of u(-x), as signs on

@@ -12,7 +12,7 @@ The discrete problem is the symmetric-definite pencil K a = lam B a with
     K[i,j] = int sigma phi_i'' phi_j'' + int q phi_i' phi_j'
     B[i,j] = int rho  phi_i  phi_j     (+ M at the joint displacement DOF)
 
-The coefficients are evaluated once, at the Gauss points of every element.
+config.rho_sigma_q evaluates the coefficients once, at every element's Gauss points.
 A dense symmetric solve of the pencil supplies the eigenvectors only; each
 eigenvalue is the Rayleigh quotient of its own eigenvector, summed over
 elements and Gauss points as nonnegative terms (see `solve_generalized`).
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .config import eval_coeff
+from .config import rho_sigma_q
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(5)
 _GAUSS_LOCAL = 0.5 * (_GAUSS_NODES + 1.0)   # Gauss points on [0, 1]
@@ -115,11 +115,8 @@ def assemble(system, elements_per_side):
     ndof = 2 * len(nodes)
     x, w, n, dn, ddn = _quadrature(nodes)
 
-    def coeff(which):
-        return np.concatenate([eval_coeff(system.left, which, x[:e]),
-                               eval_coeff(system.right, which, x[e:])])
-
-    sigma, q, rho = coeff("sigma"), coeff("q"), coeff("rho")
+    rho, sigma, q = map(np.concatenate, zip(rho_sigma_q(system.left.coeffs, x[:e]),
+                                            rho_sigma_q(system.right.coeffs, x[e:])))
     k_e = (np.einsum("eg,ieg,jeg->eij", w * sigma, ddn, ddn)
            + np.einsum("eg,ieg,jeg->eij", w * q, dn, dn))
     b_e = np.einsum("eg,ieg,jeg->eij", w * rho, n, n)

@@ -28,12 +28,11 @@ times det R lose no digits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MIRROR, eval_stacked
+from .config import MIRROR, in_span, rho_sigma_q
 from .quasi import (DEFAULT_REL_TOL, DEFAULT_STATIONS, Trajectory, _batch_final_states,
                     _columns, _station_log_det)
 
@@ -71,7 +70,7 @@ class FundamentalSet:
 
 @dataclass(frozen=True)
 class SubwronskianTriple:
-    """The three pairings of a fundamental pair at one point."""
+    """The three pairings of a fundamental pair at a point, or arrays over points."""
 
     slope: float
     curvature: float
@@ -132,14 +131,11 @@ def _pair_frames(profile, lams, x, rel_tol):
     """The span's pinned pair at the points x for each of N lams: the two
     frame columns (4, N, P) and log det R_e ... R_1 (N, P), whose exp turns
     the frame's 2x2 minors into the true pairings.  One pass from the
-    span's outer end to x = 0 with the points as stations.
+    span's outer end to x = 0 with the points as stations; a point within
+    config.SPAN_SLACK past a span end is read at that end.
     """
     x_from, signs = _SPANS[profile.side]
-    x = np.asarray(x, dtype=float)
-    lo, hi = profile.interval
-    outside = x[~((lo <= x) & (x <= hi))]
-    if outside.size:
-        raise ValueError(f"x={outside[0]:g} outside span [{lo:g}, {hi:g}]")
+    x = in_span(profile.interval, x)
     # the points and x = 0, in the direction of integration, -x_from
     stations, where = np.unique(np.append(x, 0.0) * -x_from, return_inverse=True)
     shot = _batch_final_states(profile, lams, x_from, stations * -x_from,
@@ -148,25 +144,34 @@ def _pair_frames(profile, lams, x, rel_tol):
     return wa, wb, _station_log_det(shot)[:, where[:-1]]
 
 
+def _pairings(profile, lams, x, rel_tol):
+    """The slope, curvature and shear pairings of the span's pinned pair at
+    the points x for each of N lams, and the shear's second form
+    u1'*sigma*u2'' - u2'*sigma*u1'', as an array (4, N, P): the frame's
+    minors (see _pair_frames) times exp(log det R_e ... R_1)."""
+    wa, wb, log_det = _pair_frames(profile, lams, x, rel_tol)
+    sigma = rho_sigma_q(profile.coeffs, np.asarray(x, dtype=float))[1]
+    return (np.stack([*pairings(wa, wb, sigma), wa[1] * wb[2] - wb[1] * wa[2]])
+            * np.exp(log_det))
+
+
 def subwronskians(fset, x):
-    """Evaluate the three pairings of the set at x from its frames."""
-    wa, wb, log_det = _pair_frames(fset.profile, [fset.lam], x, fset.unit_slope.rel_tol)
-    factor = math.exp(log_det[0, 0])
-    sigma = eval_stacked(fset.profile.sigma, "sigma", x)
-    return SubwronskianTriple(*(p * factor for p in pairings(wa[:, 0, 0], wb[:, 0, 0], sigma)))
+    """The three pairings of the set at x from its frames: floats for a
+    point x, arrays for a 1-D array of points (read in one pass)."""
+    vals = _pairings(fset.profile, [fset.lam], x, fset.unit_slope.rel_tol)[:3, 0]
+    return SubwronskianTriple(*(vals[:, 0].tolist() if np.ndim(x) == 0 else vals))
 
 
 def shear_identity_residual(fset, x):
     """|shear - (u1'*sigma*u2'' - u2'*sigma*u1'')| / max(1, |shear|) at x.
 
     The two expressions agree identically; the residual measures integration
-    accuracy and should stay below 1e-9 for rel_tol <= 1e-10.  A point x
-    gives a float; a 1-D array of points gives an array.
+    accuracy: for rel_tol <= 1e-10 it stays below 1e-9 up to lam = 700 and
+    below 4e-9 up to lam = 40**4 (variable_system(1.0), 129 stations per span:
+    1.64e-9 at lam = 3e4, 3.04e-9 at 40**4).  A point x gives a float; a 1-D
+    array of points gives an array.
     """
-    wa, wb, log_det = _pair_frames(fset.profile, [fset.lam], x, fset.unit_slope.rel_tol)
-    factor = np.exp(log_det[0])
-    lhs = pairings(wa[:, 0], wb[:, 0], 1.0)[2] * factor
-    rhs = (wa[1, 0] * wb[2, 0] - wb[1, 0] * wa[2, 0]) * factor
+    lhs, rhs = _pairings(fset.profile, [fset.lam], x, fset.unit_slope.rel_tol)[2:, 0]
     residual = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
     return float(residual[0]) if np.ndim(x) == 0 else residual
 
@@ -194,10 +199,8 @@ def vanishing_scan(system, side, lambdas, rel_tol=DEFAULT_REL_TOL):
     """
     profile = getattr(system, side)
     xs = np.linspace(_SPANS[side][0], 0.0, VANISH_X_POINTS + 1)[1:]
-    wa, wb, log_det = _pair_frames(profile, lambdas, xs, rel_tol)
     # (3, points), points ordered by lam, then x
-    vals = (np.stack(pairings(wa, wb, eval_stacked(profile.sigma, "sigma", xs)))
-            * np.exp(log_det)).reshape(3, -1)
+    vals = _pairings(profile, lambdas, xs, rel_tol)[:3].reshape(3, -1)
     mags = np.abs(vals)
     scale = float(np.max(mags))
     near = mags < VANISH_ZERO_REL * scale

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MIRROR, CoefficientProfile, eval_coeff, eval_stacked, horner
+from .config import MIRROR, CoefficientProfile, horner, in_span, rho_sigma_q
 from .fundamental import _pair_frames, first_violation
 from .quasi import DEFAULT_REL_TOL, Trajectory, _columns, integrate
 
@@ -85,8 +85,9 @@ def positivity_propagation(profile, lambda_like, init, direction="forward",
 
 @dataclass(frozen=True)
 class TransformData:
-    """Gauge function, warped coordinate and warped coefficients on [a, b]."""
+    """Gauge function, warped coordinate and warped coefficients of a profile on [a, b]."""
 
+    profile: CoefficientProfile
     a: float
     b: float
     gamma: float
@@ -112,9 +113,9 @@ def leighton_nehari_transform(profile, a, b, rel_tol=DEFAULT_REL_TOL):
     With q = 0 the gauge is identically 1, gamma = b - a, and the warp is
     the identity.
     """
-    lo, hi = profile.interval
-    if not (lo - 1e-12 <= a < b <= hi + 1e-12):
-        raise ValueError(f"[{a:g}, {b:g}] must lie inside the span [{lo:g}, {hi:g}]")
+    in_span(profile.interval, (a, b))
+    if not a < b:
+        raise ValueError(f"need a < b, got [{a:g}, {b:g}]")
     gauge = integrate(profile, 0.0, a, b, (0.0, 1.0, 0.0, 0.0), rel_tol, GAUGE_STATIONS)
     xs = gauge.xs
     acc, h, flux, _ = (gauge.states * math.exp(gauge.log_scale)).T
@@ -129,17 +130,17 @@ def leighton_nehari_transform(profile, a, b, rel_tol=DEFAULT_REL_TOL):
     if np.any(np.diff(t) <= 0.0):
         raise TheoryViolationError("warped coordinate is not strictly increasing")
     c = gamma / (b - a)
-    sig = eval_coeff(profile, "sigma", xs)
-    rho = eval_coeff(profile, "rho", xs)
+    rho, sig, _ = rho_sigma_q(profile.coeffs, xs)
     return TransformData(
-        a=a, b=b, gamma=gamma, xs=xs, h=h, h_flux=flux, t=t,
+        profile=profile, a=a, b=b, gamma=gamma, xs=xs, h=h, h_flux=flux, t=t,
         sigma_tilde=(h / c) ** 3 * sig,
         rho_tilde=c * rho / h,
     )
 
 
-def transform_identity_residual(profile, a, b, lambda_like, init, rel_tol=DEFAULT_REL_TOL):
-    """Dual-path mismatch between original and warped integrations.
+def transform_identity_residual(td, lambda_like, init, rel_tol=DEFAULT_REL_TOL):
+    """Dual-path mismatch between original and warped integrations of the
+    transform td (from leighton_nehari_transform).
 
     The warped equation (which has no first-order term) is integrated in t
     alongside the warp map x(t) itself, and the original equation in x to
@@ -163,18 +164,16 @@ def transform_identity_residual(profile, a, b, lambda_like, init, rel_tol=DEFAUL
 
     if not 0.0 <= lambda_like < math.inf:
         raise ValueError("lambda_like must be finite and >= 0")
-    td = leighton_nehari_transform(profile, a, b, rel_tol)
+    profile, a, b = td.profile, td.a, td.b
     c = td.gamma / (b - a)
-    sig_c, q_c, rho_c = profile.sigma, profile.q, profile.rho
 
     def rhs(t, y):
         # y = (x, h, sigma*h', W1, W2, W3, W4); the warped system has q = 0
         x, h = y[0], y[1]
-        sig = eval_stacked(sig_c, "sigma", x)
-        q = eval_stacked(q_c, "q", x)
+        rho, sig, q = rho_sigma_q(profile.coeffs, x)
         dxdt = c / h
         sigma_tilde = (h / c) ** 3 * sig
-        rho_tilde = c * eval_stacked(rho_c, "rho", x) / h
+        rho_tilde = c * rho / h
         return [
             dxdt,
             (y[2] / sig) * dxdt,
@@ -301,7 +300,7 @@ def dim_check(profile, lam, variant, rel_tol=DEFAULT_REL_TOL):
     w1, w2 = (w[:, 0, 0] for w in _pair_frames(profile, [lam], 0.0, rel_tol)[:2])
     # the variant's functional on a state w: alpha*w[i] - beta*w[j]/d
     if variant.kind == "slope_vs_curvature":
-        i, j, d = 1, 2, eval_coeff(profile, "sigma", 0.0)
+        i, j, d = 1, 2, rho_sigma_q(profile.coeffs, 0.0)[1]
     else:
         i, j, d = 3, 0, 1.0
     row = np.array([variant.alpha * w[i] - variant.beta * w[j] / d for w in (w1, w2)])
@@ -311,24 +310,24 @@ def dim_check(profile, lam, variant, rel_tol=DEFAULT_REL_TOL):
     return 2 - rank
 
 
-def random_profile(rng, side="right", max_degree=3, allow_zero_q=True):
-    """Draw an admissible random profile (rejection sampling on positivity)."""
+def random_profile(rng, side="right"):
+    """An admissible random profile by rejection sampling: degree <= 3, P(q = 0) = 1/4."""
     lo, hi = (-1.0, 0.0) if side == "left" else (0.0, 1.0)
     xs = np.linspace(lo, hi, 201)
 
     def draw_positive(floor):
         while True:
-            deg = int(rng.integers(0, max_degree + 1))
+            deg = int(rng.integers(0, 4))
             c0 = float(rng.uniform(0.4, 3.0))
             coeffs = [c0] + [float(rng.uniform(-0.5, 0.5) * c0) for _ in range(deg)]
             if np.min(horner(coeffs, xs)) >= floor:
                 return tuple(coeffs)
 
     def draw_nonneg():
-        if allow_zero_q and rng.uniform() < 0.25:
+        if rng.uniform() < 0.25:
             return (0.0,)
         while True:
-            deg = int(rng.integers(0, max_degree + 1))
+            deg = int(rng.integers(0, 4))
             c0 = float(rng.uniform(0.0, 2.0))
             coeffs = [c0] + [float(rng.uniform(-0.3, 0.3)) for _ in range(deg)]
             if np.min(horner(coeffs, xs)) >= 0.0:

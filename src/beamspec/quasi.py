@@ -10,7 +10,9 @@ and no derivative of sigma or q is ever evaluated.  u'' is recovered as
 w3/sigma when needed.
 
 One integrator steps it, _batch_final_states: the DOP853 tableau stepped
-with numpy over an axis of entries, one (coefficient set, lam) pair each.
+with numpy over an axis of entries, one (coefficient set, lam) pair each;
+config.rho_sigma_q evaluates their stacked coefficient columns, and
+config.in_span checks that a pass starts and ends inside the span.
 Each entry takes its own steps, its step error being a max over its
 components, so its result does not depend on the rest of the batch.  An
 entry integrates one column or a pair and keeps it orthonormal past
@@ -40,11 +42,12 @@ import importlib.util
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .config import CoefficientProfile, eval_stacked, stack_coeffs
+from .config import CoefficientProfile, in_span, rho_sigma_q
 
 # The integrator orthonormalises an entry's columns once its state passes this
 # bound.  Both columns pick up the fastest-growing solution, so the plane
@@ -109,10 +112,7 @@ class Trajectory:
         """State at any covered x, in the stored (common) scale, integrated
         from the station before x in the direction of integration."""
         xs = self.xs
-        lo, hi = sorted((xs[0], xs[-1]))
-        if not lo - 1e-12 <= x <= hi + 1e-12:
-            raise ValueError(f"x={x:g} not covered by this trajectory")
-        x = min(max(x, lo), hi)
+        x = float(in_span(sorted((xs[0], xs[-1])), x))
         direction = 1.0 if xs[-1] > xs[0] else -1.0
         i = int(np.count_nonzero((x - xs) * direction >= 0.0)) - 1
         if x == xs[i]:
@@ -126,10 +126,7 @@ def _check_args(profile, lam, x_from, x_to, rel_tol):
     _check_lam(lam)
     if not (REL_TOL_MIN <= rel_tol <= REL_TOL_MAX):
         raise ValueError(f"rel_tol must lie in [{REL_TOL_MIN:g}, {REL_TOL_MAX:g}]")
-    lo, hi = profile.interval
-    for x in (x_from, x_to):
-        if not (lo - 1e-12 <= x <= hi + 1e-12):
-            raise ValueError(f"x={x:g} outside span [{lo:g}, {hi:g}]")
+    in_span(profile.interval, (x_from, x_to))
     if x_from == x_to:
         raise ValueError("x_from and x_to must differ")
 
@@ -258,9 +255,8 @@ def _rhs(w, sig, q, lam_rho, out):
 def _coefficients(cols, x):
     """sigma, q and lam*rho at points x (..., entries), from the entries'
     coefficient columns and lam, cols = (rho, sigma, q, lam)."""
-    rho_c, sig_c, q_c, lam = cols
-    return (eval_stacked(sig_c, "sigma", x), eval_stacked(q_c, "q", x),
-            lam * eval_stacked(rho_c, "rho", x))
+    rho, sigma, q = rho_sigma_q(cols[:3], x)
+    return sigma, q, cols[3] * rho
 
 
 def _fill_stages(stages, first, y, hs, coeffs):
@@ -373,14 +369,15 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     final_log = np.zeros(n)
     events = []     # (entries, their epoch, R) of every orthonormalisation
     records = []    # what the dense output needs of steps past a station
-    # the running entries: their index, coefficient columns
-    # (degree + 1, entries) and lam, position, next trial step, next
-    # station, epoch and log scale; and, as rows of one array, the stages
-    # 0..12 of a step (stage 0 is FSAL), the state y and two scratch rows
-    # (see _fill_stages).  The arrays shrink only when entries finish.
+    # the running entries: their index, coefficient columns (degree + 1,
+    # entries; see config.rho_sigma_q) and lam, position, next trial step,
+    # next station, epoch and log scale; and, as rows of one array, the
+    # stages 0..12 of a step (stage 0 is FSAL), the state y and two scratch
+    # rows (see _fill_stages).  The arrays shrink only when entries finish.
     idx = np.arange(n)
-    all_cols = cols = (*(np.repeat(stack_coeffs(profiles, name), lams.size, axis=1)
-                         for name in ("rho", "sigma", "q")), np.tile(lams, len(profiles)))
+    all_cols = cols = (*(np.repeat(list(zip_longest(*c, fillvalue=0.0)), lams.size, axis=1)
+                         for c in zip(*(p.coeffs for p in profiles))),
+                       np.tile(lams, len(profiles)))
     x = np.full(n, float(x_from))
     # first trial: the whole way on a short span, as from state_at
     h = np.full(n, min(0.01, abs(x_to - x_from)))

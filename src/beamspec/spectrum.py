@@ -38,7 +38,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import MIRROR, eval_coeff, mirrored
+from .config import MIRROR, eval_coeff, in_span, mirrored, rho_sigma_q
 from .fundamental import LEFT_UNIT_SHEAR, LEFT_UNIT_SLOPE, pairings
 # perfbench's tracer wraps these two names; the module itself does not call them
 from .fundamental import left_fundamental, right_fundamental  # noqa: F401
@@ -387,8 +387,8 @@ def _eigenpairs(system, lams, rel_tol, stations_per_side, indices):
             abs(c[0]) <= SIGN_CONVENTION_EPS and c[1] < 0) else 1.0
         mode_l, mode_r = modes[0, i], (modes[1, i] * MIRROR)[::-1]
         u0 = float(mode_l[-1, 0])
-        h_sq = (_simpson(eval_coeff(system.left, "rho", xs) * mode_l[:, 0] ** 2, xs)
-                + _simpson(eval_coeff(system.right, "rho", xs_r) * mode_r[:, 0] ** 2, xs_r)
+        h_sq = (_simpson(rho_sigma_q(system.left.coeffs, xs)[0] * mode_l[:, 0] ** 2, xs)
+                + _simpson(rho_sigma_q(system.right.coeffs, xs_r)[0] * mode_r[:, 0] ** 2, xs_r)
                 + system.mass * u0 ** 2)
         h = sign * math.sqrt(h_sq)
         mode_l, mode_r, u0 = mode_l / h, mode_r / h, u0 / h
@@ -433,8 +433,7 @@ def energy_form(system, phi, psi):
         (system.left, phi.xs_left, phi.mode_left, psi.mode_left),
         (system.right, phi.xs_right, phi.mode_right, psi.mode_right),
     ):
-        sig = eval_coeff(side, "sigma", xs)
-        q = eval_coeff(side, "q", xs)
+        _, sig, q = rho_sigma_q(side.coeffs, in_span(side.interval, xs))
         out += _simpson(m_phi[:, 2] * m_psi[:, 2] / sig, xs)
         out += _simpson(q * m_phi[:, 1] * m_psi[:, 1], xs)
     return float(out)
@@ -477,8 +476,7 @@ def _probe(system, lams, rel_tol, stations=(0.0,)):
     # an orthonormalised pair gives them divided by det R > 0, a factor
     # common to the three that cancels in the relative test
     wa, wb = np.moveaxis(shot.frames[:, :n, -1], (2, 3), (0, 1))
-    sigma = np.array([[eval_coeff(system.left, "sigma", 0.0)],
-                      [eval_coeff(system.right, "sigma", 0.0)]])
+    sigma = np.array([[rho_sigma_q(p.coeffs, 0.0)[1]] for p in (system.left, system.right)])
     triple = pairings(wa, wb, sigma)
     scale = np.max(np.abs(triple), axis=0)
     vanished = np.sum(np.abs(triple[0]) <= VANISH_REL * scale, axis=0)
@@ -509,18 +507,19 @@ def suggest_s_max(system, count):
     with k = n pi/2.  One DEFAULT_DS more keeps a grid point past the root
     where the bound is exact (uniform M = 0).
     """
-    def values(which):
-        # at the span ends and at the real parts of the critical points inside
-        out = []
-        for profile in (system.left, system.right):
-            lo, hi = profile.interval
-            slope = [k * c for k, c in enumerate(getattr(profile, which))][1:]
+    # each coefficient at the span ends and at the real parts of its
+    # critical points inside, over both spans
+    rho, sigma, q = values = [], [], []
+    for profile in (system.left, system.right):
+        lo, hi = profile.interval
+        for i, coeffs in enumerate(profile.coeffs):
+            slope = [k * c for k, c in enumerate(coeffs)][1:]
             x = np.roots(slope[::-1]).real   # np.roots takes the highest power first
-            out.extend(eval_coeff(profile, which, np.array([lo, hi, *x[(lo < x) & (x < hi)]])))
-        return out
+            values[i].extend(rho_sigma_q(profile.coeffs,
+                                         np.array([lo, hi, *x[(lo < x) & (x < hi)]]))[i])
 
     k = count * math.pi / 2.0
-    lam = (max(values("sigma")) * k ** 4 + max(values("q")) * k ** 2) / min(values("rho"))
+    lam = (max(sigma) * k ** 4 + max(q) * k ** 2) / min(rho)
     return float(lam ** 0.25) + DEFAULT_DS
 
 

@@ -157,8 +157,7 @@ def test_criterion_7_lemma_suites():
         if np.all(td.h > 0) and np.all(np.diff(td.t) > 0) and \
                 np.all(td.h_flux >= -1e-12):
             gauge_pass += 1
-        worst_transform = max(worst_transform, transform_identity_residual(
-            profile, 0.0, 1.0, lam, fwd))
+        worst_transform = max(worst_transform, transform_identity_residual(td, lam, fwd))
 
     worst_identity = 0.0
     for system in (bs.uniform_system(0.0), bs.variable_system(1.0)):

@@ -1,4 +1,5 @@
 import json
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -9,12 +10,11 @@ from beamspec.config import (
     ConfigError,
     ConstraintError,
     eval_coeff,
-    eval_stacked,
     load_system,
     mirrored,
     parse_system,
+    rho_sigma_q,
     serialize_system,
-    stack_coeffs,
     uniform_system,
     variable_system,
 )
@@ -91,17 +91,20 @@ def test_mirrored_profile_is_p_of_minus_x():
 
 
 def test_stacked_columns_match_eval_coeff():
-    # columns of different degree, zero-padded; q keeps its clamp
+    # columns of different degree, zero-padded as the integrator stacks
+    # them, give one profile's bits; q keeps its clamp
     left, right = variable_system().left, variable_system().right
     tiny_q = CoefficientProfile("left", rho=(1.0,), sigma=(1.0,), q=(-1e-13,))
     profiles = (left, mirrored(right), tiny_q)
+    stack = [np.array(list(zip_longest(*c, fillvalue=0.0)))
+             for c in zip(*(p.coeffs for p in profiles))]
     xs = np.linspace(-1.0, 0.0, 33)
-    for name in ("rho", "sigma", "q"):
-        stack = stack_coeffs(profiles, name)
-        assert stack.shape == (max(len(getattr(p, name)) for p in profiles), 3)
-        vals = eval_stacked(stack, name, np.repeat(xs[:, None], 3, axis=1))
+    vals = rho_sigma_q(stack, np.repeat(xs[:, None], 3, axis=1))
+    for i, name in enumerate(("rho", "sigma", "q")):
+        assert stack[i].shape == (max(len(getattr(p, name)) for p in profiles), 3)
         for j, p in enumerate(profiles):
-            np.testing.assert_array_equal(vals[:, j], eval_coeff(p, name, xs))
+            np.testing.assert_array_equal(vals[i][:, j], eval_coeff(p, name, xs))
+            np.testing.assert_array_equal(vals[i][:, j], rho_sigma_q(p.coeffs, xs)[i])
 
 
 def test_q_defaults_to_zero():

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from beamspec.config import uniform_system, variable_system
+from beamspec.config import eval_coeff, uniform_system, variable_system
 from beamspec.fundamental import (
     left_fundamental,
     right_fundamental,
@@ -12,6 +13,8 @@ from beamspec.fundamental import (
     subwronskians,
     vanishing_scan,
 )
+from beamspec.oscillation import leighton_nehari_transform
+from beamspec.quasi import integrate
 
 UNIFORM = uniform_system()
 VARIABLE = variable_system()
@@ -128,6 +131,14 @@ def test_shear_identity_dense(system):
         assert np.max(shear_identity_residual(rf, np.linspace(0.0, 1.0, 64))) <= 1e-9
 
 
+@pytest.mark.parametrize("lam", [3e4, 40.0 ** 4])
+def test_shear_identity_at_large_lam(lam):
+    # the documented bound past lam = 700, at the sets' own stations
+    system = variable_system(1.0)
+    for fset in (left_fundamental(system, lam), right_fundamental(system, lam)):
+        assert np.max(shear_identity_residual(fset, fset.unit_slope.xs)) <= 4e-9
+
+
 @pytest.mark.parametrize("lam", [700.0, 40.0 ** 4])
 def test_pair_is_read_one_way(lam):
     # points between the set's stations: a point read alone and the same
@@ -139,6 +150,10 @@ def test_pair_is_read_one_way(lam):
         assert not np.isin(points, fset.unit_slope.xs).any()
         np.testing.assert_array_equal(shear_identity_residual(fset, points),
                                       [shear_identity_residual(fset, x) for x in points])
+        triple, alone = subwronskians(fset, points), [subwronskians(fset, x) for x in points]
+        for name in ("slope", "curvature", "shear"):
+            np.testing.assert_array_equal(getattr(triple, name),
+                                          [getattr(t, name) for t in alone])
 
 
 def test_points_outside_the_span_rejected():
@@ -151,6 +166,33 @@ def test_points_outside_the_span_rejected():
         shear_identity_residual(lf, -1.5)
     with pytest.raises(ValueError, match=r"^x=0.5 outside span \[-1, 0\]$"):
         subwronskians(lf, 0.5)
+
+
+@pytest.mark.parametrize("end", [-1.0, 0.0])
+def test_span_slack_is_one_rule(end):
+    # a point 1e-13 past a span end is read at that end; 1e-11 past, every
+    # entry point rejects it with one message that shows the point
+    profile = VARIABLE.left
+    lf = left_fundamental(VARIABLE, 50.0)
+    other, outward = (0.0, -1.0) if end == -1.0 else (-1.0, 1.0)
+
+    def calls(x):
+        return (lambda: eval_coeff(profile, "sigma", x),
+                lambda: integrate(profile, 1.0, x, other, (0, 1, 0, 0)),
+                lambda: shear_identity_residual(lf, x),
+                lambda: shear_identity_residual(lf, np.array([-0.5, x])),
+                lambda: subwronskians(lf, x),
+                lambda: leighton_nehari_transform(profile, *sorted((x, other))))
+
+    near = end + outward * 1e-13
+    for call in calls(near):
+        call()
+    assert subwronskians(lf, near).slope == subwronskians(lf, end).slope
+    far = end + outward * 1e-11
+    message = rf"^x={re.escape(repr(far))} outside span \[-1, 0\]$"
+    for call in calls(far):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def slope_zero_lam(system, side, x0, lam_lo, lam_hi):

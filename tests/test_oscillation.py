@@ -63,17 +63,19 @@ def test_gauge_cosh_closed_form():
 
 
 def test_transform_residual_q_zero_identity():
-    assert transform_identity_residual(UNIT_RIGHT, 0.0, 1.0, 1.0, (0, 1, 0, 0)) <= 1e-10
+    td = leighton_nehari_transform(UNIT_RIGHT, 0.0, 1.0)
+    assert transform_identity_residual(td, 1.0, (0, 1, 0, 0)) <= 1e-10
 
 
 def test_transform_residual_q1():
-    assert transform_identity_residual(UNIT_Q1, 0.0, 1.0, 1.0, (0, 1, 0, 0)) <= 1e-7
+    td = leighton_nehari_transform(UNIT_Q1, 0.0, 1.0)
+    assert transform_identity_residual(td, 1.0, (0, 1, 0, 0)) <= 1e-7
 
 
 def test_transform_residual_lam0_shear_relation():
     # with lambda_like = 0 the quasi-shear is conserved on both paths
-    res = transform_identity_residual(UNIT_Q1, 0.0, 1.0, 0.0, (0, 1, 0, 0))
-    assert res <= 1e-7
+    td = leighton_nehari_transform(UNIT_Q1, 0.0, 1.0)
+    assert transform_identity_residual(td, 0.0, (0, 1, 0, 0)) <= 1e-7
 
 
 def test_randomized_positivity_and_transform():
@@ -90,13 +92,13 @@ def test_randomized_positivity_and_transform():
         td = leighton_nehari_transform(profile, 0.0, 1.0)
         assert np.all(td.h > 0) and np.all(np.diff(td.t) > 0)
         assert np.all(td.h_flux >= -1e-12)
-        assert transform_identity_residual(profile, 0.0, 1.0, lam, fwd) <= 1e-6
+        assert transform_identity_residual(td, lam, fwd) <= 1e-6
 
 
 def test_transform_subinterval():
     td = leighton_nehari_transform(UNIT_Q1, 0.2, 0.8)
     assert td.t[0] == pytest.approx(0.2) and td.t[-1] == pytest.approx(0.8)
-    assert transform_identity_residual(UNIT_Q1, 0.2, 0.8, 5.0, (1, 1, 1, 1)) <= 1e-7
+    assert transform_identity_residual(td, 5.0, (1, 1, 1, 1)) <= 1e-7
 
 
 def test_simple_zero_scan_mode2(uniform_m0, uniform_m0_modes):

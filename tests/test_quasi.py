@@ -95,10 +95,10 @@ NON_FINITE_CALLS = {
     "scan_nan": lambda: scan(uniform_system(), math.nan),
     "scan_inf": lambda: scan(uniform_system(), math.inf),
     "scan_ds_nan": lambda: scan(uniform_system(), 5.0, ds=math.nan),
-    "transform_nan": lambda: transform_identity_residual(UNIFORM_LEFT, -1.0, 0.0, math.nan,
-                                                         (0, 1, 0, 0)),
-    "transform_inf": lambda: transform_identity_residual(UNIFORM_LEFT, -1.0, 0.0, math.inf,
-                                                         (0, 1, 0, 0)),
+    "transform_nan": lambda: transform_identity_residual(
+        leighton_nehari_transform(UNIFORM_LEFT, -1.0, 0.0), math.nan, (0, 1, 0, 0)),
+    "transform_inf": lambda: transform_identity_residual(
+        leighton_nehari_transform(UNIFORM_LEFT, -1.0, 0.0), math.inf, (0, 1, 0, 0)),
 }
 
 
