@@ -108,7 +108,8 @@ def cmd_oracle(system, args):
          r.rel_error_coarse, r.rel_error_richardson, r.order)
         for r in compare(shooting, coarse, fine)
     ]
-    return (EXIT_OK, {"elements_per_side": args.elements},
+    return (EXIT_OK, {"elements_per_side": args.elements,
+                      "oracle_steps": [coarse.steps, fine.steps]},
             ["n", "shooting", "oracle_coarse", "oracle_fine", "richardson",
              "rel_error_coarse", "rel_error_richardson", "order"], rows)
 

@@ -150,6 +150,10 @@ def test_oracle_table(capsys):
     assert header == ["n", "shooting", "oracle_coarse", "oracle_fine",
                       "richardson", "rel_error_coarse", "rel_error_richardson",
                       "order"]
+    # subspace steps of the coarse and fine solves
+    steps = [ln for ln in out.splitlines() if ln.startswith("# oracle_steps: ")]
+    assert len(steps) == 1
+    assert all(1 <= int(v) <= 8 for v in steps[0][16:].strip("[]").split(","))
     for r in rows:
         assert float(r[5]) <= 1e-4
         assert float(r[6]) <= 1e-6
@@ -273,6 +277,15 @@ def test_solver_failure_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, ["spectrum", UNIFORM_M0, "--modes", "1"])
     assert code == 3
     assert "solver failure" in err
+
+
+def test_oracle_non_convergence_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr("beamspec.fem.MAX_STEPS", 2)
+    code, out, err = run(capsys, ["oracle", UNIFORM_M0, "--modes", "2",
+                                  "--elements", "20"])
+    assert code == 3
+    assert out == ""
+    assert "did not converge" in err
 
 
 def test_verification_violation_exit_4(capsys, monkeypatch):
