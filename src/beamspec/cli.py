@@ -191,7 +191,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except (ConfigError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationError, RuntimeError, ValueError) as exc:

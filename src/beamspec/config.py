@@ -12,8 +12,8 @@ JSON schema accepted by :func:`parse_system` / :func:`load_system`::
      "right": {"rho": [1, 0, 1], "sigma": [2, -1], "q": [1]}}
 
 "q" may be omitted and defaults to [0].  Polynomial degree is capped at 8.
-Admissibility is checked by sampling each polynomial on a 1001-point uniform
-grid of the closed span: rho and sigma must stay >= 1e-8 and q >= -1e-12
+Admissibility is checked where each polynomial is least on the closed
+span, at its critical_points: rho and sigma must stay >= 1e-8 and q >= -1e-12
 (q values in the tiny-negative band are clamped to zero on evaluation).
 
 The one coefficient evaluator, rho_sigma_q, clamps q; the one span rule,
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-GRID_POINTS = 1001
 MIN_RHO_SIGMA = 1e-8
 MIN_Q = -1e-12
 MAX_DEGREE = 8
@@ -56,6 +55,16 @@ def horner(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def critical_points(coeffs, interval):
+    """Where a polynomial (ascending coefficients) can be least or greatest
+    on the closed span interval = (lo, hi): its ends, then the real parts
+    of its derivative's roots inside."""
+    lo, hi = interval
+    slope = [k * c for k, c in enumerate(coeffs)][1:]
+    x = np.roots(slope[::-1]).real   # np.roots takes the highest power first
+    return np.array([lo, hi, *x[(lo < x) & (x < hi)]])
 
 
 def _check_coeffs(name, raw):
@@ -88,13 +97,12 @@ class CoefficientProfile:
             raise ConfigError(f"side must be 'left' or 'right', got {self.side!r}", key="side")
         for name in ("rho", "sigma", "q"):
             object.__setattr__(self, name, _check_coeffs(name, getattr(self, name)))
-        lo, hi = self.interval
-        xs = np.linspace(lo, hi, GRID_POINTS)
         for name, floor, word in (
             ("rho", MIN_RHO_SIGMA, "nonpositive"),
             ("sigma", MIN_RHO_SIGMA, "nonpositive"),
             ("q", MIN_Q, "negative"),
         ):
+            xs = critical_points(getattr(self, name), self.interval)
             vals = horner(getattr(self, name), xs)
             i = int(np.argmin(vals))
             if vals[i] < floor:

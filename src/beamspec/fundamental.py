@@ -18,9 +18,9 @@ whose zeros in (x, lam) flag eigenvalues of auxiliary clamped problems.
 The shear pairing also equals u1'*sigma*u2'' - u2'*sigma*u1'', which is
 used here as an independent accuracy monitor.
 
-The pairs are integrated by quasi's one integrator (quasi._batch_final_states)
-and held as Trajectory objects.  A pair is read at given points from one
-pass of its frames with the points as stations (_pair_frames).  Past
+Each pinned solution is its own pass of quasi.integrate.  The pairings
+are read at given points from one joint pass of the pair's frames with
+the points as stations (_pair_frames).  Past
 quasi.GROWTH_BOUND the true columns are nearly parallel and their 2x2
 minors cancel, so the pairings are read from the frames, whose minors
 times det R lose no digits.
@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MIRROR, in_span, rho_sigma_q
-from .quasi import (DEFAULT_REL_TOL, DEFAULT_STATIONS, Trajectory, _batch_final_states,
-                    _columns, _station_log_det)
+from .quasi import DEFAULT_REL_TOL, Trajectory, _batch_final_states, _station_log_det, integrate
 
 LEFT_UNIT_SLOPE = (0.0, 1.0, 0.0, 0.0)
 LEFT_UNIT_SHEAR = (0.0, 0.0, 0.0, 1.0)
@@ -56,7 +55,8 @@ class FundamentalSet:
     """The two pinned solutions of one span at a given lam.
 
     sign_ok records the span's sign-pattern check (None when lam == 0,
-    where the pattern statement does not apply).
+    where the pattern statement does not apply); rel_tol is the tolerance
+    of both, at which subwronskians integrates the pair again.
     """
 
     side: str
@@ -66,6 +66,7 @@ class FundamentalSet:
     unit_shear: Trajectory
     sign_ok: bool | None
     sign_violation: tuple | None
+    rel_tol: float
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,9 @@ def _pattern_check(trajectories, signs):
 def _fundamental(system, side, lam, rel_tol):
     profile = getattr(system, side)
     x_from, signs = _SPANS[side]
-    pair = _columns(profile, lam, np.linspace(x_from, 0.0, DEFAULT_STATIONS),
-                    signs * _LEFT_PAIR, rel_tol)
+    pair = [integrate(profile, lam, x_from, 0.0, init, rel_tol) for init in signs * _LEFT_PAIR]
     ok, violation = (None, None) if lam == 0 else _pattern_check(pair, signs)
-    return FundamentalSet(side, lam, profile, *pair, ok, violation)
+    return FundamentalSet(side, lam, profile, *pair, ok, violation, rel_tol)
 
 
 def left_fundamental(system, lam, rel_tol=DEFAULT_REL_TOL):
@@ -158,7 +158,7 @@ def _pairings(profile, lams, x, rel_tol):
 def subwronskians(fset, x):
     """The three pairings of the set at x from its frames: floats for a
     point x, arrays for a 1-D array of points (read in one pass)."""
-    vals = _pairings(fset.profile, [fset.lam], x, fset.unit_slope.rel_tol)[:3, 0]
+    vals = _pairings(fset.profile, [fset.lam], x, fset.rel_tol)[:3, 0]
     return SubwronskianTriple(*(vals[:, 0].tolist() if np.ndim(x) == 0 else vals))
 
 
@@ -171,7 +171,7 @@ def shear_identity_residual(fset, x):
     1.64e-9 at lam = 3e4, 3.04e-9 at 40**4).  A point x gives a float; a 1-D
     array of points gives an array.
     """
-    lhs, rhs = _pairings(fset.profile, [fset.lam], x, fset.unit_slope.rel_tol)[2:, 0]
+    lhs, rhs = _pairings(fset.profile, [fset.lam], x, fset.rel_tol)[2:, 0]
     residual = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
     return float(residual[0]) if np.ndim(x) == 0 else residual
 

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MIRROR, CoefficientProfile, horner, in_span, rho_sigma_q
+from .config import MIRROR, CoefficientProfile, critical_points, horner, in_span, rho_sigma_q
 from .fundamental import _pair_frames, first_violation
-from .quasi import DEFAULT_REL_TOL, Trajectory, _columns, integrate
+from .quasi import DEFAULT_REL_TOL, _column, integrate
 
 GAUGE_STATIONS = 257
 TRANSFORM_CHECK_POINTS = 65
@@ -195,7 +195,7 @@ def transform_identity_residual(td, lambda_like, init, rel_tol=DEFAULT_REL_TOL):
 
     # the original equation integrated in x to the warp's points x(t)
     x_t, h_t, flux_t = sol.y[:3]
-    x_traj = _columns(profile, lambda_like, np.clip(x_t, a, b), [init], rel_tol)[0]
+    x_traj = _column(profile, lambda_like, np.clip(x_t, a, b), init, rel_tol)
     w = x_traj.states.T * math.exp(x_traj.log_scale)
     images = np.stack([w[0], c * w[1] / h_t, (h_t * w[2] - w[1] * flux_t) / c, w[3]],
                       axis=1)
@@ -218,7 +218,7 @@ def simple_zero_scan(system, pair, rel_tol=DEFAULT_REL_TOL):
 
     Sign changes and slopes are read from the mode's own samples.  Each zero
     is located by integrating the sample state from the station before it,
-    a short step that stays well conditioned at large lam.  Each zero's |u'|
+    a short hop that stays well conditioned at large lam.  Each zero's |u'|
     must exceed ZERO_SLOPE_REL times the mode's slope scale.  Only defined for
     systems with mass = 0.
     """
@@ -226,9 +226,6 @@ def simple_zero_scan(system, pair, rel_tol=DEFAULT_REL_TOL):
 
     if system.mass != 0:
         raise ValueError("simple_zero_scan requires mass = 0")
-    spans = [Trajectory(pair.lam, xs, mode, 0.0, profile, rel_tol)
-             for xs, mode, profile in ((pair.xs_left, pair.mode_left, system.left),
-                                       (pair.xs_right, pair.mode_right, system.right))]
     modes = np.concatenate([pair.mode_left, pair.mode_right])
     u_scale = float(np.max(np.abs(modes[:, 0])))
     slope_scale = float(np.max(np.abs(modes[:, 1])))
@@ -240,15 +237,22 @@ def simple_zero_scan(system, pair, rel_tol=DEFAULT_REL_TOL):
         zeros.append((0.0, abs(float(pair.mode_left[-1, 1]))))
     # each span's zeros from its own samples; the left span starts at the
     # hinge x = -1, the right span's first station is x = 0
-    for span, first in zip(spans, (1, 0)):
-        us = span.states[:, 0]
-        for i in range(first, len(span.xs) - 1):
-            if abs(us[i]) < 1e-13 * u_scale:
-                zeros.append((float(span.xs[i]), abs(float(span.states[i, 1]))))
-            elif us[i] * us[i + 1] < 0:
-                x0 = brentq(lambda x: float(span.state_at(x)[0]), span.xs[i],
-                            span.xs[i + 1], xtol=1e-13)
-                zeros.append((float(x0), abs(float(span.state_at(x0)[1]))))
+    for xs, mode, profile, first in ((pair.xs_left, pair.mode_left, system.left, 1),
+                                     (pair.xs_right, pair.mode_right, system.right, 0)):
+        for i in range(first, len(xs) - 1):
+            if abs(mode[i, 0]) < 1e-13 * u_scale:
+                zeros.append((float(xs[i]), abs(float(mode[i, 1]))))
+            elif mode[i, 0] * mode[i + 1, 0] < 0:
+                def state(x):
+                    # a sample at its station, else a hop from the station before
+                    for j in (i, i + 1):
+                        if x == xs[j]:
+                            return mode[j]
+                    hop = _column(profile, pair.lam, np.array([xs[i], x]), mode[i], rel_tol)
+                    return hop.final_state * math.exp(hop.log_scale)
+
+                x0 = brentq(lambda x: float(state(x)[0]), xs[i], xs[i + 1], xtol=1e-13)
+                zeros.append((float(x0), abs(float(state(x0)[1]))))
 
     out = []
     for x0, sl in sorted(zeros):
@@ -312,15 +316,14 @@ def dim_check(profile, lam, variant, rel_tol=DEFAULT_REL_TOL):
 
 def random_profile(rng, side="right"):
     """An admissible random profile by rejection sampling: degree <= 3, P(q = 0) = 1/4."""
-    lo, hi = (-1.0, 0.0) if side == "left" else (0.0, 1.0)
-    xs = np.linspace(lo, hi, 201)
+    interval = (-1.0, 0.0) if side == "left" else (0.0, 1.0)
 
     def draw_positive(floor):
         while True:
             deg = int(rng.integers(0, 4))
             c0 = float(rng.uniform(0.4, 3.0))
             coeffs = [c0] + [float(rng.uniform(-0.5, 0.5) * c0) for _ in range(deg)]
-            if np.min(horner(coeffs, xs)) >= floor:
+            if np.min(horner(coeffs, critical_points(coeffs, interval))) >= floor:
                 return tuple(coeffs)
 
     def draw_nonneg():
@@ -330,7 +333,7 @@ def random_profile(rng, side="right"):
             deg = int(rng.integers(0, 4))
             c0 = float(rng.uniform(0.0, 2.0))
             coeffs = [c0] + [float(rng.uniform(-0.3, 0.3)) for _ in range(deg)]
-            if np.min(horner(coeffs, xs)) >= 0.0:
+            if np.min(horner(coeffs, critical_points(coeffs, interval))) >= 0.0:
                 return tuple(coeffs)
 
     return CoefficientProfile(

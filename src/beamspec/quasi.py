@@ -26,9 +26,8 @@ clipped to land on the far end.  The dense output is evaluated outside
 the step loop, for a few steps that passed a station at once, and only for
 the entries whose stations are read.  Every determinant, every mode and every
 Trajectory comes from this integrator, and a point between stations is
-read as a station of a new pass (or by Trajectory.state_at, a short step
-from the station before it); the public entry point is integrate,
-one column across a span, overflow-safe: its true states are the stored
+read as a station of a new pass; the public entry point is integrate,
+one solution across a span, overflow-safe: its true states are the stored
 ones times exp(log_scale).  The solve puts both spans in
 one pass: the right span enters as its mirror on (-1, 0)
 (config.mirrored), whose state is (u, -u', sigma*u'', -Tu); those sign
@@ -85,20 +84,17 @@ def _check_lam(lam):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One integrated column at stations xs, the first being its start.
+    """One solution at the stations xs of one pass, the first being its start.
 
     Stored states carry a common scaling: true value = states * exp(log_scale),
-    so they cannot overflow.  While the column stays below GROWTH_BOUND,
-    log_scale is 0 and the states are the true ones.  profile and rel_tol let
-    state_at integrate between stations.
+    so they cannot overflow.  While the solution stays below GROWTH_BOUND,
+    log_scale is 0 and the states are the true ones.
     """
 
     lam: float
     xs: np.ndarray
     states: np.ndarray
     log_scale: float
-    profile: CoefficientProfile
-    rel_tol: float
 
     @property
     def initial_state(self):
@@ -107,19 +103,6 @@ class Trajectory:
     @property
     def final_state(self):
         return self.states[-1]
-
-    def state_at(self, x):
-        """State at any covered x, in the stored (common) scale, integrated
-        from the station before x in the direction of integration."""
-        xs = self.xs
-        x = float(in_span(sorted((xs[0], xs[-1])), x))
-        direction = 1.0 if xs[-1] > xs[0] else -1.0
-        i = int(np.count_nonzero((x - xs) * direction >= 0.0)) - 1
-        if x == xs[i]:
-            return self.states[i]
-        shot = _batch_final_states(self.profile, [self.lam], xs[i], x, self.states[i],
-                                   self.rel_tol)
-        return shot.frames[0, -1, 0] * math.exp(shot.log_scale[0])
 
 
 def _check_args(profile, lam, x_from, x_to, rel_tol):
@@ -140,28 +123,18 @@ def _station_log_det(shot):
                               shot.epochs, axis=-1)
 
 
-def _columns(profile, lam, xs, inits, rel_tol):
-    """Integrate one or two initial states jointly.
+def _column(profile, lam, xs, init, rel_tol):
+    """Integrate one initial state through the stations xs, the first being
+    its start, in one pass.
 
-    xs are the stations, from the start in the direction of integration.
-    Returns one Trajectory per column: the frames times R_e ... R_1 at each
-    station.  That product is carried with its own log scale, so it cannot
-    overflow, and the last one sets the common log_scale.
+    At a station the true state is the frame times exp of the station's
+    log det (see _station_log_det); the Trajectory stores it relative to
+    the last station's, which sets log_scale, so it cannot overflow.
     """
-    shot = _batch_final_states(profile, [lam], xs[0], xs, inits, rel_tol)
-    frames, epochs, r_factors = shot.frames[0], shot.epochs[0], shot.r_factors[0]
-    products, logs = [np.eye(len(inits))], [0.0]
-    for r in r_factors[1:epochs[-1] + 1]:
-        p = r @ products[-1]
-        big = float(np.max(np.abs(p)))
-        products.append(p / big)
-        logs.append(logs[-1] + math.log(big))
-    products = np.array(products)[epochs]
-    scale = np.exp(np.array(logs)[epochs] - logs[-1])
-    # column i of the true pair is sum_j frame[:, j] * product[j, i]
-    states = np.einsum("sjc,sji->sic", frames, products) * scale[:, None, None]
-    return [Trajectory(lam, xs, states[:, i], logs[-1], profile, rel_tol)
-            for i in range(len(inits))]
+    shot = _batch_final_states(profile, [lam], xs[0], xs, init, rel_tol)
+    log_det = _station_log_det(shot)[0]
+    states = shot.frames[0, :, 0] * np.exp(log_det - log_det[-1])[:, None]
+    return Trajectory(lam, xs, states, float(log_det[-1]))
 
 
 def integrate(profile, lam, x_from, x_to, init, rel_tol=DEFAULT_REL_TOL,
@@ -175,7 +148,7 @@ def integrate(profile, lam, x_from, x_to, init, rel_tol=DEFAULT_REL_TOL,
     """
     if n_stations < 64:
         raise ValueError("need at least 64 stations")
-    return _columns(profile, lam, np.linspace(x_from, x_to, n_stations), [init], rel_tol)[0]
+    return _column(profile, lam, np.linspace(x_from, x_to, n_stations), init, rel_tol)
 
 
 def __getattr__(name):
@@ -379,7 +352,7 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
                          for c in zip(*(p.coeffs for p in profiles))),
                        np.tile(lams, len(profiles)))
     x = np.full(n, float(x_from))
-    # first trial: the whole way on a short span, as from state_at
+    # first trial: the whole way on a short span, as for a hop between stations
     h = np.full(n, min(0.01, abs(x_to - x_from)))
     # interior stations in the direction of integration, for searchsorted;
     # an entry that is not sampled starts past all of them

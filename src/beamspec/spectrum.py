@@ -38,7 +38,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import MIRROR, eval_coeff, in_span, mirrored, rho_sigma_q
+from .config import MIRROR, critical_points, eval_coeff, in_span, mirrored, rho_sigma_q
 from .fundamental import LEFT_UNIT_SHEAR, LEFT_UNIT_SLOPE, pairings
 # perfbench's tracer wraps these two names; the module itself does not call them
 from .fundamental import left_fundamental, right_fundamental  # noqa: F401
@@ -507,16 +507,12 @@ def suggest_s_max(system, count):
     with k = n pi/2.  One DEFAULT_DS more keeps a grid point past the root
     where the bound is exact (uniform M = 0).
     """
-    # each coefficient at the span ends and at the real parts of its
-    # critical points inside, over both spans
+    # each coefficient at its critical points, over both spans
     rho, sigma, q = values = [], [], []
     for profile in (system.left, system.right):
-        lo, hi = profile.interval
         for i, coeffs in enumerate(profile.coeffs):
-            slope = [k * c for k, c in enumerate(coeffs)][1:]
-            x = np.roots(slope[::-1]).real   # np.roots takes the highest power first
             values[i].extend(rho_sigma_q(profile.coeffs,
-                                         np.array([lo, hi, *x[(lo < x) & (x < hi)]]))[i])
+                                         critical_points(coeffs, profile.interval))[i])
 
     k = count * math.pi / 2.0
     lam = (max(sigma) * k ** 4 + max(q) * k ** 2) / min(rho)

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import beamspec as bs
-from beamspec.config import GRID_POINTS
 
 # the systems shipped as example configs; acceptance criteria quantify over these
 SHIPPED_BUILDERS = {
@@ -72,14 +71,14 @@ def reference_final_states(profile, lam, x_from, x_to, inits, rel_tol=1e-10):
 
 
 def heuristic_s_max(system, count):
-    """(count + 2) * pi/2 * max(sigma/rho)**(1/4), sampled on the config grid:
-    the scan ceiling solve_modes used before it had a proven bound.  Tests
-    that need a ceiling well past mode six scan up to it, so they keep the
-    grids their pinned results were taken on."""
+    """(count + 2) * pi/2 * max(sigma/rho)**(1/4), sampled on a 1001-point
+    grid of each span: the scan ceiling solve_modes used before it had a
+    proven bound.  Tests that need a ceiling well past mode six scan up to
+    it, so they keep the grids their pinned results were taken on."""
     ratio = 0.0
     for profile in (system.left, system.right):
         lo, hi = profile.interval
-        xs = np.linspace(lo, hi, GRID_POINTS)
+        xs = np.linspace(lo, hi, 1001)
         ratio = max(ratio, float(np.max(bs.eval_coeff(profile, "sigma", xs)
                                         / bs.eval_coeff(profile, "rho", xs))))
     return (count + 2) * (math.pi / 2.0) * ratio ** 0.25

@@ -239,6 +239,35 @@ def test_bad_config_exit_2(tmp_path, capsys):
     assert "sigma" in err
 
 
+def test_config_breaking_positivity_between_grid_points_exit_2(tmp_path, capsys):
+    # rho dips to -1e-7 at x = -0.4995, between the points of a 1001-point grid
+    bad = tmp_path / "dip.json"
+    bad.write_text('{"M": 0, "left": {"rho": [0.24950015, 0.999, 1.0], "sigma": [1]}, '
+                   '"right": {"rho": [1], "sigma": [1]}}')
+    code, out, err = run(capsys, ["spectrum", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: rho nonpositive at x=-0.4995 ")
+
+
+def test_config_under_a_file_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "x.json"
+    blocker.write_text("{}")
+    code, _, err = run(capsys, ["spectrum", str(blocker / "y.json")])
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_out_under_a_file_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "x.json"
+    blocker.write_text("{}")
+    code, out, err = run(capsys, ["spectrum", UNIFORM_M0, "--modes", "1",
+                                  "--out", str(blocker / "y")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_non_utf8_config_exit_2(tmp_path, capsys):
     path = tmp_path / "bin.json"
     path.write_bytes(b"\xff\xfe\x00")

@@ -9,6 +9,7 @@ from beamspec.config import (
     CoefficientProfile,
     ConfigError,
     ConstraintError,
+    critical_points,
     eval_coeff,
     load_system,
     mirrored,
@@ -43,6 +44,29 @@ def test_negative_sigma_rejected():
     })
     with pytest.raises(ConstraintError, match="sigma nonpositive at x=-1"):
         parse_system(doc)
+
+
+# rho = 0.24950015 + 0.999x + x^2 dips to -1e-7 at x = -0.4995, between the
+# points of a 1001-point grid of the span
+DIP_DOC = json.dumps({
+    "M": 0,
+    "left": {"rho": [0.24950015, 0.999, 1.0], "sigma": [1]},
+    "right": {"rho": [1], "sigma": [1]},
+})
+
+
+def test_minimum_between_grid_points_rejected():
+    with pytest.raises(ConstraintError, match=r"^rho nonpositive at x=-0\.4995 \(value -1"):
+        parse_system(DIP_DOC)
+
+
+def test_critical_points():
+    assert critical_points((1.0,), (-1.0, 0.0)).tolist() == [-1.0, 0.0]
+    np.testing.assert_allclose(critical_points((0.24950015, 0.999, 1.0), (-1.0, 0.0)),
+                               [-1.0, 0.0, -0.4995], rtol=1e-15)
+    # a critical point on an end or outside the span is not repeated
+    assert critical_points((0.0, 0.0, 1.0), (0.0, 1.0)).tolist() == [0.0, 1.0]
+    assert critical_points((0.0, -2.0, 1.0), (-1.0, 0.0)).tolist() == [-1.0, 0.0]
 
 
 def test_sloped_rho_accepted():

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from beamspec.config import eval_coeff, uniform_system, variable_system
+from beamspec.config import MIRROR, eval_coeff, uniform_system, variable_system
 from beamspec.fundamental import (
+    LEFT_UNIT_SHEAR,
+    LEFT_UNIT_SLOPE,
+    _pairings,
     left_fundamental,
     right_fundamental,
     shear_identity_residual,
@@ -56,9 +59,33 @@ def test_right_sign_pattern(lam):
     for system in (UNIFORM, VARIABLE):
         fset = right_fundamental(system, lam)
         assert fset.sign_ok, fset.sign_violation
-        # spot-check the pattern (+,-,+,-) at an interior station
-        w = fset.unit_slope.state_at(0.4)
+        # spot-check the pattern (+,-,+,-) at an interior point, the end of
+        # the unit-slope solution's own pass
+        w = integrate(system.right, lam, 1.0, 0.4, fset.unit_slope.initial_state).final_state
         assert w[0] > 0 and w[1] < 0 and w[2] > 0 and w[3] < 0
+
+
+@pytest.mark.parametrize("lam", [0.0, 700.0, 40.0 ** 4])
+def test_pinned_pair_is_two_integrations(lam):
+    # each pinned solution is its own pass: integrate of its initial state,
+    # bit for bit, on both spans
+    for fset, x_from, signs in ((left_fundamental(VARIABLE, lam), -1.0, np.ones(4)),
+                                (right_fundamental(VARIABLE, lam), 1.0, MIRROR)):
+        for traj, init in ((fset.unit_slope, LEFT_UNIT_SLOPE),
+                           (fset.unit_shear, LEFT_UNIT_SHEAR)):
+            alone = integrate(fset.profile, lam, x_from, 0.0, signs * init)
+            assert np.array_equal(traj.xs, alone.xs)
+            assert np.array_equal(traj.states, alone.states)
+            assert traj.log_scale == alone.log_scale
+
+
+def test_subwronskians_read_at_the_set_tolerance():
+    fset = left_fundamental(VARIABLE, 700.0, rel_tol=1e-12)
+    assert fset.rel_tol == 1e-12
+    t = subwronskians(fset, -0.3)
+    got = (t.slope, t.curvature, t.shear)
+    assert got == tuple(_pairings(VARIABLE.left, [700.0], -0.3, 1e-12)[:3, 0, 0])
+    assert got != tuple(_pairings(VARIABLE.left, [700.0], -0.3, 1e-10)[:3, 0, 0])
 
 
 def test_negative_lam_rejected():
