@@ -19,7 +19,7 @@ from . import __version__
 from .config import ConfigError, load_system
 from .fem import assemble, compare, solve_generalized
 from .quasi import REL_TOL_MAX, REL_TOL_MIN, IntegrationError
-from .spectrum import solve_modes, verify
+from .spectrum import DEFAULT_MODE_STATIONS, MIN_MODE_STATIONS, solve_modes, verify
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,7 +70,7 @@ def cmd_verify(system, args):
 
 def cmd_modes(system, args):
     stations = args.stations if args.stations % 2 == 1 else args.stations + 1
-    stations = max(stations, 129)   # eigenpair needs an odd count >= 129
+    stations = max(stations, MIN_MODE_STATIONS)   # solve_modes needs an odd count >= it
     pairs = solve_modes(system, args.modes, rel_tol=args.tol,
                         stations_per_side=stations)
     rows = []
@@ -128,9 +128,9 @@ def _build_parser():
                        help="integration relative tolerance")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         if stations:
-            p.add_argument("--stations", type=int, default=129,
-                           help="sample stations per side (>= 65; raised to an "
-                                "odd count >= 129)")
+            p.add_argument("--stations", type=int, default=DEFAULT_MODE_STATIONS,
+                           help="sample stations per side (>= 65; raised to an odd "
+                                f"count >= {MIN_MODE_STATIONS}; default %(default)s)")
         if masses:
             p.add_argument("--mass-list", default="0,0.5,1,10",
                            help="comma-separated masses to sweep")

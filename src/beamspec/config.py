@@ -62,6 +62,8 @@ def critical_points(coeffs, interval):
     on the closed span interval = (lo, hi): its ends, then the real parts
     of its derivative's roots inside."""
     lo, hi = interval
+    if len(coeffs) <= 2:    # a constant or a line: no interior critical point
+        return np.array([lo, hi])
     slope = [k * c for k, c in enumerate(coeffs)][1:]
     x = np.roots(slope[::-1]).real   # np.roots takes the highest power first
     return np.array([lo, hi, *x[(lo < x) & (x < hi)]])

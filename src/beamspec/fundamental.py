@@ -20,10 +20,10 @@ used here as an independent accuracy monitor.
 
 Each pinned solution is its own pass of quasi.integrate.  The pairings
 are read at given points from one joint pass of the pair's frames with
-the points as stations (_pair_frames).  Past
-quasi.GROWTH_BOUND the true columns are nearly parallel and their 2x2
-minors cancel, so the pairings are read from the frames, whose minors
-times det R lose no digits.
+the points as stations (_pair_frames).  Both run at quasi.DEFAULT_REL_TOL,
+so a set and its pairings share one tolerance.  Past quasi.GROWTH_BOUND
+the true columns are nearly parallel and their 2x2 minors cancel, so the
+pairings are read from the frames, whose minors times det R lose no digits.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MIRROR, in_span, rho_sigma_q
-from .quasi import DEFAULT_REL_TOL, Trajectory, _batch_final_states, _station_log_det, integrate
+from .quasi import Trajectory, _batch_final_states, _station_log_det, integrate
 
 LEFT_UNIT_SLOPE = (0.0, 1.0, 0.0, 0.0)
 LEFT_UNIT_SHEAR = (0.0, 0.0, 0.0, 1.0)
@@ -55,8 +55,7 @@ class FundamentalSet:
     """The two pinned solutions of one span at a given lam.
 
     sign_ok records the span's sign-pattern check (None when lam == 0,
-    where the pattern statement does not apply); rel_tol is the tolerance
-    of both, at which subwronskians integrates the pair again.
+    where the pattern statement does not apply).
     """
 
     side: str
@@ -66,7 +65,6 @@ class FundamentalSet:
     unit_shear: Trajectory
     sign_ok: bool | None
     sign_violation: tuple | None
-    rel_tol: float
 
 
 @dataclass(frozen=True)
@@ -98,22 +96,22 @@ def _pattern_check(trajectories, signs):
     return True, None
 
 
-def _fundamental(system, side, lam, rel_tol):
+def _fundamental(system, side, lam):
     profile = getattr(system, side)
     x_from, signs = _SPANS[side]
-    pair = [integrate(profile, lam, x_from, 0.0, init, rel_tol) for init in signs * _LEFT_PAIR]
+    pair = [integrate(profile, lam, x_from, 0.0, init) for init in signs * _LEFT_PAIR]
     ok, violation = (None, None) if lam == 0 else _pattern_check(pair, signs)
-    return FundamentalSet(side, lam, profile, *pair, ok, violation, rel_tol)
+    return FundamentalSet(side, lam, profile, *pair, ok, violation)
 
 
-def left_fundamental(system, lam, rel_tol=DEFAULT_REL_TOL):
+def left_fundamental(system, lam):
     """Pinned pair of the left span; positivity on (-1, 0] checked for lam > 0."""
-    return _fundamental(system, "left", lam, rel_tol)
+    return _fundamental(system, "left", lam)
 
 
-def right_fundamental(system, lam, rel_tol=DEFAULT_REL_TOL):
+def right_fundamental(system, lam):
     """Pinned pair of the right span; pattern (+,-,+,-) on [0, 1) checked for lam > 0."""
-    return _fundamental(system, "right", lam, rel_tol)
+    return _fundamental(system, "right", lam)
 
 
 def pairings(wa, wb, sigma):
@@ -127,7 +125,7 @@ def pairings(wa, wb, sigma):
             wa[0] * wb[3] - wb[0] * wa[3])
 
 
-def _pair_frames(profile, lams, x, rel_tol):
+def _pair_frames(profile, lams, x):
     """The span's pinned pair at the points x for each of N lams: the two
     frame columns (4, N, P) and log det R_e ... R_1 (N, P), whose exp turns
     the frame's 2x2 minors into the true pairings.  One pass from the
@@ -138,18 +136,17 @@ def _pair_frames(profile, lams, x, rel_tol):
     x = in_span(profile.interval, x)
     # the points and x = 0, in the direction of integration, -x_from
     stations, where = np.unique(np.append(x, 0.0) * -x_from, return_inverse=True)
-    shot = _batch_final_states(profile, lams, x_from, stations * -x_from,
-                               signs * _LEFT_PAIR, rel_tol)
+    shot = _batch_final_states(profile, lams, x_from, stations * -x_from, signs * _LEFT_PAIR)
     wa, wb = np.moveaxis(shot.frames[:, where[:-1]], (2, 3), (0, 1))
     return wa, wb, _station_log_det(shot)[:, where[:-1]]
 
 
-def _pairings(profile, lams, x, rel_tol):
+def _pairings(profile, lams, x):
     """The slope, curvature and shear pairings of the span's pinned pair at
     the points x for each of N lams, and the shear's second form
     u1'*sigma*u2'' - u2'*sigma*u1'', as an array (4, N, P): the frame's
     minors (see _pair_frames) times exp(log det R_e ... R_1)."""
-    wa, wb, log_det = _pair_frames(profile, lams, x, rel_tol)
+    wa, wb, log_det = _pair_frames(profile, lams, x)
     sigma = rho_sigma_q(profile.coeffs, np.asarray(x, dtype=float))[1]
     return (np.stack([*pairings(wa, wb, sigma), wa[1] * wb[2] - wb[1] * wa[2]])
             * np.exp(log_det))
@@ -158,7 +155,7 @@ def _pairings(profile, lams, x, rel_tol):
 def subwronskians(fset, x):
     """The three pairings of the set at x from its frames: floats for a
     point x, arrays for a 1-D array of points (read in one pass)."""
-    vals = _pairings(fset.profile, [fset.lam], x, fset.rel_tol)[:3, 0]
+    vals = _pairings(fset.profile, [fset.lam], x)[:3, 0]
     return SubwronskianTriple(*(vals[:, 0].tolist() if np.ndim(x) == 0 else vals))
 
 
@@ -166,12 +163,12 @@ def shear_identity_residual(fset, x):
     """|shear - (u1'*sigma*u2'' - u2'*sigma*u1'')| / max(1, |shear|) at x.
 
     The two expressions agree identically; the residual measures integration
-    accuracy: for rel_tol <= 1e-10 it stays below 1e-9 up to lam = 700 and
+    accuracy: at the default tolerance it stays below 1e-9 up to lam = 700 and
     below 4e-9 up to lam = 40**4 (variable_system(1.0), 129 stations per span:
     1.64e-9 at lam = 3e4, 3.04e-9 at 40**4).  A point x gives a float; a 1-D
     array of points gives an array.
     """
-    lhs, rhs = _pairings(fset.profile, [fset.lam], x, fset.rel_tol)[2:, 0]
+    lhs, rhs = _pairings(fset.profile, [fset.lam], x)[2:, 0]
     residual = np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
     return float(residual[0]) if np.ndim(x) == 0 else residual
 
@@ -188,7 +185,7 @@ class VanishingScanReport:
     violations: tuple
 
 
-def vanishing_scan(system, side, lambdas, rel_tol=DEFAULT_REL_TOL):
+def vanishing_scan(system, side, lambdas):
     """Probe that no two subwronskians vanish together at any (x, lam).
 
     At every grid point where one pairing has magnitude below
@@ -200,7 +197,7 @@ def vanishing_scan(system, side, lambdas, rel_tol=DEFAULT_REL_TOL):
     profile = getattr(system, side)
     xs = np.linspace(_SPANS[side][0], 0.0, VANISH_X_POINTS + 1)[1:]
     # (3, points), points ordered by lam, then x
-    vals = _pairings(profile, lambdas, xs, rel_tol)[:3].reshape(3, -1)
+    vals = _pairings(profile, lambdas, xs)[:3].reshape(3, -1)
     mags = np.abs(vals)
     scale = float(np.max(mags))
     near = mags < VANISH_ZERO_REL * scale

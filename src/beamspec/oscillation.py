@@ -18,7 +18,7 @@ Four independent probes live here:
 
 Every integration here runs on quasi's integrator, the gauge included,
 except the warped reference path of transform_identity_residual: the only
-scipy solve_ivp call in the package.
+scipy solve_ivp call in the package.  All run at quasi.DEFAULT_REL_TOL.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import MIRROR, CoefficientProfile, critical_points, horner, in_span, rho_sigma_q
 from .fundamental import _pair_frames, first_violation
-from .quasi import DEFAULT_REL_TOL, _column, integrate
+from .quasi import DEFAULT_REL_TOL, _column, _dop853_tolerances, integrate
 
 GAUGE_STATIONS = 257
 TRANSFORM_CHECK_POINTS = 65
@@ -50,8 +50,7 @@ class PropagationResult:
     value: float | None = None
 
 
-def positivity_propagation(profile, lambda_like, init, direction="forward",
-                           rel_tol=DEFAULT_REL_TOL):
+def positivity_propagation(profile, lambda_like, init, direction="forward"):
     """Propagate a sign-definite quadruple across the span; check it stays positive.
 
     Forward runs start at the span's left end with all four components >= 0;
@@ -76,7 +75,7 @@ def positivity_propagation(profile, lambda_like, init, direction="forward",
 
     lo, hi = profile.interval
     x_from, x_to = (lo, hi) if direction == "forward" else (hi, lo)
-    traj = integrate(profile, lambda_like, x_from, x_to, init, rel_tol)
+    traj = integrate(profile, lambda_like, x_from, x_to, init)
     violation = first_violation(traj, signs)
     if violation is None:
         return PropagationResult(passed=True)
@@ -99,7 +98,7 @@ class TransformData:
     rho_tilde: np.ndarray
 
 
-def leighton_nehari_transform(profile, a, b, rel_tol=DEFAULT_REL_TOL):
+def leighton_nehari_transform(profile, a, b):
     """Solve the gauge equation and build the warped problem data at
     GAUGE_STATIONS stations.
 
@@ -116,7 +115,7 @@ def leighton_nehari_transform(profile, a, b, rel_tol=DEFAULT_REL_TOL):
     in_span(profile.interval, (a, b))
     if not a < b:
         raise ValueError(f"need a < b, got [{a:g}, {b:g}]")
-    gauge = integrate(profile, 0.0, a, b, (0.0, 1.0, 0.0, 0.0), rel_tol, GAUGE_STATIONS)
+    gauge = integrate(profile, 0.0, a, b, (0.0, 1.0, 0.0, 0.0), n_stations=GAUGE_STATIONS)
     xs = gauge.xs
     acc, h, flux, _ = (gauge.states * math.exp(gauge.log_scale)).T
     if np.any(h <= 0.0):
@@ -138,7 +137,7 @@ def leighton_nehari_transform(profile, a, b, rel_tol=DEFAULT_REL_TOL):
     )
 
 
-def transform_identity_residual(td, lambda_like, init, rel_tol=DEFAULT_REL_TOL):
+def transform_identity_residual(td, lambda_like, init):
     """Dual-path mismatch between original and warped integrations of the
     transform td (from leighton_nehari_transform).
 
@@ -187,15 +186,14 @@ def transform_identity_residual(td, lambda_like, init, rel_tol=DEFAULT_REL_TOL):
     init = np.asarray(init, dtype=float)
     y0 = [a, 1.0, 0.0, init[0], c * init[1], init[2] / c, init[3]]
     ts = np.linspace(a, b, TRANSFORM_CHECK_POINTS)
-    sol = solve_ivp(rhs, (a, b), y0, method="DOP853",
-                    rtol=max(rel_tol / 10.0, 2.3e-14), atol=rel_tol * 1e-6,
-                    t_eval=ts)
+    rtol, atol = _dop853_tolerances(DEFAULT_REL_TOL)
+    sol = solve_ivp(rhs, (a, b), y0, method="DOP853", rtol=rtol, atol=atol, t_eval=ts)
     if not sol.success:
         raise RuntimeError(f"warped integration failed: {sol.message}")
 
     # the original equation integrated in x to the warp's points x(t)
     x_t, h_t, flux_t = sol.y[:3]
-    x_traj = _column(profile, lambda_like, np.clip(x_t, a, b), init, rel_tol)
+    x_traj = _column(profile, lambda_like, np.clip(x_t, a, b), init)
     w = x_traj.states.T * math.exp(x_traj.log_scale)
     images = np.stack([w[0], c * w[1] / h_t, (h_t * w[2] - w[1] * flux_t) / c, w[3]],
                       axis=1)
@@ -213,7 +211,7 @@ class ZeroInfo:
     simple: bool
 
 
-def simple_zero_scan(system, pair, rel_tol=DEFAULT_REL_TOL):
+def simple_zero_scan(system, pair):
     """Locate interior sign-change zeros of a mass-free mode; check simplicity.
 
     Sign changes and slopes are read from the mode's own samples.  Each zero
@@ -248,7 +246,7 @@ def simple_zero_scan(system, pair, rel_tol=DEFAULT_REL_TOL):
                     for j in (i, i + 1):
                         if x == xs[j]:
                             return mode[j]
-                    hop = _column(profile, pair.lam, np.array([xs[i], x]), mode[i], rel_tol)
+                    hop = _column(profile, pair.lam, np.array([xs[i], x]), mode[i])
                     return hop.final_state * math.exp(hop.log_scale)
 
                 x0 = brentq(lambda x: float(state(x)[0]), xs[i], xs[i + 1], xtol=1e-13)
@@ -284,7 +282,7 @@ class BoundaryVariant:
             raise ValueError("(alpha, beta) must not both be zero")
 
 
-def dim_check(profile, lam, variant, rel_tol=DEFAULT_REL_TOL):
+def dim_check(profile, lam, variant):
     """Measured dimension of the hinged family pinned by the variant condition.
 
     The hinged-end family of one span is two-dimensional; the variant adds a
@@ -301,7 +299,7 @@ def dim_check(profile, lam, variant, rel_tol=DEFAULT_REL_TOL):
     if profile.side == "right" and prod < 0:
         raise ValueError("right-span variants need alpha*beta >= 0")
     # the pair's frame at x = 0: the row's rank does not depend on the basis
-    w1, w2 = (w[:, 0, 0] for w in _pair_frames(profile, [lam], 0.0, rel_tol)[:2])
+    w1, w2 = (w[:, 0, 0] for w in _pair_frames(profile, [lam], 0.0)[:2])
     # the variant's functional on a state w: alpha*w[i] - beta*w[j]/d
     if variant.kind == "slope_vs_curvature":
         i, j, d = 1, 2, rho_sigma_q(profile.coeffs, 0.0)[1]

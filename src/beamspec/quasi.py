@@ -12,7 +12,8 @@ w3/sigma when needed.
 One integrator steps it, _batch_final_states: the DOP853 tableau stepped
 with numpy over an axis of entries, one (coefficient set, lam) pair each;
 config.rho_sigma_q evaluates their stacked coefficient columns, and
-config.in_span checks that a pass starts and ends inside the span.
+config.in_span checks that a pass starts and ends inside the span, and
+_dop853_tolerances maps its rel_tol to DOP853's rtol and atol.
 Each entry takes its own steps, its step error being a max over its
 components, so its result does not depend on the rest of the batch.  An
 entry integrates one column or a pair and keeps it orthonormal past
@@ -123,7 +124,12 @@ def _station_log_det(shot):
                               shot.epochs, axis=-1)
 
 
-def _column(profile, lam, xs, init, rel_tol):
+def _dop853_tolerances(rel_tol):
+    """DOP853's (rtol, atol) at rel_tol, for this module and the warped path."""
+    return max(rel_tol / 10.0, 2.3e-14), rel_tol * 1e-6
+
+
+def _column(profile, lam, xs, init, rel_tol=DEFAULT_REL_TOL):
     """Integrate one initial state through the stations xs, the first being
     its start, in one pass.
 
@@ -176,7 +182,6 @@ _dop853 = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_dop853)
 _N_STAGES = _dop853.N_STAGES
 _DOP_A = _dop853.A
-_DOP_B = _dop853.B
 _DOP_C = _dop853.C
 _DOP_D = _dop853.D
 _DOP_E5 = _dop853.E5[:_N_STAGES]
@@ -330,8 +335,7 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     if not (np.all(np.diff(stations) * direction > 0.0)
             and (stations[0] - x_from) * direction >= 0.0):
         raise ValueError("stations must run strictly from x_from to the far end")
-    rtol = max(rel_tol / 10.0, 2.3e-14)
-    atol = rel_tol * 1e-6
+    rtol, atol = _dop853_tolerances(rel_tol)
     n = len(profiles) * lams.size
     inits = np.atleast_2d(np.asarray(inits, dtype=float))
     k = inits.shape[0]

@@ -24,9 +24,9 @@ bracketed Newton iteration, one batched pass per iteration, starting from
 the determinant values the scan kept at the bracket ends (refine is the
 one-bracket case).  solve_modes assembles all its modes, with their
 simplicity probes, from one more batched pass with stations (eigenpair is
-the one-lam case): the joint null vector of the last frames is carried back
-through the orthonormalisations, so the modes keep their shape at large lam
-too.
+the one-lam case at the defaults): the joint null vector of the last frames
+is carried back through the orthonormalisations, so the modes keep their
+shape at large lam too.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .quasi import DEFAULT_REL_TOL, Shot, _batch_final_states
 
 DEFAULT_DS = 0.02
 DEFAULT_MODE_STATIONS = 257   # per side; keeps Simpson quadrature error ~1e-8
+MIN_MODE_STATIONS = 129       # per side, and odd for Simpson's rule
 SIGN_CONVENTION_EPS = 1e-12
 DEGENERACY_GAP = 1e3
 PROBE_REL_STEP = 1e-4
@@ -75,7 +76,7 @@ def _build_matrix(left_states, right_states, mass, lam):
     return np.concatenate([left, -np.swapaxes(right_states, -1, -2)], axis=-1)
 
 
-def interface_matrix(system, lam, rel_tol=DEFAULT_REL_TOL):
+def interface_matrix(system, lam):
     """The 4x4 joint-condition matrix at lam, as (matrix, col_log_scale).
 
     Each span's two columns are its endpoint pair as integrated; once the
@@ -83,7 +84,7 @@ def interface_matrix(system, lam, rel_tol=DEFAULT_REL_TOL):
     the same plane instead.  Either way the true determinant is
     det(matrix) * exp(sum(col_log_scale)).
     """
-    _, matrices, col_log = _batch_matrices(system, np.array([float(lam)]), rel_tol)
+    _, matrices, col_log = _batch_matrices(system, np.array([float(lam)]), DEFAULT_REL_TOL)
     return matrices[0], col_log[0]
 
 
@@ -110,9 +111,9 @@ def _signed_log_det(matrices, col_log_scale):
     return sign, log_abs
 
 
-def char_det(system, lam, rel_tol=DEFAULT_REL_TOL):
+def char_det(system, lam):
     """Characteristic determinant at lam, sign-exact: (sign, log |det|)."""
-    sign, log_abs = _batch_dets(system, np.array([float(lam)]), rel_tol)
+    sign, log_abs = _batch_dets(system, np.array([float(lam)]), DEFAULT_REL_TOL)
     return int(sign[0]), float(log_abs[0])
 
 
@@ -337,13 +338,10 @@ def _simpson(y, x):
                                 + y[2::2] * (2.0 - ratio)))
 
 
-def eigenpair(system, lam, rel_tol=DEFAULT_REL_TOL,
-              stations_per_side=DEFAULT_MODE_STATIONS, index=None):
-    """Assemble the normalized mode at a refined eigenvalue lam.
-
-    The one-lam case of the assembly in solve_modes, with the same bits.
-    """
-    return _eigenpairs(system, [lam], rel_tol, stations_per_side, [index])[0]
+def eigenpair(system, lam, index=None):
+    """The normalized mode at a refined eigenvalue lam: the one-lam case of
+    the assembly in solve_modes at the defaults, with the same bits."""
+    return _eigenpairs(system, [lam], DEFAULT_REL_TOL, DEFAULT_MODE_STATIONS, [index])[0]
 
 
 def _eigenpairs(system, lams, rel_tol, stations_per_side, indices):
@@ -356,8 +354,6 @@ def _eigenpairs(system, lams, rel_tol, stations_per_side, indices):
     direction of integration, so this recursion is stable.  A station of
     epoch e then holds the mode as its frame times c_e.  The pass is _probe's.
     """
-    if stations_per_side < 129 or stations_per_side % 2 == 0:
-        raise ValueError("stations_per_side must be odd and >= 129")
     lams = np.asarray(lams, dtype=float)
     xs = np.linspace(-1.0, 0.0, stations_per_side)
     shot, matrices, slopes, margins, classes = _probe(system, lams, rel_tol, xs)
@@ -484,15 +480,15 @@ def _probe(system, lams, rel_tol, stations=(0.0,)):
     return Shot(*(a[:, :n] for a in shot)), matrices[:n], slope, margin, step_class
 
 
-def det_slope(system, lam, rel_tol=DEFAULT_REL_TOL):
+def det_slope(system, lam):
     """(slope, margin) of the determinant at lam: the one-lam case of _probe."""
-    slope, margin, _ = _probe(system, [lam], rel_tol)[2:]
+    slope, margin, _ = _probe(system, [lam], DEFAULT_REL_TOL)[2:]
     return float(slope[0]), float(margin[0])
 
 
-def step_classify(system, lam, rel_tol=DEFAULT_REL_TOL):
+def step_classify(system, lam):
     """Step class (1, 2 or 3) of the joint at lam: the one-lam case of _probe."""
-    return int(_probe(system, [lam], rel_tol)[4][0])
+    return int(_probe(system, [lam], DEFAULT_REL_TOL)[4][0])
 
 
 def suggest_s_max(system, count):
@@ -524,6 +520,8 @@ def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL,
     """First `count` eigenpairs, ascending, via scan + refine_brackets + assembly."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if stations_per_side < MIN_MODE_STATIONS or stations_per_side % 2 == 0:
+        raise ValueError(f"stations_per_side must be odd and >= {MIN_MODE_STATIONS}")
     s_max = suggest_s_max(system, count)
     brackets = scan(system, s_max, DEFAULT_DS, rel_tol)
     if len(brackets) < count:
@@ -601,7 +599,7 @@ def verify(system, eigenpairs):
     for i in range(n):
         for j in range(i, n):
             gram[i, j] = gram[j, i] = h_inner(system, eigenpairs[i], eigenpairs[j])
-    offdiag = float(np.max(np.abs(gram - np.diag(np.diag(gram))))) if n > 1 else 0.0
+    offdiag = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
 
     lams = [p.lam for p in eigenpairs]
     positivity = all(l > 0 for l in lams)

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import beamspec as bs
+from beamspec.quasi import _dop853_tolerances
 
 # the systems shipped as example configs; acceptance criteria quantify over these
 SHIPPED_BUILDERS = {
@@ -64,8 +65,9 @@ def reference_final_states(profile, lam, x_from, x_to, inits, rel_tol=1e-10):
         w = y.reshape(-1, 4).T
         return np.stack([w[1], w[2] / sig, w[3] + q * w[1], lam * rho * w[0]]).T.ravel()
 
+    rtol, atol = _dop853_tolerances(rel_tol)
     sol = solve_ivp(rhs, (x_from, x_to), np.ravel(inits), method="DOP853",
-                    rtol=max(rel_tol / 10.0, 2.3e-14), atol=rel_tol * 1e-6)
+                    rtol=rtol, atol=atol)
     assert sol.success, sol.message
     return sol.y[:, -1].reshape(-1, 4)
 

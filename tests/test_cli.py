@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 
 from beamspec.cli import main
+from beamspec.spectrum import DEFAULT_MODE_STATIONS
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 CONFIG_DIR = "configs"
 UNIFORM_M0 = f"{CONFIG_DIR}/uniform_m0.json"
 UNIFORM_M1 = f"{CONFIG_DIR}/uniform_m1.json"
+VARIABLE_M1 = f"{CONFIG_DIR}/variable_m1.json"
 
 
 def source_env():
@@ -114,6 +117,21 @@ def test_modes_csv(capsys):
     # mode 1 peaks at the joint
     at_joint = np.isclose(xs, 0.0)
     assert np.max(us[at_joint]) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_modes_match_spectrum(capsys):
+    # modes samples at the stations spectrum normalises at, so each mode's
+    # left-span row at x = 0 carries spectrum's u0 to the last digit
+    _, out, _ = run(capsys, ["modes", VARIABLE_M1, "--modes", "3"])
+    assert f"# stations_per_side: {DEFAULT_MODE_STATIONS}" in out.splitlines()
+    _, rows = csv_rows(out)
+    joint = {}
+    for r in rows:
+        if float(r[0]) == 0.0:
+            joint.setdefault(r[1], r[2])    # the left span's x = 0 row comes first
+    _, out2, _ = run(capsys, ["spectrum", VARIABLE_M1, "--modes", "3"])
+    _, rows2 = csv_rows(out2)
+    assert joint == {r[0]: r[3] for r in rows2}
 
 
 def test_sweep_matches_spectrum(capsys):
@@ -284,6 +302,15 @@ def test_missing_config_exit_2(capsys):
 def test_stations_guard(capsys):
     code, _, _ = run(capsys, ["modes", UNIFORM_M0, "--stations", "10"])
     assert code == 2
+
+
+def test_readme_quick_tour_runs(capsys):
+    # the README's library quick tour, the one python block, runs as printed
+    readme = (SRC_DIR.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip() == "[1, 1, 1, 1, 1, 1]"
 
 
 def test_output_file(tmp_path, capsys):

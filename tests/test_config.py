@@ -61,7 +61,10 @@ def test_minimum_between_grid_points_rejected():
 
 
 def test_critical_points():
-    assert critical_points((1.0,), (-1.0, 0.0)).tolist() == [-1.0, 0.0]
+    # a constant or a line: the span ends alone, as floats
+    for coeffs in ((1.0,), (1.0, 0.5), (2.0, 0.0)):
+        ends = critical_points(coeffs, (-1.0, 0.0))
+        assert ends.dtype == np.float64 and ends.tolist() == [-1.0, 0.0]
     np.testing.assert_allclose(critical_points((0.24950015, 0.999, 1.0), (-1.0, 0.0)),
                                [-1.0, 0.0, -0.4995], rtol=1e-15)
     # a critical point on an end or outside the span is not repeated

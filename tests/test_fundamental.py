@@ -9,6 +9,7 @@ from beamspec.config import MIRROR, eval_coeff, uniform_system, variable_system
 from beamspec.fundamental import (
     LEFT_UNIT_SHEAR,
     LEFT_UNIT_SLOPE,
+    _pair_frames,
     _pairings,
     left_fundamental,
     right_fundamental,
@@ -17,7 +18,7 @@ from beamspec.fundamental import (
     vanishing_scan,
 )
 from beamspec.oscillation import leighton_nehari_transform
-from beamspec.quasi import integrate
+from beamspec.quasi import DEFAULT_REL_TOL, _batch_final_states, integrate
 
 UNIFORM = uniform_system()
 VARIABLE = variable_system()
@@ -80,12 +81,18 @@ def test_pinned_pair_is_two_integrations(lam):
 
 
 def test_subwronskians_read_at_the_set_tolerance():
-    fset = left_fundamental(VARIABLE, 700.0, rel_tol=1e-12)
-    assert fset.rel_tol == 1e-12
+    # a set and its pairings are both integrated at DEFAULT_REL_TOL: the
+    # pairings are _pairings' bit for bit, and _pairings reads the frames of
+    # a pass at DEFAULT_REL_TOL, which another tolerance would change
+    fset = left_fundamental(VARIABLE, 700.0)
     t = subwronskians(fset, -0.3)
-    got = (t.slope, t.curvature, t.shear)
-    assert got == tuple(_pairings(VARIABLE.left, [700.0], -0.3, 1e-12)[:3, 0, 0])
-    assert got != tuple(_pairings(VARIABLE.left, [700.0], -0.3, 1e-10)[:3, 0, 0])
+    assert (t.slope, t.curvature, t.shear) == tuple(
+        _pairings(VARIABLE.left, [700.0], -0.3)[:3, 0, 0])
+    wa, wb, _ = _pair_frames(VARIABLE.left, [700.0], -0.3)
+    for rel_tol, same in ((DEFAULT_REL_TOL, True), (1e-12, False)):
+        frame = _batch_final_states(VARIABLE.left, [700.0], -1.0, [-0.3, 0.0],
+                                    [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR], rel_tol).frames[0, 0]
+        assert np.array_equal(np.stack([wa[:, 0, 0], wb[:, 0, 0]]), frame) == same
 
 
 def test_negative_lam_rejected():

@@ -123,7 +123,7 @@ def test_dop853_tableau_is_scipys():
         np.testing.assert_array_equal(getattr(quasi._dop853, name),
                                       getattr(scipy_tableau, name), err_msg=name)
     # the step takes y_new as the argument of stage 12, f(x + h, y_new)
-    np.testing.assert_array_equal(quasi._DOP_A[12, :12], quasi._DOP_B)
+    np.testing.assert_array_equal(quasi._DOP_A[12, :12], quasi._dop853.B)
     assert quasi._DOP_C[12] == 1.0
 
 

@@ -703,8 +703,10 @@ def test_no_degeneracy_warnings(shipped_systems):
 def test_solve_modes_guards():
     with pytest.raises(ValueError):
         solve_modes(UNIFORM, 0)
-    with pytest.raises(ValueError):
-        eigenpair(UNIFORM, 10.0, stations_per_side=100)
+    # checked before the scan: an even count, or one below 129
+    for stations in (100, 258):
+        with pytest.raises(ValueError, match="stations_per_side"):
+            solve_modes(UNIFORM, 1, stations_per_side=stations)
 
 
 def test_suggest_s_max_covers_requested_modes(shipped_systems):
