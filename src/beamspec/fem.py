@@ -1,4 +1,4 @@
-"""Independent finite-element eigenvalue oracle (cubic Hermite elements).
+"""Finite-element eigenvalues: the cubic Hermite oracle and the p-version seeds.
 
 Conforming C1 cubic Hermite elements on a uniform mesh per span, two DOFs
 (u, u') per node.  The node at x = 0 is shared, so continuity of u and u'
@@ -19,6 +19,10 @@ eigenvalue is the Rayleigh quotient of its own eigenvector, summed over
 elements and Gauss points as nonnegative terms (see `solve_generalized`).
 Eigenvalues converge at fourth order in the mesh size, so two meshes give a
 Richardson-extrapolated reference.
+
+seed_eigenvalues, the seeds of spectrum.solve_modes, solves the same weak
+form with one element of degree p per span (numpy only); its eigenvalues
+converge exponentially in p.
 """
 
 from __future__ import annotations
@@ -27,13 +31,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 
 from .config import rho_sigma_q
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(5)
 _GAUSS_LOCAL = 0.5 * (_GAUSS_NODES + 1.0)   # Gauss points on [0, 1]
 MAX_STEPS = 50   # subspace iteration steps before the solve gives up
+SEED_EXTRA_DEGREE = 16   # seed_eigenvalues' degree above the mode count
 
 
 class DefinitenessError(RuntimeError):
@@ -75,17 +80,9 @@ def _stack(*rows):
     return np.stack(np.broadcast_arrays(*rows))
 
 
-def _quadrature(node_x):
-    """Gauss points, weights and Hermite shape functions of every element.
-
-    Returns x and w of shape (elements, Gauss points) and the values, first
-    and second derivatives of the four shape functions, each of shape
-    (4, elements, Gauss points).
-    """
-    h = np.diff(node_x)[:, None]
-    g = _GAUSS_LOCAL
-    x = node_x[:-1, None] + h * g
-    w = 0.5 * h * _GAUSS_WEIGHTS
+def _hermite(g, h):
+    """Values, first and second derivatives of the Hermite shape functions of
+    u and u' at both ends of elements of length h at g in [0, 1], each (4, ...)."""
     n = _stack(
         1 - 3 * g ** 2 + 2 * g ** 3,
         h * (g - 2 * g ** 2 + g ** 3),
@@ -104,7 +101,20 @@ def _quadrature(node_x):
         (6 - 12 * g) / h ** 2,
         (-2 + 6 * g) / h,
     )
-    return x, w, n, dn, ddn
+    return n, dn, ddn
+
+
+def _quadrature(node_x):
+    """Gauss points, weights and Hermite shape functions of every element.
+
+    Returns x and w of shape (elements, Gauss points) and the values, first
+    and second derivatives of the four shape functions, each of shape
+    (4, elements, Gauss points).
+    """
+    h = np.diff(node_x)[:, None]
+    x = node_x[:-1, None] + h * _GAUSS_LOCAL
+    w = 0.5 * h * _GAUSS_WEIGHTS
+    return (x, w, *_hermite(_GAUSS_LOCAL, h))
 
 
 def assemble(system, elements_per_side):
@@ -169,11 +179,16 @@ def _energies(op, vectors):
     local = full[op.element_dofs]       # (elements, 4, modes)
     _, w, n, dn, ddn = _quadrature(op.node_x)
     u, du, ddu = (np.einsum("ieg,eik->egk", s, local) for s in (n, dn, ddn))
-    strain = (np.einsum("eg,egk->k", w * op.sigma, ddu ** 2)
-              + np.einsum("eg,egk->k", w * op.q, du ** 2))
-    kinetic = (np.einsum("eg,egk->k", w * op.rho, u ** 2)
-               + op.point_mass * vectors[op.joint_dof] ** 2)
-    return strain, kinetic
+    return _energy_sums(w, op.sigma, op.q, op.rho, u, du, ddu,
+                        op.point_mass * vectors[op.joint_dof] ** 2)
+
+
+def _energy_sums(w, sigma, q, rho, u, du, ddu, joint):
+    """_energies' sums over (element, Gauss point) of the fields (e, g, modes),
+    the point mass's kinetic share `joint` added."""
+    strain = (np.einsum("eg,egk->k", w * sigma, ddu ** 2)
+              + np.einsum("eg,egk->k", w * q, du ** 2))
+    return strain, np.einsum("eg,egk->k", w * rho, u ** 2) + joint
 
 
 def _cholesky(band, name):
@@ -254,6 +269,50 @@ def solve_generalized(op, count):
         raise RuntimeError("discrete eigenvalues must be ascending")
     return OracleSpectrum(values=values, steps=steps,
                           elements_per_side=op.elements_per_side)
+
+
+def seed_eigenvalues(system, count):
+    """Lowest `count` eigenvalues from one element of degree p per span.
+
+    p = count + SEED_EXTRA_DEGREE.  The basis is the Hermite functions of the
+    free nodal values u'(-1), u(0), u'(0), u'(+1) and Shen's bubbles
+    psi_k = L_k - 2(2k+5)/(2k+7) L_(k+2) + (2k+3)/(2k+7) L_(k+4), k <= p - 4,
+    with psi_k'' = (2k+3)(2k+5) L_(k+2) on [-1, 1] (J. Shen, SIAM J. Sci.
+    Comput. 15 (1994) 1489-1505).  Gauss-Legendre with p + 12 points is exact
+    for the degree <= 8 coefficients.  Each eigenvalue is the Rayleigh
+    quotient of its eigh vector, as in `solve_generalized`.
+    """
+    p = count + SEED_EXTRA_DEGREE
+    nodes, weights = leggauss(p + 12)
+    g = 0.5 * (nodes + 1.0)          # both spans have length 1
+    legendre = legvander(nodes, p).T
+    m = p - 3
+    k = np.arange(m)[:, None]
+    bubbles = (legendre[:-4] - 2 * (2 * k + 5) / (2 * k + 7) * legendre[2:-2]
+               + (2 * k + 3) / (2 * k + 7) * legendre[4:],
+               2 * (2 * k + 3) * (legendre[3:-1] - legendre[1:-3]),
+               4 * (2 * k + 3) * (2 * k + 5) * legendre[2:-2])
+    hermite = np.stack(_hermite(g, 1.0))
+    # (derivative, DOF, span, g); DOFs u'(-1), u(0), u'(0), u'(+1), bubbles
+    basis = np.zeros((3, 4 + 2 * m, 2, g.size))
+    basis[:, :3, 0], basis[:, 1:4, 1] = hermite[:, 1:], hermite[:, [0, 1, 3]]
+    basis[:, 4:4 + m, 0] = basis[:, 4 + m:, 1] = np.stack(bubbles)
+    w = 0.5 * weights
+    rho, sigma, q = map(np.stack, zip(rho_sigma_q(system.left.coeffs, g - 1.0),
+                                      rho_sigma_q(system.right.coeffs, g)))
+    v, dv, ddv = basis
+    stiffness = (np.einsum("eg,ieg,jeg->ij", w * sigma, ddv, ddv)
+                 + np.einsum("eg,ieg,jeg->ij", w * q, dv, dv))
+    mass = np.einsum("eg,ieg,jeg->ij", w * rho, v, v)
+    mass[1, 1] += system.mass      # DOF 1 is u(0)
+    # B a = mu K a, mu = 1/lam: the wanted mu are the largest, so eigh's error
+    # stays small beside their gaps (reduced by B's factor, mode 1 lost 4e-11)
+    inverse = np.linalg.inv(np.linalg.cholesky(stiffness))
+    vectors = inverse.T @ np.linalg.eigh(inverse @ mass @ inverse.T)[1][:, ::-1][:, :count]
+    u, du, ddu = (np.einsum("ieg,ik->egk", b, vectors) for b in basis)
+    strain, kinetic = _energy_sums(w, sigma, q, rho, u, du, ddu,
+                                   system.mass * vectors[1] ** 2)
+    return strain / kinetic
 
 
 @dataclass(frozen=True)

@@ -14,19 +14,19 @@ from one batched DOP853 pass (quasi._batch_final_states) that integrates
 the left span next to the right span mirrored onto (-1, 0); past a fixed
 growth bound each span's column pair is kept orthonormal, so the
 determinant is tracked as (sign, log magnitude) without the cancellation
-between the two exponentially growing columns at large lam.  The scan runs
-on a uniform grid in s = lam**(1/4), where the roots are asymptotically
-equispaced, up to a proven bound past the requested modes, and reads all
-determinant signs from one stacked determinant.  The paper's theorem
-(every eigenvalue is simple) makes each bracket hold one root with a
-nonzero slope, so solve_modes refines all brackets in lock step by a
-bracketed Newton iteration, one batched pass per iteration, starting from
-the determinant values the scan kept at the bracket ends (refine is the
-one-bracket case).  solve_modes assembles all its modes, with their
-simplicity probes, from one more batched pass with stations (eigenpair is
-the one-lam case at the defaults): the joint null vector of the last frames
-is carried back through the orthonormalisations, so the modes keep their
-shape at large lam too.
+between the two exponentially growing columns at large lam.  solve_modes
+takes its eigenvalues from fem.seed_eigenvalues, a p-version Galerkin
+solve, and certifies each by a determinant sign change across a bracket
+as narrow as refine_brackets' stopping width; since every eigenvalue is
+simple (the paper's theorem), such a bracket holds one root.  The same
+batched pass with stations builds every mode with its simplicity probes
+(eigenpair is the one-lam case at the defaults): the joint null vector of
+the last frames is carried back through the orthonormalisations, so the
+modes keep their shape at large lam too.  refine_brackets refines
+sign-change brackets in lock step by a bracketed Newton iteration, one
+batched pass per iteration (refine is the one-bracket case); scan finds
+them on a uniform grid in s = lam**(1/4), where the roots are
+asymptotically equispaced, from one stacked determinant.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from typing import ClassVar
 import numpy as np
 
 from .config import MIRROR, critical_points, eval_coeff, in_span, mirrored, rho_sigma_q
+from .fem import seed_eigenvalues
 from .fundamental import LEFT_UNIT_SHEAR, LEFT_UNIT_SLOPE, pairings
 # perfbench's tracer wraps these two names; the module itself does not call them
 from .fundamental import left_fundamental, right_fundamental  # noqa: F401
@@ -54,6 +55,8 @@ VANISH_REL = 1e-6
 NEWTON_REL_STEP = 1e-6
 NEWTON_FAN = (1.0, 4.0, 16.0)
 MAX_REFINE_PASSES = 100
+TOL_LAMBDA_REL = 1e-10
+CERTIFY_FAN = (-1.0, 1.0, -10.0, 10.0)   # certificate points s -+ k*c, c half the stopping width
 
 SIGN_NOTE = (
     "published sign conventions for the endpoint products u'*Tu disagree "
@@ -122,15 +125,6 @@ def _descale(sign, log_abs, ref):
     return sign * np.exp(np.minimum(log_abs - ref, 700.0))
 
 
-class _Brackets(list):
-    """Sign-change brackets of a scan; ends[i] holds the (sign, log |det|)
-    at the low and at the high end of bracket i, which refining reuses."""
-
-    def __init__(self):
-        super().__init__()
-        self.ends = []
-
-
 def _batch_matrices(system, lams, rel_tol, stations=(0.0,), sampled=None):
     """Both spans' frames and the joint matrices at every lam, in one batched pass.
 
@@ -169,21 +163,15 @@ def scan(system, s_max, ds=DEFAULT_DS, rel_tol=DEFAULT_REL_TOL):
     if not 0.0 < ds < math.inf:
         raise ValueError("ds must be finite and > 0")
     s = ds * np.arange(1, int(math.floor(s_max / ds + 1e-9)) + 1)
-    sign, log_abs = _batch_dets(system, s ** 4, rel_tol)
-    brackets, last = _Brackets(), None
-    for s_j, det in zip(s.tolist(), zip(sign.tolist(), log_abs.tolist())):
-        if det[0] == 0:
-            # exact zero on a grid point: vanishingly unlikely; skip the point
-            # and let the neighbours bracket the root
-            continue
-        if last is not None and det[0] != last[1][0]:
-            brackets.append((last[0], s_j))
-            brackets.ends.append((last[1], det))
-        last = (s_j, det)
-    return brackets
+    sign = _batch_dets(system, s ** 4, rel_tol)[0]
+    # an exact zero on a grid point is vanishingly unlikely; the point is
+    # skipped and its neighbours bracket the root
+    s, sign = s[sign != 0], sign[sign != 0]
+    j = np.flatnonzero(sign[1:] != sign[:-1])
+    return list(zip(s[j].tolist(), s[j + 1].tolist()))
 
 
-def refine(system, bracket, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_TOL):
+def refine(system, bracket, tol_lambda_rel=TOL_LAMBDA_REL, rel_tol=DEFAULT_REL_TOL):
     """Root of the determinant inside one sign-change bracket, to tol_lambda_rel in lam.
 
     The one-bracket case of refine_brackets.
@@ -191,8 +179,7 @@ def refine(system, bracket, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_TOL):
     return refine_brackets(system, [bracket], tol_lambda_rel, rel_tol)[0]
 
 
-def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_TOL,
-                    ends=None):
+def refine_brackets(system, brackets, tol_lambda_rel=TOL_LAMBDA_REL, rel_tol=DEFAULT_REL_TOL):
     """Roots inside many sign-change brackets at once, to tol_lambda_rel in lam.
 
     Eigenvalues are simple, so each bracket holds one root, where the
@@ -200,16 +187,13 @@ def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_
     by a bracketed Newton iteration in s.  Each pass integrates, per
     unfinished bracket and in one batch, the Newton point x, x -+ d for the
     slope (d = NEWTON_REL_STEP*|x|) and x -+ k*c for k in NEWTON_FAN, where
-    c is half the stopping width xrtol*|x| + 1e-14.  The points inside the
+    c is half the stopping width (see _stopping_width).  The points inside the
     bracket narrow it to the sign change nearest the next Newton point, which
     then stands for the root if it lies in the bracket (else the end with the
     smaller |det| does); a bracket stops once it is no wider than the
     stopping width.  A Newton point that is not finite or leaves the bracket
-    is replaced by the midpoint.  ends, when given, holds the (sign,
-    log |det|) at the low and the high end of every bracket as a scan found
-    them (its ends attribute); they are not integrated again, and Newton
-    starts at their regula falsi point.  Otherwise the ends share the first
-    pass with the points of the midpoint, from which Newton starts.
+    is replaced by the midpoint.  The bracket ends share the first pass with
+    the points of the midpoint, from which Newton starts.
     Returns the eigenvalues in bracket order.
     """
     if not 0.0 < tol_lambda_rel < math.inf:
@@ -218,16 +202,9 @@ def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_
         return []
     lo, hi = np.sort(np.array(brackets, dtype=float), axis=1).T
     n = lo.size
-    # xrtol is relative in s, and lam = s**4 has four times the relative
-    # error: /4 would just meet tol_lambda_rel, /40 leaves a factor of ten
-    xrtol = max(tol_lambda_rel / 40.0, 4e-16)
-    points = r = None
-    if ends is None:
-        points = _newton_points(lo + 0.5 * (hi - lo), xrtol)
-        sign, log_abs = (a.reshape(n, -1) for a in _batch_dets(
-            system, np.column_stack([lo, hi, points]).ravel() ** 4, rel_tol))
-    else:
-        sign, log_abs = np.moveaxis(np.array(ends, dtype=float), -1, 0)
+    points = _newton_points(lo + 0.5 * (hi - lo), tol_lambda_rel)
+    sign, log_abs = (a.reshape(n, -1) for a in _batch_dets(
+        system, np.column_stack([lo, hi, points]).ravel() ** 4, rel_tol))
     bad = np.flatnonzero(sign[:, 0] * sign[:, 1] >= 0)
     if bad.size:
         i = bad[0]
@@ -236,13 +213,11 @@ def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_
     ref = np.max(log_abs[:, :2], axis=1)
     f = _descale(sign, log_abs, ref[:, None])
     f_lo, f_hi, f = f[:, 0], f[:, 1], f[:, 2:]
-    if ends is not None:
-        r = lo - f_lo * (hi - lo) / (f_hi - f_lo)    # regula falsi
     roots, running = np.full(n, math.nan), np.arange(n)
     for _ in range(MAX_REFINE_PASSES):
         if points is None:
             points = _newton_points(np.where((lo < r) & (r < hi), r, lo + 0.5 * (hi - lo)),
-                                    xrtol)
+                                    tol_lambda_rel)
             sign, log_abs = _batch_dets(system, points.ravel() ** 4, rel_tol)
             f = _descale(sign.reshape(points.shape), log_abs.reshape(points.shape),
                          ref[running, None])
@@ -263,7 +238,7 @@ def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_
                               for a, k in ((xs, 0), (xs, 1), (fs, 0), (fs, 1)))
         root = np.where((lo <= r) & (r <= hi), r,
                         np.where(np.abs(f_lo) < np.abs(f_hi), lo, hi))
-        done = hi - lo <= xrtol * np.abs(root) + 1e-14
+        done = hi - lo <= _stopping_width(root, tol_lambda_rel)
         roots[running[done]] = root[done]
         running, lo, hi, f_lo, f_hi, r = (a[~done] for a in (running, lo, hi, f_lo, f_hi, r))
         if not running.size:
@@ -273,10 +248,17 @@ def refine_brackets(system, brackets, tol_lambda_rel=1e-10, rel_tol=DEFAULT_REL_
     raise RuntimeError(f"root refinement failed on [{brackets[i][0]:g}, {brackets[i][1]:g}]")
 
 
-def _newton_points(x, xrtol):
+def _stopping_width(x, tol_lambda_rel):
+    """The bracket width in s at which refine_brackets stops near x."""
+    # lam = s**4 has four times the relative error of s: /4 would just meet
+    # tol_lambda_rel, /40 leaves a factor of ten
+    return max(tol_lambda_rel / 40.0, 4e-16) * np.abs(x) + 1e-14
+
+
+def _newton_points(x, tol_lambda_rel):
     """Columns x, x - d, x + d, x - k*c, x + k*c (k in NEWTON_FAN) of a Newton
     pass, with d = NEWTON_REL_STEP*|x| and c half the stopping width."""
-    d, c = NEWTON_REL_STEP * np.abs(x), 0.5 * (xrtol * np.abs(x) + 1e-14)
+    d, c = NEWTON_REL_STEP * np.abs(x), 0.5 * _stopping_width(x, tol_lambda_rel)
     fan = np.outer(c, NEWTON_FAN)
     return np.column_stack([x, x - d, x + d, x[:, None] - fan, x[:, None] + fan])
 
@@ -345,18 +327,22 @@ def eigenpair(system, lam, index=None):
 
 
 def _eigenpairs(system, lams, rel_tol, stations_per_side, indices):
-    """Normalized modes at refined eigenvalues lams, from one batched pass.
+    """Normalized modes at refined eigenvalues lams, from one batched pass:
+    _probe's, to stations_per_side stations per side (see _modes)."""
+    xs = np.linspace(-1.0, 0.0, stations_per_side)
+    return _modes(system, lams, indices, xs, *_probe(system, lams, rel_tol, xs)[:5])
 
-    Both spans are integrated to stations_per_side stations as in
-    _batch_matrices.  The joint null vector comes from the last frames and
-    is carried back one epoch at a time, c_(j-1) = R_j^-1 c_j, each R_j
-    being upper triangular with a positive diagonal; the R_j grow in the
-    direction of integration, so this recursion is stable.  A station of
-    epoch e then holds the mode as its frame times c_e.  The pass is _probe's.
+
+def _modes(system, lams, indices, xs, shot, matrices, slopes, margins, classes):
+    """Normalized modes at eigenvalues lams from _probe's pass to the stations xs.
+
+    The joint null vector comes from the last frames and is carried back one
+    epoch at a time, c_(j-1) = R_j^-1 c_j, each R_j being upper triangular
+    with a positive diagonal; the R_j grow in the direction of integration,
+    so this recursion is stable.  A station of epoch e then holds the mode
+    as its frame times c_e.
     """
     lams = np.asarray(lams, dtype=float)
-    xs = np.linspace(-1.0, 0.0, stations_per_side)
-    shot, matrices, slopes, margins, classes = _probe(system, lams, rel_tol, xs)
     unit, norms = _unit_columns(matrices)
     _, svals, vt = np.linalg.svd(unit)
     # coeffs[span, entry, epoch]: the span's pair coefficients in that epoch
@@ -435,14 +421,14 @@ def energy_form(system, phi, psi):
     return float(out)
 
 
-def _probe(system, lams, rel_tol, stations=(0.0,)):
+def _probe(system, lams, rel_tol, stations=(0.0,), extra=()):
     """Simplicity slope, margin and joint step class at every lam, batched.
 
     One _batch_matrices pass to the given stations covers s, s - h and s + h
-    for every lam (s = lam**0.25, h = max(s, 1) * PROBE_REL_STEP); only the
-    lams themselves record the interior stations, since the s -+ h entries
-    are read at x = 0 alone.  Returns the Shot and the joint matrices of the
-    lams alone, then three arrays:
+    for every lam (s = lam**0.25, h = max(s, 1) * PROBE_REL_STEP), and the
+    lams `extra`; only the lams themselves record the interior stations,
+    since the other entries are read at x = 0 alone.  Returns the Shot and
+    the joint matrices of the lams alone, then four arrays:
 
     * slope: centred difference in s of the determinant, descaled by the
       larger of its two log magnitudes;
@@ -452,18 +438,20 @@ def _probe(system, lams, rel_tol, stations=(0.0,)):
     * step class, the regime of the slope subwronskians at the joint, read
       from the endpoint pairs at lam: 1 when both spans' slope pairings are
       nonzero at x = 0, 2 when both vanish (below VANISH_REL of their own
-      triple's scale), 3 when exactly one vanishes.
+      triple's scale), 3 when exactly one vanishes;
+    * the determinant signs at the lams `extra`.
     """
     lams = np.asarray(lams, dtype=float)
     n = lams.size
     s = lams ** 0.25
     h = np.maximum(s, 1.0) * PROBE_REL_STEP
     shot, matrices, col_log = _batch_matrices(
-        system, np.concatenate([lams, (s - h) ** 4, (s + h) ** 4]), rel_tol, stations, n)
+        system, np.concatenate([lams, (s - h) ** 4, (s + h) ** 4, extra]), rel_tol,
+        stations, n)
     sign, log_abs = _signed_log_det(matrices[n:], col_log[n:])
-    ref = np.maximum(log_abs[:n], log_abs[n:])
+    ref = np.maximum(log_abs[:n], log_abs[n:2 * n])
     f_lo = _descale(sign[:n], log_abs[:n], ref)
-    f_hi = _descale(sign[n:], log_abs[n:], ref)
+    f_hi = _descale(sign[n:2 * n], log_abs[n:2 * n], ref)
     slope = (f_hi - f_lo) / (2.0 * h)
     margin = np.abs(f_hi - f_lo) / (np.abs(f_hi) + np.abs(f_lo) + 1e-300)
 
@@ -477,12 +465,13 @@ def _probe(system, lams, rel_tol, stations=(0.0,)):
     scale = np.max(np.abs(triple), axis=0)
     vanished = np.sum(np.abs(triple[0]) <= VANISH_REL * scale, axis=0)
     step_class = np.array([1, 3, 2])[vanished]
-    return Shot(*(a[:, :n] for a in shot)), matrices[:n], slope, margin, step_class
+    return (Shot(*(a[:, :n] for a in shot)), matrices[:n], slope, margin, step_class,
+            sign[2 * n:])
 
 
 def det_slope(system, lam):
     """(slope, margin) of the determinant at lam: the one-lam case of _probe."""
-    slope, margin, _ = _probe(system, [lam], DEFAULT_REL_TOL)[2:]
+    slope, margin = _probe(system, [lam], DEFAULT_REL_TOL)[2:4]
     return float(slope[0]), float(margin[0])
 
 
@@ -517,21 +506,44 @@ def suggest_s_max(system, count):
 
 def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL,
                 stations_per_side=DEFAULT_MODE_STATIONS):
-    """First `count` eigenpairs, ascending, via scan + refine_brackets + assembly."""
+    """First `count` eigenpairs, ascending: Galerkin seeds certified by shooting.
+
+    One _probe pass builds every mode at its seed lam_g and integrates
+    s_g -+ k*c for k in CERTIFY_FAN, s_g = lam_g**(1/4) and c half the
+    stopping width.  A sign change at -+c, else at -+10c, certifies the
+    seed, which is reported.  Other seeds are refined on s_g -+ DEFAULT_DS
+    (BracketError without a sign change) and the mode pass is redone.  Mode
+    n must show n - 1 interior sign changes of u, else RuntimeError.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     if stations_per_side < MIN_MODE_STATIONS or stations_per_side % 2 == 0:
         raise ValueError(f"stations_per_side must be odd and >= {MIN_MODE_STATIONS}")
-    s_max = suggest_s_max(system, count)
-    brackets = scan(system, s_max, DEFAULT_DS, rel_tol)
-    if len(brackets) < count:
-        # below a proven ceiling: the grid stepped over a pair of roots
-        raise RuntimeError(
-            f"found only {len(brackets)} determinant roots below s={s_max:g}, "
-            f"which bounds the first {count}")
-    lams = refine_brackets(system, brackets[:count], rel_tol=rel_tol,
-                           ends=brackets.ends[:count])
-    return _eigenpairs(system, lams, rel_tol, stations_per_side, range(1, count + 1))
+    lams = seed_eigenvalues(system, count)
+    s = lams ** 0.25
+    c = 0.5 * _stopping_width(s, TOL_LAMBDA_REL)
+    fan = s[:, None] + np.outer(c, CERTIFY_FAN)
+    xs = np.linspace(-1.0, 0.0, stations_per_side)
+    *probe, sign = _probe(system, lams, rel_tol, xs, fan.ravel() ** 4)
+    sign = sign.reshape(count, -1, 2)
+    certified = np.any(sign[..., 0] * sign[..., 1] < 0, axis=1)
+    indices = range(1, count + 1)
+    if certified.all():
+        pairs = _modes(system, lams, indices, xs, *probe)
+    else:
+        brackets = np.column_stack([np.maximum(s - DEFAULT_DS, 0.0), s + DEFAULT_DS])
+        lams[~certified] = refine_brackets(system, brackets[~certified].tolist(), rel_tol=rel_tol)
+        pairs = _eigenpairs(system, lams, rel_tol, stations_per_side, indices)
+    for pair in pairs:
+        # u(0) once: the two spans' values of a node there can differ in sign;
+        # exact zeros (the hinges) are skipped
+        u = np.concatenate([pair.mode_left[:, 0], pair.mode_right[1:, 0]])
+        changes = np.count_nonzero(np.diff(np.signbit(u[u != 0.0])))
+        if changes != pair.index - 1:
+            raise RuntimeError(
+                f"mode {pair.index} at lam={pair.lam:g} has {changes} interior sign "
+                f"changes, not {pair.index - 1}: the seeds skipped or repeated a root")
+    return pairs
 
 
 @dataclass(frozen=True)

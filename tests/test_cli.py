@@ -230,13 +230,17 @@ def test_closed_pipe_exits_quietly(tmp_path):
 
 
 def test_verify_loads_no_scipy(tmp_path):
-    # the shooting solve imports numpy only; scipy loads on the first FEM or
-    # oscillation call, which verify makes none of
+    # the shooting solve, its Galerkin seeds and its refinement fallback
+    # (every seed at --tol 1e-6) import numpy only; scipy loads on the first
+    # Hermite-oracle or oscillation call, which verify makes none of
     code = "\n".join([
         "import sys",
         "import beamspec, beamspec.cli",
         f"code = beamspec.cli.main(['verify', {UNIFORM_M0!r}, '--modes', '6',"
         f" '--out', {str(tmp_path / 'verify.json')!r}])",
+        "assert code == 0, code",
+        f"code = beamspec.cli.main(['spectrum', {VARIABLE_M1!r}, '--tol', '1e-6',"
+        f" '--out', {str(tmp_path / 'spectrum.csv')!r}])",
         "assert code == 0, code",
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))",
         "assert not loaded, loaded",

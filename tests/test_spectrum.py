@@ -10,6 +10,7 @@ import pytest
 
 import beamspec.spectrum as spectrum
 import conftest
+from beamspec import cli, fem
 from beamspec.config import MIRROR, eval_coeff, mirrored, uniform_system, variable_system
 from beamspec.fundamental import LEFT_UNIT_SHEAR, LEFT_UNIT_SLOPE
 from beamspec.quasi import DEFAULT_REL_TOL, GROWTH_BOUND, _batch_final_states
@@ -155,15 +156,19 @@ def test_refine_brackets_rejects_bad_bracket():
         refine_brackets(UNIFORM, [(1.56, 1.58), (0.5, 0.6)])
 
 
-def test_refine_brackets_rejects_bad_scan_ends():
-    # the same check when the bracket ends come from a scan
-    brackets = [(1.56, 1.58), (1.60, 1.62)]
-    sign, log_abs = spectrum._batch_dets(UNIFORM, np.array(brackets).T.ravel() ** 4,
-                                         DEFAULT_REL_TOL)
-    ends = list(zip(zip(sign[:2], log_abs[:2]), zip(sign[2:], log_abs[2:])))
-    refine_brackets(UNIFORM, brackets[:1], ends=ends[:1])
+def test_fallback_without_a_sign_change_raises(monkeypatch, capsys):
+    # the same check when the bracket is a seed's fallback: a seed that no
+    # root lies within DEFAULT_DS of is a solver failure, exit 3
+    def seeds(system, count):
+        lams = fem.seed_eigenvalues(system, count)
+        lams[1] = (math.pi * 3 / 4) ** 4      # between the roots pi/2 and pi
+        return lams
+
+    monkeypatch.setattr(spectrum, "seed_eigenvalues", seeds)
     with pytest.raises(BracketError):
-        refine_brackets(UNIFORM, brackets, ends=ends)
+        solve_modes(UNIFORM, 3)
+    assert cli.main(["spectrum", "configs/uniform_m0.json", "--modes", "3"]) == cli.EXIT_SOLVER
+    assert "does not change sign" in capsys.readouterr().err
 
 
 def stopping_width(s, tol_lambda_rel=1e-10):
@@ -192,15 +197,15 @@ def find_root_pinned(system, brackets):
 
 
 @pytest.mark.parametrize("name", sorted(conftest.SHIPPED_BUILDERS))
-def test_newton_refinement_matches_find_root(shipped_systems, name):
-    # with and without the scan's bracket ends, every root lies within two
-    # stopping widths of scipy's, and the determinant changes sign across
-    # its stopping interval
+def test_newton_refinement_matches_find_root(shipped_systems, shipped_modes, name):
+    # the roots refined on the scan's brackets and the certified seeds that
+    # solve_modes reports alike lie within two stopping widths of scipy's
+    # roots, and the determinant changes sign across their stopping interval
     system = shipped_systems[name]
     brackets = scan(system, suggest_s_max(system, 6))
     theirs = find_root_pinned(system, brackets[:6])
-    for ends in (None, brackets.ends[:6]):
-        s = np.array(refine_brackets(system, brackets[:6], ends=ends)) ** 0.25
+    for lams in (refine_brackets(system, brackets[:6]), [p.lam for p in shipped_modes[name]]):
+        s = np.array(lams) ** 0.25
         assert np.all(np.abs(s - theirs) <= 2.0 * stopping_width(s))
         for s_i, w in zip(s, stopping_width(s)):
             assert char_det(system, (s_i - w) ** 4)[0] * char_det(system, (s_i + w) ** 4)[0] < 0
@@ -228,18 +233,17 @@ def test_simpson_port_matches_scipy(stations):
 
 @pytest.mark.parametrize("name", sorted(conftest.SHIPPED_BUILDERS))
 def test_refine_brackets_matches_scalar_refine(shipped_systems, shipped_modes, name):
-    # solve_modes' lock-step refinement lands within 1e-11 of the reference
-    # eigenvalues.  Each bracket alone gives the same bits as in the batch,
-    # from the scan's ends and from fresh ends alike; the two starts (regula
-    # falsi and midpoint) differ by less than one stopping width
+    # solve_modes' seeds land within 1e-11 of the reference eigenvalues and
+    # of the lock-step refinement on the scan's brackets, and within one
+    # stopping width of it in s.  Each bracket alone gives the same bits as
+    # in the batch
     system = shipped_systems[name]
     lams = [p.lam for p in shipped_modes[name]]
     np.testing.assert_allclose(lams, reference_lams()[name], rtol=1e-11, atol=0)
     brackets = scan(system, suggest_s_max(system, 6))
-    assert [refine_brackets(system, [b], ends=[e])[0]
-            for b, e in zip(brackets[:6], brackets.ends)] == lams
     fresh = refine_brackets(system, brackets[:6])
     assert [refine(system, b) for b in brackets[:6]] == fresh
+    np.testing.assert_allclose(lams, fresh, rtol=1e-11, atol=0)
     s = np.array(lams) ** 0.25
     assert np.all(np.abs(np.array(fresh) ** 0.25 - s) <= stopping_width(s))
 
@@ -413,38 +417,69 @@ def test_mirrored_pass_matches_in_mixed_batch():
     assert log_r[0] == 0.0 and log_r[1] > math.log(GROWTH_BOUND)
 
 
-def test_refinement_reuses_the_scan_bracket_ends(monkeypatch):
-    # the scan already evaluated every bracket end: no batched pass after it
-    # integrates one again, and the eigenvalues lie within one stopping width
-    # of those refined from freshly integrated ends
-    count = 6
-    brackets = scan(UNIFORM, suggest_s_max(UNIFORM, count))[:count]
-    ends = np.array(brackets).T.reshape(-1) ** 4
-    fresh = np.array(refine_brackets(UNIFORM, brackets)) ** 0.25
-    passes = []
-    real = spectrum._batch_dets
-
-    def spy(system, lams, rel_tol):
-        passes.append(lams)
-        return real(system, lams, rel_tol)
-
-    monkeypatch.setattr(spectrum, "_batch_dets", spy)
-    s = np.array([p.lam for p in solve_modes(UNIFORM, count)]) ** 0.25
-    assert np.all(np.abs(s - fresh) <= stopping_width(s))
-    scan_pass, *refine_passes = passes
-    assert np.isin(ends, scan_pass).all()
-    assert refine_passes
-    for lams in refine_passes:
-        assert lams.size <= NEWTON_POINTS * count and not np.isin(lams, ends).any()
+def test_reported_lams_are_certified_seeds(shipped_systems, shipped_modes):
+    # every shipped mode reports its Galerkin seed, bit for bit, and the
+    # determinant changes sign across the seed -+ c, c half the stopping width
+    for name, pairs in shipped_modes.items():
+        system = shipped_systems[name]
+        seeds = fem.seed_eigenvalues(system, len(pairs))
+        assert [p.lam for p in pairs] == seeds.tolist(), name
+        s = seeds ** 0.25
+        c = stopping_width(s) / 2.0
+        sign, _ = spectrum._batch_dets(system, np.concatenate([s - c, s + c]) ** 4,
+                                       DEFAULT_REL_TOL)
+        assert np.all(sign[:s.size] * sign[s.size:] < 0), name
 
 
-def test_too_few_brackets_below_the_ceiling_raise(monkeypatch):
-    # a ceiling of 3.15 ends the grid at 3.14, just below the root at pi:
-    # below a proven ceiling that can only mean a missed root pair, and
-    # the brackets found would carry the wrong mode indices
-    monkeypatch.setattr(spectrum, "suggest_s_max", lambda system, count: 3.15)
-    with pytest.raises(RuntimeError, match="found only 1 determinant roots"):
+def test_seeds_that_skip_a_root_fail_the_zero_count(monkeypatch, capsys):
+    # seeds that skip the second root give mode 2 the shape of mode 3: its
+    # two interior sign changes, not one, make the solve a solver failure
+    def seeds(system, count):
+        return np.delete(fem.seed_eigenvalues(system, count + 1), 1)
+
+    monkeypatch.setattr(spectrum, "seed_eigenvalues", seeds)
+    with pytest.raises(RuntimeError, match="mode 2 at lam=.* has 2 interior sign changes, not 1"):
         solve_modes(UNIFORM, 4)
+    assert cli.main(["spectrum", "configs/uniform_m0.json", "--modes", "4"]) == cli.EXIT_SOLVER
+    assert "interior sign changes" in capsys.readouterr().err
+
+
+def test_seeds_closed_form_to_mode_40(monkeypatch):
+    # uniform M=0: the seeds are (n pi/2)**4 to 1e-11 up to mode 40, and the
+    # mode pass certifies every one of them, with no fallback refinement
+    seeds = fem.seed_eigenvalues(UNIFORM, 40)
+    exact = (np.arange(1, 41) * math.pi / 2) ** 4
+    np.testing.assert_allclose(seeds, exact, rtol=1e-11, atol=0)
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("a seed was not certified")
+
+    monkeypatch.setattr(spectrum, "refine_brackets", no_fallback)
+    pairs = solve_modes(UNIFORM, 40)
+    assert [p.lam for p in pairs] == seeds.tolist()
+
+
+def test_uncertified_seeds_fall_back_to_refinement(monkeypatch, variable_m1):
+    # at rel_tol = 1e-6 the shooting roots lie farther from the seeds than
+    # 10c, so no seed certifies: each is refined on s_g -+ DEFAULT_DS and
+    # the modes come from a redone mode pass
+    count, tol = 3, 1e-6
+    s = fem.seed_eigenvalues(variable_m1, count) ** 0.25
+    expected = refine_brackets(variable_m1, [(x - DEFAULT_DS, x + DEFAULT_DS) for x in s],
+                               rel_tol=tol)
+    passes = count_passes(monkeypatch)
+    pairs = solve_modes(variable_m1, count, rel_tol=tol)
+    assert [p.lam for p in pairs] == expected
+    assert np.all(np.abs(np.array(expected) ** 0.25 - s) > 10.0 * stopping_width(s) / 2.0)
+    certify_pass, *refine_passes, mode_pass = passes
+    assert certify_pass.size == 7 * count and refine_passes
+    np.testing.assert_array_equal(mode_pass[:count], expected)
+    assert mode_pass.size == 3 * count
+    redone = spectrum._eigenpairs(variable_m1, expected, tol,
+                                  spectrum.DEFAULT_MODE_STATIONS, range(1, count + 1))
+    for pair, again in zip(pairs, redone):
+        np.testing.assert_array_equal(pair.mode_left, again.mode_left)
+        np.testing.assert_array_equal(pair.mode_right, again.mode_right)
 
 
 def count_passes(monkeypatch):
@@ -463,17 +498,22 @@ def count_passes(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(conftest.SHIPPED_BUILDERS))
 def test_solve_and_verify_pass_counts(monkeypatch, shipped_systems, name):
-    # one scan pass, at most three Newton passes and one mode pass, which
-    # also carries the probe points: verify integrates nothing
+    # one pass: per mode its seed, which alone records the stations, the
+    # probe's s -+ h and the certificate's s -+ c and s -+ 10c; verify
+    # integrates nothing
     system = shipped_systems[name]
-    passes = count_passes(monkeypatch)
+    passes = []
+    real = spectrum._batch_final_states
+
+    def spy(profiles, lams, *args):
+        passes.append((lams, args[-1]))      # the last argument is `sampled`
+        return real(profiles, lams, *args)
+
+    monkeypatch.setattr(spectrum, "_batch_final_states", spy)
     verify(system, solve_modes(system, 6))
-    scan_pass, *refine_passes, mode_pass = passes
-    np.testing.assert_allclose(scan_pass ** 0.25, DEFAULT_DS * np.arange(1, scan_pass.size + 1))
-    assert 1 <= len(refine_passes) <= 3
-    assert all(p.size % NEWTON_POINTS == 0 and p.size <= 6 * NEWTON_POINTS
-               for p in refine_passes)
-    assert mode_pass.size == 3 * 6
+    ((mode_pass, sampled),) = passes
+    assert mode_pass.size == 7 * 6 and sampled == 6
+    np.testing.assert_array_equal(mode_pass[:6], fem.seed_eigenvalues(system, 6))
 
 
 @pytest.mark.parametrize("n", range(1, 41))
