@@ -125,7 +125,8 @@ def _build_parser():
         p.add_argument("config", help="path to a JSON system configuration")
         p.add_argument("--modes", type=int, default=4, help="mode count (>= 1)")
         p.add_argument("--tol", type=float, default=1e-10,
-                       help="integration relative tolerance")
+                       help="integration relative tolerance; also sets the width of "
+                            "each eigenvalue's certificate, never narrower than at 1e-10")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         if stations:
             p.add_argument("--stations", type=int, default=DEFAULT_MODE_STATIONS,

@@ -76,13 +76,6 @@ class IntegrationError(RuntimeError):
         self.x = x
 
 
-def _check_lam(lam):
-    lam = np.asarray(lam)
-    # NaN fails both comparisons
-    if not np.all((lam >= 0) & (lam < math.inf)):
-        raise ValueError("lam must be finite and >= 0")
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """One solution at the stations xs of one pass, the first being its start.
@@ -106,8 +99,10 @@ class Trajectory:
         return self.states[-1]
 
 
-def _check_args(profile, lam, x_from, x_to, rel_tol):
-    _check_lam(lam)
+def _check_args(profile, lams, x_from, x_to, rel_tol):
+    # NaN fails both comparisons
+    if not np.all((lams >= 0) & (lams < math.inf)):
+        raise ValueError("lam must be finite and >= 0")
     if not (REL_TOL_MIN <= rel_tol <= REL_TOL_MAX):
         raise ValueError(f"rel_tol must lie in [{REL_TOL_MIN:g}, {REL_TOL_MAX:g}]")
     in_span(profile.interval, (x_from, x_to))
@@ -129,24 +124,23 @@ def _dop853_tolerances(rel_tol):
     return max(rel_tol / 10.0, 2.3e-14), rel_tol * 1e-6
 
 
-def _column(profile, lam, xs, init, rel_tol=DEFAULT_REL_TOL):
+def _column(profile, lam, xs, init):
     """Integrate one initial state through the stations xs, the first being
-    its start, in one pass.
+    its start, in one pass at DEFAULT_REL_TOL.
 
     At a station the true state is the frame times exp of the station's
     log det (see _station_log_det); the Trajectory stores it relative to
     the last station's, which sets log_scale, so it cannot overflow.
     """
-    shot = _batch_final_states(profile, [lam], xs[0], xs, init, rel_tol)
+    shot = _batch_final_states(profile, [lam], xs[0], xs, init)
     log_det = _station_log_det(shot)[0]
     states = shot.frames[0, :, 0] * np.exp(log_det - log_det[-1])[:, None]
     return Trajectory(lam, xs, states, float(log_det[-1]))
 
 
-def integrate(profile, lam, x_from, x_to, init, rel_tol=DEFAULT_REL_TOL,
-              n_stations=DEFAULT_STATIONS):
-    """Propagate one quasi-derivative state across the span, from x_from to
-    x_to, as a Trajectory at n_stations equispaced stations.
+def integrate(profile, lam, x_from, x_to, init, n_stations=DEFAULT_STATIONS):
+    """Propagate one quasi-derivative state across the span at DEFAULT_REL_TOL,
+    from x_from to x_to, as a Trajectory at n_stations equispaced stations.
 
     Overflow-safe: the state is normalised whenever it passes GROWTH_BOUND,
     and the true states are the returned ones times exp(log_scale);
@@ -154,7 +148,7 @@ def integrate(profile, lam, x_from, x_to, init, rel_tol=DEFAULT_REL_TOL,
     """
     if n_stations < 64:
         raise ValueError("need at least 64 stations")
-    return _column(profile, lam, np.linspace(x_from, x_to, n_stations), init, rel_tol)
+    return _column(profile, lam, np.linspace(x_from, x_to, n_stations), init)
 
 
 def __getattr__(name):

@@ -17,16 +17,17 @@ determinant is tracked as (sign, log magnitude) without the cancellation
 between the two exponentially growing columns at large lam.  solve_modes
 takes its eigenvalues from fem.seed_eigenvalues, a p-version Galerkin
 solve, and certifies each by a determinant sign change across a bracket
-as narrow as refine_brackets' stopping width; since every eigenvalue is
-simple (the paper's theorem), such a bracket holds one root.  The same
-batched pass with stations builds every mode with its simplicity probes
-(eigenpair is the one-lam case at the defaults): the joint null vector of
-the last frames is carried back through the orthonormalisations, so the
-modes keep their shape at large lam too.  refine_brackets refines
-sign-change brackets in lock step by a bracketed Newton iteration, one
-batched pass per iteration (refine is the one-bracket case); scan finds
-them on a uniform grid in s = lam**(1/4), where the roots are
-asymptotically equispaced, from one stacked determinant.
+as narrow as refine_brackets' stopping width at max(TOL_LAMBDA_REL,
+rel_tol); since every eigenvalue is simple (the paper's theorem), such a
+bracket holds one root.  The same batched pass with stations builds
+every mode with its simplicity probes (eigenpair is the one-lam case at
+the defaults): the joint null vector of the last frames is carried back
+through the orthonormalisations, so the modes keep their shape at large
+lam too.  refine_brackets refines sign-change brackets in lock step by a
+bracketed Newton iteration, one batched pass per iteration (refine is
+the one-bracket case); scan finds them on a uniform grid in
+s = lam**(1/4), where the roots are asymptotically equispaced, from one
+stacked determinant.
 """
 
 from __future__ import annotations
@@ -151,19 +152,19 @@ def _batch_dets(system, lams, rel_tol):
     return _signed_log_det(matrices, col_log)
 
 
-def scan(system, s_max, ds=DEFAULT_DS, rel_tol=DEFAULT_REL_TOL):
+def scan(system, s_max, ds=DEFAULT_DS):
     """Sign-change brackets of the determinant on the grid s = j*ds <= s_max.
 
     Roots of fourth-order problems are asymptotically equispaced in
     s = lam**(1/4), so a fine enough ds skips none.  All grid points are
-    integrated together (see quasi._batch_final_states).
+    integrated together at DEFAULT_REL_TOL (see quasi._batch_final_states).
     """
     if not 0.0 < s_max < math.inf:
         raise ValueError("s_max must be finite and > 0")
     if not 0.0 < ds < math.inf:
         raise ValueError("ds must be finite and > 0")
     s = ds * np.arange(1, int(math.floor(s_max / ds + 1e-9)) + 1)
-    sign = _batch_dets(system, s ** 4, rel_tol)[0]
+    sign = _batch_dets(system, s ** 4, DEFAULT_REL_TOL)[0]
     # an exact zero on a grid point is vanishingly unlikely; the point is
     # skipped and its neighbours bracket the root
     s, sign = s[sign != 0], sign[sign != 0]
@@ -510,10 +511,12 @@ def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL,
 
     One _probe pass builds every mode at its seed lam_g and integrates
     s_g -+ k*c for k in CERTIFY_FAN, s_g = lam_g**(1/4) and c half the
-    stopping width.  A sign change at -+c, else at -+10c, certifies the
-    seed, which is reported.  Other seeds are refined on s_g -+ DEFAULT_DS
-    (BracketError without a sign change) and the mode pass is redone.  Mode
-    n must show n - 1 interior sign changes of u, else RuntimeError.
+    stopping width at tol = max(TOL_LAMBDA_REL, rel_tol), which is as
+    narrow as a determinant integrated at rel_tol resolves.  A sign change
+    at -+c, else at -+10c, certifies the seed, which is reported.  Others
+    are refined to tol on s_g -+ DEFAULT_DS (BracketError without a sign
+    change) and the mode pass is redone.  Mode n must show n - 1 interior
+    sign changes of u, else RuntimeError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -521,7 +524,8 @@ def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL,
         raise ValueError(f"stations_per_side must be odd and >= {MIN_MODE_STATIONS}")
     lams = seed_eigenvalues(system, count)
     s = lams ** 0.25
-    c = 0.5 * _stopping_width(s, TOL_LAMBDA_REL)
+    tol = max(TOL_LAMBDA_REL, rel_tol)
+    c = 0.5 * _stopping_width(s, tol)
     fan = s[:, None] + np.outer(c, CERTIFY_FAN)
     xs = np.linspace(-1.0, 0.0, stations_per_side)
     *probe, sign = _probe(system, lams, rel_tol, xs, fan.ravel() ** 4)
@@ -532,7 +536,7 @@ def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL,
         pairs = _modes(system, lams, indices, xs, *probe)
     else:
         brackets = np.column_stack([np.maximum(s - DEFAULT_DS, 0.0), s + DEFAULT_DS])
-        lams[~certified] = refine_brackets(system, brackets[~certified].tolist(), rel_tol=rel_tol)
+        lams[~certified] = refine_brackets(system, brackets[~certified].tolist(), tol, rel_tol)
         pairs = _eigenpairs(system, lams, rel_tol, stations_per_side, indices)
     for pair in pairs:
         # u(0) once: the two spans' values of a node there can differ in sign;

@@ -18,6 +18,15 @@ SHIPPED_BUILDERS = {
 }
 
 
+def near_floor_system():
+    """Admissible, with a right-span sigma = 0.01 + x**2 that nearly vanishes
+    at the joint: no Galerkin seed of it lies within the certificate of its
+    root at the default tolerance, so every seed takes the fallback."""
+    return bs.BeamSystem(bs.CoefficientProfile("left", (1.0,), (1.0,), (0.0,)),
+                         bs.CoefficientProfile("right", (1.0,), (0.01, 0.0, 1.0), (0.0,)),
+                         1.0)
+
+
 @pytest.fixture(scope="session")
 def shipped_systems():
     return {name: build() for name, build in SHIPPED_BUILDERS.items()}

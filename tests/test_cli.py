@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conftest
 from beamspec.cli import main
+from beamspec.config import serialize_system
 from beamspec.spectrum import DEFAULT_MODE_STATIONS
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -230,9 +232,12 @@ def test_closed_pipe_exits_quietly(tmp_path):
 
 
 def test_verify_loads_no_scipy(tmp_path):
-    # the shooting solve, its Galerkin seeds and its refinement fallback
-    # (every seed at --tol 1e-6) import numpy only; scipy loads on the first
-    # Hermite-oracle or oscillation call, which verify makes none of
+    # the shooting solve, its Galerkin seeds at a loose --tol, and its
+    # refinement fallback (every seed of the near-floor config) import numpy
+    # only; scipy loads on the first Hermite-oracle or oscillation call,
+    # which verify makes none of
+    near_floor = tmp_path / "near_floor.json"
+    near_floor.write_text(serialize_system(conftest.near_floor_system()))
     code = "\n".join([
         "import sys",
         "import beamspec, beamspec.cli",
@@ -241,6 +246,9 @@ def test_verify_loads_no_scipy(tmp_path):
         "assert code == 0, code",
         f"code = beamspec.cli.main(['spectrum', {VARIABLE_M1!r}, '--tol', '1e-6',"
         f" '--out', {str(tmp_path / 'spectrum.csv')!r}])",
+        "assert code == 0, code",
+        f"code = beamspec.cli.main(['spectrum', {str(near_floor)!r},"
+        f" '--out', {str(tmp_path / 'near_floor.csv')!r}])",
         "assert code == 0, code",
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))",
         "assert not loaded, loaded",

@@ -74,11 +74,16 @@ def test_trajectory_stations():
         integrate(UNIFORM_LEFT, 5.0, -1.0, 0.5, (0, 1, 0, 0))
 
 
+def final_state(profile, lam, x_from, init, rel_tol):
+    """The state at x = 0 of one column integrated from x_from at rel_tol."""
+    return _batch_final_states(profile, [lam], x_from, 0.0, init, rel_tol).frames[0, -1, 0]
+
+
 def test_argument_guards():
     with pytest.raises(ValueError):
-        integrate(UNIFORM_LEFT, 1.0, -1.0, 0.0, (0, 1, 0, 0), rel_tol=1e-5)
+        final_state(UNIFORM_LEFT, 1.0, -1.0, (0, 1, 0, 0), 1e-5)
     with pytest.raises(ValueError):
-        integrate(UNIFORM_LEFT, 1.0, -1.0, 0.0, (0, 1, 0, 0), rel_tol=1e-14)
+        final_state(UNIFORM_LEFT, 1.0, -1.0, (0, 1, 0, 0), 1e-14)
     with pytest.raises(ValueError):
         integrate(UNIFORM_LEFT, 1.0, -2.0, 0.0, (0, 1, 0, 0))
     with pytest.raises(ValueError):
@@ -157,10 +162,9 @@ def test_linearity():
         a = rng.normal(size=4)
         b = rng.normal(size=4)
         alpha, beta = 1.7, -0.6
-        fa = integrate(profile, lam, -1.0, 0.0, a, rel_tol).final_state
-        fb = integrate(profile, lam, -1.0, 0.0, b, rel_tol).final_state
-        fab = integrate(profile, lam, -1.0, 0.0, alpha * a + beta * b,
-                        rel_tol).final_state
+        fa = final_state(profile, lam, -1.0, a, rel_tol)
+        fb = final_state(profile, lam, -1.0, b, rel_tol)
+        fab = final_state(profile, lam, -1.0, alpha * a + beta * b, rel_tol)
         combo = alpha * fa + beta * fb
         scale = np.max(np.abs(combo))
         assert np.max(np.abs(fab - combo)) <= 10 * rel_tol * scale
@@ -170,8 +174,8 @@ def test_self_convergence():
     profile = CoefficientProfile("right", rho=(1.0, 0.0, 1.0), sigma=(2.0, -1.0),
                                  q=(1.0,))
     for rel_tol in (1e-8, 1e-10):
-        f1 = integrate(profile, 200.0, 1.0, 0.0, (0, -1, 0, 0), rel_tol).final_state
-        f2 = integrate(profile, 200.0, 1.0, 0.0, (0, -1, 0, 0), rel_tol / 2).final_state
+        f1 = final_state(profile, 200.0, 1.0, (0, -1, 0, 0), rel_tol)
+        f2 = final_state(profile, 200.0, 1.0, (0, -1, 0, 0), rel_tol / 2)
         scale = np.max(np.abs(f2))
         assert np.max(np.abs(f1 - f2)) < rel_tol * scale
 

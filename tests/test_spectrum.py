@@ -459,23 +459,22 @@ def test_seeds_closed_form_to_mode_40(monkeypatch):
     assert [p.lam for p in pairs] == seeds.tolist()
 
 
-def test_uncertified_seeds_fall_back_to_refinement(monkeypatch, variable_m1):
-    # at rel_tol = 1e-6 the shooting roots lie farther from the seeds than
-    # 10c, so no seed certifies: each is refined on s_g -+ DEFAULT_DS and
-    # the modes come from a redone mode pass
-    count, tol = 3, 1e-6
-    s = fem.seed_eigenvalues(variable_m1, count) ** 0.25
-    expected = refine_brackets(variable_m1, [(x - DEFAULT_DS, x + DEFAULT_DS) for x in s],
-                               rel_tol=tol)
+def test_uncertified_seeds_fall_back_to_refinement(monkeypatch):
+    # on the near-floor config the shooting roots lie farther from the seeds
+    # than 10c at the default tolerance, so no seed certifies: each is
+    # refined on s_g -+ DEFAULT_DS and the modes come from a redone mode pass
+    system, count = conftest.near_floor_system(), 6
+    s = fem.seed_eigenvalues(system, count) ** 0.25
+    expected = refine_brackets(system, [(x - DEFAULT_DS, x + DEFAULT_DS) for x in s])
     passes = count_passes(monkeypatch)
-    pairs = solve_modes(variable_m1, count, rel_tol=tol)
+    pairs = solve_modes(system, count)
     assert [p.lam for p in pairs] == expected
     assert np.all(np.abs(np.array(expected) ** 0.25 - s) > 10.0 * stopping_width(s) / 2.0)
     certify_pass, *refine_passes, mode_pass = passes
     assert certify_pass.size == 7 * count and refine_passes
     np.testing.assert_array_equal(mode_pass[:count], expected)
     assert mode_pass.size == 3 * count
-    redone = spectrum._eigenpairs(variable_m1, expected, tol,
+    redone = spectrum._eigenpairs(system, expected, DEFAULT_REL_TOL,
                                   spectrum.DEFAULT_MODE_STATIONS, range(1, count + 1))
     for pair, again in zip(pairs, redone):
         np.testing.assert_array_equal(pair.mode_left, again.mode_left)
@@ -498,7 +497,8 @@ def count_passes(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(conftest.SHIPPED_BUILDERS))
 def test_solve_and_verify_pass_counts(monkeypatch, shipped_systems, name):
-    # one pass: per mode its seed, which alone records the stations, the
+    # one pass at every supported tolerance, the certificate as wide as the
+    # tolerance: per mode its seed, which alone records the stations, the
     # probe's s -+ h and the certificate's s -+ c and s -+ 10c; verify
     # integrates nothing
     system = shipped_systems[name]
@@ -510,10 +510,26 @@ def test_solve_and_verify_pass_counts(monkeypatch, shipped_systems, name):
         return real(profiles, lams, *args)
 
     monkeypatch.setattr(spectrum, "_batch_final_states", spy)
-    verify(system, solve_modes(system, 6))
-    ((mode_pass, sampled),) = passes
-    assert mode_pass.size == 7 * 6 and sampled == 6
-    np.testing.assert_array_equal(mode_pass[:6], fem.seed_eigenvalues(system, 6))
+    for rel_tol in (1e-13, DEFAULT_REL_TOL, 1e-8, 1e-6):
+        passes.clear()
+        verify(system, solve_modes(system, 6, rel_tol=rel_tol))
+        assert len(passes) == 1, rel_tol
+        ((mode_pass, sampled),) = passes
+        assert mode_pass.size == 7 * 6 and sampled == 6, rel_tol
+        np.testing.assert_array_equal(mode_pass[:6], fem.seed_eigenvalues(system, 6),
+                                      err_msg=f"rel_tol={rel_tol:g}")
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-6])
+def test_loose_tolerance_residuals(shipped_systems, rel_tol):
+    # above the default the modes are built at the certified seeds, and they
+    # stay within the tolerance asked for: the relative Rayleigh residual
+    # and every interface residual
+    for name, system in shipped_systems.items():
+        for pair in solve_modes(system, 6, rel_tol=rel_tol):
+            rayleigh = abs(pair.lam - energy_form(system, pair, pair)) / pair.lam
+            assert rayleigh <= rel_tol, (name, pair.index)
+            assert np.all(pair.interface_residuals <= rel_tol), (name, pair.index)
 
 
 @pytest.mark.parametrize("n", range(1, 41))
