@@ -18,8 +18,8 @@ import time
 from . import __version__
 from .config import ConfigError, load_system
 from .fem import assemble, compare, solve_generalized
-from .quasi import REL_TOL_MAX, REL_TOL_MIN, IntegrationError
-from .spectrum import DEFAULT_MODE_STATIONS, MIN_MODE_STATIONS, solve_modes, verify
+from .quasi import DEFAULT_REL_TOL, REL_TOL_MAX, REL_TOL_MIN, IntegrationError
+from .spectrum import DEFAULT_MODE_STATIONS, MIN_MODE_STATIONS, TOL_LAMBDA_REL, solve_modes, verify
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -124,9 +124,9 @@ def _build_parser():
     def common(p, stations=False, masses=False, elements=False):
         p.add_argument("config", help="path to a JSON system configuration")
         p.add_argument("--modes", type=int, default=4, help="mode count (>= 1)")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="integration relative tolerance; also sets the width of "
-                            "each eigenvalue's certificate, never narrower than at 1e-10")
+        p.add_argument("--tol", type=float, default=DEFAULT_REL_TOL,
+                       help="integration relative tolerance; also sets the width of each "
+                            f"eigenvalue's certificate, never narrower than at {TOL_LAMBDA_REL:g}")
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         if stations:
             p.add_argument("--stations", type=int, default=DEFAULT_MODE_STATIONS,

@@ -16,18 +16,18 @@ growth bound each span's column pair is kept orthonormal, so the
 determinant is tracked as (sign, log magnitude) without the cancellation
 between the two exponentially growing columns at large lam.  solve_modes
 takes its eigenvalues from fem.seed_eigenvalues, a p-version Galerkin
-solve, and certifies each by a determinant sign change across a bracket
-as narrow as refine_brackets' stopping width at max(TOL_LAMBDA_REL,
-rel_tol); since every eigenvalue is simple (the paper's theorem), such a
-bracket holds one root.  The same batched pass with stations builds
-every mode with its simplicity probes (eigenpair is the one-lam case at
-the defaults): the joint null vector of the last frames is carried back
-through the orthonormalisations, so the modes keep their shape at large
-lam too.  refine_brackets refines sign-change brackets in lock step by a
-bracketed Newton iteration, one batched pass per iteration (refine is
-the one-bracket case); scan finds them on a uniform grid in
-s = lam**(1/4), where the roots are asymptotically equispaced, from one
-stacked determinant.
+solve, and certifies each by a determinant sign change across a bracket as
+narrow as refine_brackets' stopping width at max(TOL_LAMBDA_REL, rel_tol);
+since every eigenvalue is simple (the paper's theorem), such a bracket
+holds one root.  If a seed is not, solve_modes refines scan's brackets.
+The same batched pass with stations builds every mode with its simplicity
+probes (eigenpair is the one-lam case at the defaults): the joint null
+vector of the last frames is carried back through the orthonormalisations,
+so the modes keep their shape at large lam too.  refine_brackets refines
+sign-change brackets in lock step by a bracketed Newton iteration, one
+batched pass per iteration (refine is the one-bracket case); scan finds
+them on a uniform grid in s = lam**(1/4), where the roots are
+asymptotically equispaced, from one stacked determinant.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ SIGN_NOTE = (
 
 
 class BracketError(ValueError):
-    """refine() was handed an interval without a determinant sign change."""
+    """A bracket without a determinant sign change, or fewer brackets than modes."""
 
 
 def _build_matrix(left_states, right_states, mass, lam):
@@ -156,14 +156,15 @@ def scan(system, s_max, ds=DEFAULT_DS):
     """Sign-change brackets of the determinant on the grid s = j*ds <= s_max.
 
     Roots of fourth-order problems are asymptotically equispaced in
-    s = lam**(1/4), so a fine enough ds skips none.  All grid points are
-    integrated together at DEFAULT_REL_TOL (see quasi._batch_final_states).
+    s = lam**(1/4), so a fine enough ds skips none; j starts at 0, as a
+    large mass can put lam_1 below ds**4.  All grid points are integrated
+    together at DEFAULT_REL_TOL (see quasi._batch_final_states).
     """
     if not 0.0 < s_max < math.inf:
         raise ValueError("s_max must be finite and > 0")
     if not 0.0 < ds < math.inf:
         raise ValueError("ds must be finite and > 0")
-    s = ds * np.arange(1, int(math.floor(s_max / ds + 1e-9)) + 1)
+    s = ds * np.arange(int(math.floor(s_max / ds + 1e-9)) + 1)
     sign = _batch_dets(system, s ** 4, DEFAULT_REL_TOL)[0]
     # an exact zero on a grid point is vanishingly unlikely; the point is
     # skipped and its neighbours bracket the root
@@ -513,10 +514,11 @@ def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL,
     s_g -+ k*c for k in CERTIFY_FAN, s_g = lam_g**(1/4) and c half the
     stopping width at tol = max(TOL_LAMBDA_REL, rel_tol), which is as
     narrow as a determinant integrated at rel_tol resolves.  A sign change
-    at -+c, else at -+10c, certifies the seed, which is reported.  Others
-    are refined to tol on s_g -+ DEFAULT_DS (BracketError without a sign
-    change) and the mode pass is redone.  Mode n must show n - 1 interior
-    sign changes of u, else RuntimeError.
+    at -+c, else at -+10c, certifies the seed (of Galerkin degree count + 16,
+    so lam_n's last bits depend on count), which is reported.  If one is
+    not, scan's first `count` brackets up to suggest_s_max are refined to
+    tol (BracketError if fewer) and the mode pass is redone.  Mode n must
+    show n - 1 interior sign changes of u, else RuntimeError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -535,8 +537,10 @@ def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL,
     if certified.all():
         pairs = _modes(system, lams, indices, xs, *probe)
     else:
-        brackets = np.column_stack([np.maximum(s - DEFAULT_DS, 0.0), s + DEFAULT_DS])
-        lams[~certified] = refine_brackets(system, brackets[~certified].tolist(), tol, rel_tol)
+        brackets = scan(system, suggest_s_max(system, count))
+        if len(brackets) < count:
+            raise BracketError(f"scan found {len(brackets)} sign changes, not {count}")
+        lams = refine_brackets(system, brackets[:count], tol, rel_tol)
         pairs = _eigenpairs(system, lams, rel_tol, stations_per_side, indices)
     for pair in pairs:
         # u(0) once: the two spans' values of a node there can differ in sign;

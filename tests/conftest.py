@@ -18,12 +18,12 @@ SHIPPED_BUILDERS = {
 }
 
 
-def near_floor_system():
-    """Admissible, with a right-span sigma = 0.01 + x**2 that nearly vanishes
+def near_floor_system(floor=0.01):
+    """Admissible, with a right-span sigma = floor + x**2 that nearly vanishes
     at the joint: no Galerkin seed of it lies within the certificate of its
-    root at the default tolerance, so every seed takes the fallback."""
+    root at the default tolerance, so solve_modes refines scan's brackets."""
     return bs.BeamSystem(bs.CoefficientProfile("left", (1.0,), (1.0,), (0.0,)),
-                         bs.CoefficientProfile("right", (1.0,), (0.01, 0.0, 1.0), (0.0,)),
+                         bs.CoefficientProfile("right", (1.0,), (floor, 0.0, 1.0), (0.0,)),
                          1.0)
 
 

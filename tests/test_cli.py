@@ -233,9 +233,9 @@ def test_closed_pipe_exits_quietly(tmp_path):
 
 def test_verify_loads_no_scipy(tmp_path):
     # the shooting solve, its Galerkin seeds at a loose --tol, and its
-    # refinement fallback (every seed of the near-floor config) import numpy
-    # only; scipy loads on the first Hermite-oracle or oscillation call,
-    # which verify makes none of
+    # scan-and-refine fallback (the near-floor config, whose seeds are not
+    # certified) import numpy only; scipy loads on the first Hermite-oracle
+    # or oscillation call, which verify makes none of
     near_floor = tmp_path / "near_floor.json"
     near_floor.write_text(serialize_system(conftest.near_floor_system()))
     code = "\n".join([

@@ -156,19 +156,36 @@ def test_refine_brackets_rejects_bad_bracket():
         refine_brackets(UNIFORM, [(1.56, 1.58), (0.5, 0.6)])
 
 
-def test_fallback_without_a_sign_change_raises(monkeypatch, capsys):
-    # the same check when the bracket is a seed's fallback: a seed that no
-    # root lies within DEFAULT_DS of is a solver failure, exit 3
+def misplace_second_seed(monkeypatch):
+    """Seeds whose second lies between the roots pi/2 and pi of uniform M=0."""
     def seeds(system, count):
         lams = fem.seed_eigenvalues(system, count)
-        lams[1] = (math.pi * 3 / 4) ** 4      # between the roots pi/2 and pi
+        lams[1] = (math.pi * 3 / 4) ** 4
         return lams
 
     monkeypatch.setattr(spectrum, "seed_eigenvalues", seeds)
-    with pytest.raises(BracketError):
+
+
+def test_misplaced_seed_is_recovered_by_the_scan(monkeypatch, capsys):
+    # an uncertified seed sends the solve to scan's brackets, which hold
+    # every root up to suggest_s_max
+    misplace_second_seed(monkeypatch)
+    assert cli.main(["spectrum", "configs/uniform_m0.json", "--modes", "3"]) == cli.EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("#")][1:]
+    np.testing.assert_allclose([float(row[1]) for row in rows],
+                               (np.arange(1, 4) * math.pi / 2) ** 4, rtol=1e-10, atol=0)
+
+
+def test_fallback_with_too_few_brackets_raises(monkeypatch, capsys):
+    # a scan ceiling below s_3 = 3 pi/2 leaves two brackets for three modes:
+    # a solver failure, exit 3
+    misplace_second_seed(monkeypatch)
+    monkeypatch.setattr(spectrum, "suggest_s_max", lambda system, count: 4.0)
+    with pytest.raises(BracketError, match="scan found 2 sign changes, not 3"):
         solve_modes(UNIFORM, 3)
     assert cli.main(["spectrum", "configs/uniform_m0.json", "--modes", "3"]) == cli.EXIT_SOLVER
-    assert "does not change sign" in capsys.readouterr().err
+    assert "scan found 2 sign changes" in capsys.readouterr().err
 
 
 def stopping_width(s, tol_lambda_rel=1e-10):
@@ -461,17 +478,21 @@ def test_seeds_closed_form_to_mode_40(monkeypatch):
 
 def test_uncertified_seeds_fall_back_to_refinement(monkeypatch):
     # on the near-floor config the shooting roots lie farther from the seeds
-    # than 10c at the default tolerance, so no seed certifies: each is
-    # refined on s_g -+ DEFAULT_DS and the modes come from a redone mode pass
+    # than 10c at the default tolerance, so no seed certifies: the first
+    # `count` brackets of scan are refined and the modes come from a redone
+    # mode pass
     system, count = conftest.near_floor_system(), 6
     s = fem.seed_eigenvalues(system, count) ** 0.25
-    expected = refine_brackets(system, [(x - DEFAULT_DS, x + DEFAULT_DS) for x in s])
+    s_max = suggest_s_max(system, count)
+    expected = refine_brackets(system, scan(system, s_max)[:count])
     passes = count_passes(monkeypatch)
     pairs = solve_modes(system, count)
     assert [p.lam for p in pairs] == expected
     assert np.all(np.abs(np.array(expected) ** 0.25 - s) > 10.0 * stopping_width(s) / 2.0)
-    certify_pass, *refine_passes, mode_pass = passes
+    certify_pass, scan_pass, *refine_passes, mode_pass = passes
     assert certify_pass.size == 7 * count and refine_passes
+    n = math.floor(s_max / DEFAULT_DS + 1e-9)
+    np.testing.assert_array_equal(scan_pass, (DEFAULT_DS * np.arange(n + 1)) ** 4)
     np.testing.assert_array_equal(mode_pass[:count], expected)
     assert mode_pass.size == 3 * count
     redone = spectrum._eigenpairs(system, expected, DEFAULT_REL_TOL,
@@ -479,6 +500,31 @@ def test_uncertified_seeds_fall_back_to_refinement(monkeypatch):
     for pair, again in zip(pairs, redone):
         np.testing.assert_array_equal(pair.mode_left, again.mode_left)
         np.testing.assert_array_equal(pair.mode_right, again.mode_right)
+
+
+@pytest.mark.parametrize("floor, lam_1", [(1e-6, 0.00153686751048),
+                                          (1e-8, 0.000152905090517)], ids=["1e-6", "1e-8"])
+def test_near_floor_configs_solve(floor, lam_1):
+    # the Galerkin seeds miss lam_1 by a factor of 4 and 40 here, so the
+    # solve rests on the scan; lam_1 as the scan-and-refine solve gave it
+    # before the seeded solve
+    system = conftest.near_floor_system(floor)
+    pairs = solve_modes(system, 4)
+    assert pairs[0].lam == pytest.approx(lam_1, rel=1e-10, abs=0)
+    assert verify(system, pairs).theorem1_consistent
+
+
+def test_first_root_below_the_scan_step(monkeypatch):
+    # uniform M = 1e9: not every seed certifies, and lam_1 lies below
+    # DEFAULT_DS**4; the scan grid starts at s = 0, so it still brackets
+    # lam_1, which is k/(M + 17/35 m) to O(1/M**2) relative (Rayleigh), k = 6
+    # being the midpoint stiffness of the hinged beam of length 2, m = 2 its mass
+    system = uniform_system(1e9)
+    passes = count_passes(monkeypatch)
+    pairs = solve_modes(system, 4)
+    assert passes[1].size > 7 * 4     # the scan pass
+    assert pairs[0].lam == pytest.approx(6.0 / (1e9 + 34.0 / 35.0), rel=1e-12, abs=0)
+    assert verify(system, pairs).theorem1_consistent
 
 
 def count_passes(monkeypatch):
