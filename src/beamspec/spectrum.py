@@ -16,12 +16,12 @@ growth bound each span's column pair is kept orthonormal, so the
 determinant is tracked as (sign, log magnitude) without the cancellation
 between the two exponentially growing columns at large lam.  solve_modes
 takes its eigenvalues from fem.seed_eigenvalues, a p-version Galerkin
-solve, and certifies each by a determinant sign change across a bracket as
-narrow as refine_brackets' stopping width at max(TOL_LAMBDA_REL, rel_tol);
-since every eigenvalue is simple (the paper's theorem), such a bracket
-holds one root.  If a seed is not, solve_modes refines scan's brackets.
-The same batched pass with stations builds every mode with its simplicity
-probes (eigenpair is the one-lam case at the defaults): the joint null
+solve, or, if a seed is not certified, refines scan's brackets.  Either
+way one batched pass with stations builds every mode with its simplicity
+probes and its certificate, a determinant sign change across s -+ w (w
+five of refine_brackets' stopping widths at max(TOL_LAMBDA_REL, rel_tol));
+every eigenvalue being simple (the paper's theorem), that bracket holds
+one root.  eigenpair is the one-lam case at the defaults.  The joint null
 vector of the last frames is carried back through the orthonormalisations,
 so the modes keep their shape at large lam too.  refine_brackets refines
 sign-change brackets in lock step by a bracketed Newton iteration, one
@@ -57,7 +57,7 @@ NEWTON_REL_STEP = 1e-6
 NEWTON_FAN = (1.0, 4.0, 16.0)
 MAX_REFINE_PASSES = 100
 TOL_LAMBDA_REL = 1e-10
-CERTIFY_FAN = (-1.0, 1.0, -10.0, 10.0)   # certificate points s -+ k*c, c half the stopping width
+CERTIFY_WIDTHS = 5.0   # certificate half-width, in stopping widths
 
 SIGN_NOTE = (
     "published sign conventions for the endpoint products u'*Tu disagree "
@@ -257,6 +257,11 @@ def _stopping_width(x, tol_lambda_rel):
     return max(tol_lambda_rel / 40.0, 4e-16) * np.abs(x) + 1e-14
 
 
+def _lambda_tol(rel_tol):
+    """A solve's tolerance in lam: rel_tol, but never below TOL_LAMBDA_REL."""
+    return max(TOL_LAMBDA_REL, rel_tol)
+
+
 def _newton_points(x, tol_lambda_rel):
     """Columns x, x - d, x + d, x - k*c, x + k*c (k in NEWTON_FAN) of a Newton
     pass, with d = NEWTON_REL_STEP*|x| and c half the stopping width."""
@@ -325,14 +330,8 @@ def _simpson(y, x):
 def eigenpair(system, lam, index=None):
     """The normalized mode at a refined eigenvalue lam: the one-lam case of
     the assembly in solve_modes at the defaults, with the same bits."""
-    return _eigenpairs(system, [lam], DEFAULT_REL_TOL, DEFAULT_MODE_STATIONS, [index])[0]
-
-
-def _eigenpairs(system, lams, rel_tol, stations_per_side, indices):
-    """Normalized modes at refined eigenvalues lams, from one batched pass:
-    _probe's, to stations_per_side stations per side (see _modes)."""
-    xs = np.linspace(-1.0, 0.0, stations_per_side)
-    return _modes(system, lams, indices, xs, *_probe(system, lams, rel_tol, xs)[:5])
+    xs = np.linspace(-1.0, 0.0, DEFAULT_MODE_STATIONS)
+    return _modes(system, [lam], [index], xs, *_probe(system, [lam], DEFAULT_REL_TOL, xs)[:-1])[0]
 
 
 def _modes(system, lams, indices, xs, shot, matrices, slopes, margins, classes):
@@ -423,14 +422,15 @@ def energy_form(system, phi, psi):
     return float(out)
 
 
-def _probe(system, lams, rel_tol, stations=(0.0,), extra=()):
-    """Simplicity slope, margin and joint step class at every lam, batched.
+def _probe(system, lams, rel_tol, stations=(0.0,)):
+    """Simplicity slope, margin, joint step class and certificate at every lam, batched.
 
-    One _batch_matrices pass to the given stations covers s, s - h and s + h
-    for every lam (s = lam**0.25, h = max(s, 1) * PROBE_REL_STEP), and the
-    lams `extra`; only the lams themselves record the interior stations,
-    since the other entries are read at x = 0 alone.  Returns the Shot and
-    the joint matrices of the lams alone, then four arrays:
+    One _batch_matrices pass to the given stations covers s, s -+ h and
+    s -+ w for every lam (s = lam**0.25, h = max(s, 1) * PROBE_REL_STEP,
+    w CERTIFY_WIDTHS stopping widths at _lambda_tol(rel_tol)); only the
+    lams themselves record the interior stations, since the other entries
+    are read at x = 0 alone.  Returns the Shot and the joint matrices of the
+    lams alone, then four arrays:
 
     * slope: centred difference in s of the determinant, descaled by the
       larger of its two log magnitudes;
@@ -441,15 +441,17 @@ def _probe(system, lams, rel_tol, stations=(0.0,), extra=()):
       from the endpoint pairs at lam: 1 when both spans' slope pairings are
       nonzero at x = 0, 2 when both vanish (below VANISH_REL of their own
       triple's scale), 3 when exactly one vanishes;
-    * the determinant signs at the lams `extra`.
+    * certified: the determinant changes sign across s -+ w, as narrow a
+      bracket as a determinant at rel_tol resolves, so it holds one root.
     """
     lams = np.asarray(lams, dtype=float)
     n = lams.size
     s = lams ** 0.25
     h = np.maximum(s, 1.0) * PROBE_REL_STEP
+    w = CERTIFY_WIDTHS * _stopping_width(s, _lambda_tol(rel_tol))
     shot, matrices, col_log = _batch_matrices(
-        system, np.concatenate([lams, (s - h) ** 4, (s + h) ** 4, extra]), rel_tol,
-        stations, n)
+        system, np.concatenate([lams, np.concatenate([s - h, s + h, s - w, s + w]) ** 4]),
+        rel_tol, stations, n)
     sign, log_abs = _signed_log_det(matrices[n:], col_log[n:])
     ref = np.maximum(log_abs[:n], log_abs[n:2 * n])
     f_lo = _descale(sign[:n], log_abs[:n], ref)
@@ -468,7 +470,7 @@ def _probe(system, lams, rel_tol, stations=(0.0,), extra=()):
     vanished = np.sum(np.abs(triple[0]) <= VANISH_REL * scale, axis=0)
     step_class = np.array([1, 3, 2])[vanished]
     return (Shot(*(a[:, :n] for a in shot)), matrices[:n], slope, margin, step_class,
-            sign[2 * n:])
+            sign[2 * n:3 * n] * sign[3 * n:] < 0)
 
 
 def det_slope(system, lam):
@@ -510,38 +512,32 @@ def solve_modes(system, count, rel_tol=DEFAULT_REL_TOL,
                 stations_per_side=DEFAULT_MODE_STATIONS):
     """First `count` eigenpairs, ascending: Galerkin seeds certified by shooting.
 
-    One _probe pass builds every mode at its seed lam_g and integrates
-    s_g -+ k*c for k in CERTIFY_FAN, s_g = lam_g**(1/4) and c half the
-    stopping width at tol = max(TOL_LAMBDA_REL, rel_tol), which is as
-    narrow as a determinant integrated at rel_tol resolves.  A sign change
-    at -+c, else at -+10c, certifies the seed (of Galerkin degree count + 16,
-    so lam_n's last bits depend on count), which is reported.  If one is
-    not, scan's first `count` brackets up to suggest_s_max are refined to
-    tol (BracketError if fewer) and the mode pass is redone.  Mode n must
-    show n - 1 interior sign changes of u, else RuntimeError.
+    One _probe pass builds every mode at its seed lam_g (of Galerkin degree
+    count + 16, so lam_n's last bits depend on count), which is reported if
+    its certificate holds.  If one does not, scan's first `count` brackets
+    up to suggest_s_max are refined to _lambda_tol(rel_tol) (BracketError
+    if fewer) and the mode pass is redone; a refined mode without a
+    certificate is a BracketError too.  Mode n must show n - 1 interior
+    sign changes of u, else RuntimeError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if stations_per_side < MIN_MODE_STATIONS or stations_per_side % 2 == 0:
         raise ValueError(f"stations_per_side must be odd and >= {MIN_MODE_STATIONS}")
     lams = seed_eigenvalues(system, count)
-    s = lams ** 0.25
-    tol = max(TOL_LAMBDA_REL, rel_tol)
-    c = 0.5 * _stopping_width(s, tol)
-    fan = s[:, None] + np.outer(c, CERTIFY_FAN)
     xs = np.linspace(-1.0, 0.0, stations_per_side)
-    *probe, sign = _probe(system, lams, rel_tol, xs, fan.ravel() ** 4)
-    sign = sign.reshape(count, -1, 2)
-    certified = np.any(sign[..., 0] * sign[..., 1] < 0, axis=1)
-    indices = range(1, count + 1)
-    if certified.all():
-        pairs = _modes(system, lams, indices, xs, *probe)
-    else:
+    *probe, certified = _probe(system, lams, rel_tol, xs)
+    if not certified.all():
         brackets = scan(system, suggest_s_max(system, count))
         if len(brackets) < count:
             raise BracketError(f"scan found {len(brackets)} sign changes, not {count}")
-        lams = refine_brackets(system, brackets[:count], tol, rel_tol)
-        pairs = _eigenpairs(system, lams, rel_tol, stations_per_side, indices)
+        lams = refine_brackets(system, brackets[:count], _lambda_tol(rel_tol), rel_tol)
+        *probe, certified = _probe(system, lams, rel_tol, xs)
+    if not certified.all():
+        i = int(np.argmin(certified))
+        raise BracketError(f"refined mode {i + 1} at lam={lams[i]:g} shows no determinant "
+                           "sign change across its certificate bracket")
+    pairs = _modes(system, lams, range(1, count + 1), xs, *probe)
     for pair in pairs:
         # u(0) once: the two spans' values of a node there can differ in sign;
         # exact zeros (the hinges) are skipped

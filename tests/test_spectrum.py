@@ -11,7 +11,8 @@ import pytest
 import beamspec.spectrum as spectrum
 import conftest
 from beamspec import cli, fem
-from beamspec.config import MIRROR, eval_coeff, mirrored, uniform_system, variable_system
+from beamspec.config import (MIRROR, eval_coeff, mirrored, serialize_system, uniform_system,
+                             variable_system)
 from beamspec.fundamental import LEFT_UNIT_SHEAR, LEFT_UNIT_SLOPE
 from beamspec.quasi import DEFAULT_REL_TOL, GROWTH_BOUND, _batch_final_states
 from beamspec.spectrum import (
@@ -283,23 +284,31 @@ def test_refine_closed_form_to_mode_40(mass):
         assert abs(lam - s ** 4) <= 1e-10 * s ** 4, n
 
 
+def assembled_modes(system, lams, indices):
+    """solve_modes' assembly of the modes at lams, from one _probe pass."""
+    xs = np.linspace(-1.0, 0.0, spectrum.DEFAULT_MODE_STATIONS)
+    return spectrum._modes(system, lams, indices, xs,
+                           *spectrum._probe(system, lams, DEFAULT_REL_TOL, xs)[:-1])
+
+
 @pytest.mark.parametrize("mass", [0.0, 1.0])
-def test_modes_closed_form_to_mode_40(mass):
+def test_modes_closed_form_to_mode_40(monkeypatch, mass):
     # at the exact lam = (n pi/2)**4 the mode is sin(n pi (x+1)/2) on both
     # spans (every n at M = 0, the even n, which have u(0) = 0, at M = 1);
     # the scalar path returned the wrong shape from mode 17 on
     # all modes come from one batched pass, as in solve_modes; eigenpair is
-    # its one-lam case and gives the same bits
+    # its one-lam case, one pass of 5 entries, and gives the same bits
     system = uniform_system(mass)
     ns = list(range(1, 41) if mass == 0.0 else range(2, 41, 2))
     lams = [(n * math.pi / 2) ** 4 for n in ns]
-    pairs = spectrum._eigenpairs(system, lams, DEFAULT_REL_TOL,
-                                 spectrum.DEFAULT_MODE_STATIONS, ns)
+    pairs = assembled_modes(system, lams, ns)
+    passes = count_passes(monkeypatch)
     for i in (0, -1):
         alone = eigenpair(system, lams[i], index=ns[i])
         np.testing.assert_array_equal(alone.coeffs, pairs[i].coeffs)
         np.testing.assert_array_equal(alone.mode_left, pairs[i].mode_left)
         np.testing.assert_array_equal(alone.mode_right, pairs[i].mode_right)
+    assert [p.size for p in passes] == [5, 5]
     for n, pair in zip(ns, pairs):
         x = np.concatenate([pair.xs_left, pair.xs_right])
         u = np.concatenate([pair.mode_left[:, 0], pair.mode_right[:, 0]])
@@ -463,7 +472,8 @@ def test_seeds_that_skip_a_root_fail_the_zero_count(monkeypatch, capsys):
 
 def test_seeds_closed_form_to_mode_40(monkeypatch):
     # uniform M=0: the seeds are (n pi/2)**4 to 1e-11 up to mode 40, and the
-    # mode pass certifies every one of them, with no fallback refinement
+    # mode pass certifies every one of them, with no fallback refinement;
+    # so it does at M = 1 and 10 to mode 40 and on variable_m1 to mode 20
     seeds = fem.seed_eigenvalues(UNIFORM, 40)
     exact = (np.arange(1, 41) * math.pi / 2) ** 4
     np.testing.assert_allclose(seeds, exact, rtol=1e-11, atol=0)
@@ -472,15 +482,17 @@ def test_seeds_closed_form_to_mode_40(monkeypatch):
         raise AssertionError("a seed was not certified")
 
     monkeypatch.setattr(spectrum, "refine_brackets", no_fallback)
-    pairs = solve_modes(UNIFORM, 40)
-    assert [p.lam for p in pairs] == seeds.tolist()
+    for system, count in ((UNIFORM, 40), (UNIFORM_M1, 40), (uniform_system(10.0), 40),
+                          (variable_system(1.0), 20)):
+        pairs = solve_modes(system, count)
+        assert [p.lam for p in pairs] == fem.seed_eigenvalues(system, count).tolist()
 
 
 def test_uncertified_seeds_fall_back_to_refinement(monkeypatch):
     # on the near-floor config the shooting roots lie farther from the seeds
-    # than 10c at the default tolerance, so no seed certifies: the first
+    # than w at the default tolerance, so no seed certifies: the first
     # `count` brackets of scan are refined and the modes come from a redone
-    # mode pass
+    # mode pass, which certifies them
     system, count = conftest.near_floor_system(), 6
     s = fem.seed_eigenvalues(system, count) ** 0.25
     s_max = suggest_s_max(system, count)
@@ -488,18 +500,38 @@ def test_uncertified_seeds_fall_back_to_refinement(monkeypatch):
     passes = count_passes(monkeypatch)
     pairs = solve_modes(system, count)
     assert [p.lam for p in pairs] == expected
-    assert np.all(np.abs(np.array(expected) ** 0.25 - s) > 10.0 * stopping_width(s) / 2.0)
+    assert np.all(np.abs(np.array(expected) ** 0.25 - s) > 5.0 * stopping_width(s))
     certify_pass, scan_pass, *refine_passes, mode_pass = passes
-    assert certify_pass.size == 7 * count and refine_passes
+    assert certify_pass.size == 5 * count and refine_passes
     n = math.floor(s_max / DEFAULT_DS + 1e-9)
     np.testing.assert_array_equal(scan_pass, (DEFAULT_DS * np.arange(n + 1)) ** 4)
     np.testing.assert_array_equal(mode_pass[:count], expected)
-    assert mode_pass.size == 3 * count
-    redone = spectrum._eigenpairs(system, expected, DEFAULT_REL_TOL,
-                                  spectrum.DEFAULT_MODE_STATIONS, range(1, count + 1))
+    assert mode_pass.size == 5 * count
+    redone = assembled_modes(system, expected, range(1, count + 1))
     for pair, again in zip(pairs, redone):
         np.testing.assert_array_equal(pair.mode_left, again.mode_left)
         np.testing.assert_array_equal(pair.mode_right, again.mode_right)
+
+
+def test_refined_mode_without_a_certificate_raises(monkeypatch, tmp_path, capsys):
+    # the fallback's modes carry the certificate too: a refined lam_3 off by
+    # 1e-7 relative, a thousand times the tolerance, shows no sign change
+    # across its s -+ w and fails the solve instead of being reported
+    system = conftest.near_floor_system()
+    real = spectrum.refine_brackets
+
+    def off(*args):
+        lams = real(*args)
+        lams[2] *= 1.0 + 1e-7
+        return lams
+
+    monkeypatch.setattr(spectrum, "refine_brackets", off)
+    with pytest.raises(BracketError, match="refined mode 3 at lam=117.76"):
+        solve_modes(system, 6)
+    config = tmp_path / "near_floor.json"
+    config.write_text(serialize_system(system))
+    assert cli.main(["spectrum", str(config), "--modes", "6"]) == cli.EXIT_SOLVER
+    assert "refined mode 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("floor, lam_1", [(1e-6, 0.00153686751048),
@@ -545,8 +577,7 @@ def count_passes(monkeypatch):
 def test_solve_and_verify_pass_counts(monkeypatch, shipped_systems, name):
     # one pass at every supported tolerance, the certificate as wide as the
     # tolerance: per mode its seed, which alone records the stations, the
-    # probe's s -+ h and the certificate's s -+ c and s -+ 10c; verify
-    # integrates nothing
+    # probe's s -+ h and the certificate's s -+ w; verify integrates nothing
     system = shipped_systems[name]
     passes = []
     real = spectrum._batch_final_states
@@ -561,7 +592,7 @@ def test_solve_and_verify_pass_counts(monkeypatch, shipped_systems, name):
         verify(system, solve_modes(system, 6, rel_tol=rel_tol))
         assert len(passes) == 1, rel_tol
         ((mode_pass, sampled),) = passes
-        assert mode_pass.size == 7 * 6 and sampled == 6, rel_tol
+        assert mode_pass.size == 5 * 6 and sampled == 6, rel_tol
         np.testing.assert_array_equal(mode_pass[:6], fem.seed_eigenvalues(system, 6),
                                       err_msg=f"rel_tol={rel_tol:g}")
 
