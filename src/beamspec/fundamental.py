@@ -18,9 +18,10 @@ whose zeros in (x, lam) flag eigenvalues of auxiliary clamped problems.
 The shear pairing also equals u1'*sigma*u2'' - u2'*sigma*u1'', which is
 used here as an independent accuracy monitor.
 
-Each pinned solution is its own pass of quasi.integrate.  The pairings
-are read at given points from one joint pass of the pair's frames with
-the points as stations (_pair_frames).  Both run at quasi.DEFAULT_REL_TOL,
+The pinned pair is one pass with an initial column per entry, bit for
+bit two passes of quasi.integrate.  The pairings are read at given points
+from one joint pass of the pair's frames with the points as stations
+(_pair_frames).  Both run at quasi.DEFAULT_REL_TOL,
 so a set and its pairings share one tolerance.  Past quasi.GROWTH_BOUND
 the true columns are nearly parallel and their 2x2 minors cancel, so the
 pairings are read from the frames, whose minors times det R lose no digits.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MIRROR, in_span, rho_sigma_q
-from .quasi import Trajectory, _batch_final_states, _station_log_det, integrate
+from .quasi import DEFAULT_STATIONS, Trajectory, _batch_final_states, _columns, _station_log_det
 
 LEFT_UNIT_SLOPE = (0.0, 1.0, 0.0, 0.0)
 LEFT_UNIT_SHEAR = (0.0, 0.0, 0.0, 1.0)
@@ -99,7 +100,8 @@ def _pattern_check(trajectories, signs):
 def _fundamental(system, side, lam):
     profile = getattr(system, side)
     x_from, signs = _SPANS[side]
-    pair = [integrate(profile, lam, x_from, 0.0, init) for init in signs * _LEFT_PAIR]
+    pair = _columns(profile, [lam, lam], np.linspace(x_from, 0.0, DEFAULT_STATIONS),
+                    signs * _LEFT_PAIR)
     ok, violation = (None, None) if lam == 0 else _pattern_check(pair, signs)
     return FundamentalSet(side, lam, profile, *pair, ok, violation)
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import MIRROR, CoefficientProfile, critical_points, horner, in_span, rho_sigma_q
 from .fundamental import _pair_frames, first_violation
-from .quasi import DEFAULT_REL_TOL, _column, _dop853_tolerances, integrate
+from .quasi import DEFAULT_REL_TOL, _columns, _dop853_tolerances, integrate
 
 GAUGE_STATIONS = 257
 TRANSFORM_CHECK_POINTS = 65
@@ -193,7 +193,7 @@ def transform_identity_residual(td, lambda_like, init):
 
     # the original equation integrated in x to the warp's points x(t)
     x_t, h_t, flux_t = sol.y[:3]
-    x_traj = _column(profile, lambda_like, np.clip(x_t, a, b), init)
+    x_traj = _columns(profile, [lambda_like], np.clip(x_t, a, b), [init])[0]
     w = x_traj.states.T * math.exp(x_traj.log_scale)
     images = np.stack([w[0], c * w[1] / h_t, (h_t * w[2] - w[1] * flux_t) / c, w[3]],
                       axis=1)
@@ -228,10 +228,10 @@ def simple_zero_scan(system, pair):
     u_scale = float(np.max(np.abs(modes[:, 0])))
     slope_scale = float(np.max(np.abs(modes[:, 1])))
 
-    # the spans' u(0) agree to the interface residual only: opposite signs
-    # put a zero at the joint
+    # the spans' u(0) agree to the interface residual only: opposite signs,
+    # or an exact zero on either span, put a zero at the joint
     zeros = []
-    if pair.mode_left[-1, 0] * pair.mode_right[0, 0] < 0:
+    if pair.mode_left[-1, 0] * pair.mode_right[0, 0] <= 0:
         zeros.append((0.0, abs(float(pair.mode_left[-1, 1]))))
     # each span's zeros from its own samples; the left span starts at the
     # hinge x = -1, the right span's first station is x = 0
@@ -246,7 +246,7 @@ def simple_zero_scan(system, pair):
                     for j in (i, i + 1):
                         if x == xs[j]:
                             return mode[j]
-                    hop = _column(profile, pair.lam, np.array([xs[i], x]), mode[i])
+                    hop = _columns(profile, [pair.lam], np.array([xs[i], x]), [mode[i]])[0]
                     return hop.final_state * math.exp(hop.log_scale)
 
                 x0 = brentq(lambda x: float(state(x)[0]), xs[i], xs[i + 1], xtol=1e-13)

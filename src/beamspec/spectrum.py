@@ -334,22 +334,48 @@ def eigenpair(system, lam, index=None):
     return _modes(system, [lam], [index], xs, *_probe(system, [lam], DEFAULT_REL_TOL, xs)[:-1])[0]
 
 
-def _modes(system, lams, indices, xs, shot, matrices, slopes, margins, classes):
+def _mass_free(left):
+    """The left pair's last frames (N, 2, 4) rebased as L T, T (N, 2, 2), so
+    that the column with the smaller |u(0)| gets u(0) = 0: in the joint
+    matrix the mass term M*lam*u(0) then sits in one column alone, and a
+    large mass cannot swamp the other column's rows.  Returns (L T, T)."""
+    entries = np.arange(left.shape[0])
+    u = left[:, :, 0]
+    pivot = (np.abs(u[:, 1]) > np.abs(u[:, 0])).astype(int)
+    other = 1 - pivot
+    alpha = np.divide(u[entries, other], u[entries, pivot],
+                      out=np.zeros(entries.size), where=u[entries, pivot] != 0.0)
+    rebased = left.copy()
+    rebased[entries, other] -= alpha[:, None] * left[entries, pivot]
+    rebased[entries, other, 0] = 0.0
+    rebase = np.tile(np.eye(2), (entries.size, 1, 1))
+    rebase[entries, pivot, other] = -alpha
+    return rebased, rebase
+
+
+def _modes(system, lams, indices, xs, shot, slopes, margins, classes):
     """Normalized modes at eigenvalues lams from _probe's pass to the stations xs.
 
-    The joint null vector comes from the last frames and is carried back one
-    epoch at a time, c_(j-1) = R_j^-1 c_j, each R_j being upper triangular
-    with a positive diagonal; the R_j grow in the direction of integration,
-    so this recursion is stable.  A station of epoch e then holds the mode
-    as its frame times c_e.
+    The joint null vector is the last right singular vector of the joint
+    matrix of the last frames, with the left pair rebased by _mass_free and
+    every column scaled to unit max-norm (singular_values are that
+    matrix's).  It is carried back one epoch at a time, c_(j-1) =
+    R_j^-1 c_j, each R_j being upper triangular with a positive diagonal;
+    the R_j grow in the direction of integration, so this recursion is
+    stable.  A station of epoch e then holds the mode as its frame times
+    c_e.
     """
     lams = np.asarray(lams, dtype=float)
-    unit, norms = _unit_columns(matrices)
+    left, rebase = _mass_free(shot.frames[0, :, -1])
+    unit, norms = _unit_columns(_build_matrix(left, shot.frames[1, :, -1] * MIRROR,
+                                              system.mass, lams))
     _, svals, vt = np.linalg.svd(unit)
+    null = vt[:, -1] / norms
+    null[:, :2] = np.einsum("nij,nj->ni", rebase, null[:, :2])
     # coeffs[span, entry, epoch]: the span's pair coefficients in that epoch
     r = shot.r_factors
     coeffs = np.empty(r.shape[:3] + (2,))
-    coeffs[..., -1, :] = (vt[:, -1] / norms).reshape(-1, 2, 2).swapaxes(0, 1)
+    coeffs[..., -1, :] = null.reshape(-1, 2, 2).swapaxes(0, 1)
     for j in range(r.shape[2] - 1, 0, -1):
         c2 = coeffs[..., j, 1] / r[..., j, 1, 1]
         coeffs[..., j - 1, 1] = c2
@@ -429,8 +455,8 @@ def _probe(system, lams, rel_tol, stations=(0.0,)):
     s -+ w for every lam (s = lam**0.25, h = max(s, 1) * PROBE_REL_STEP,
     w CERTIFY_WIDTHS stopping widths at _lambda_tol(rel_tol)); only the
     lams themselves record the interior stations, since the other entries
-    are read at x = 0 alone.  Returns the Shot and the joint matrices of the
-    lams alone, then four arrays:
+    are read at x = 0 alone.  Returns the Shot of the lams alone, then four
+    arrays:
 
     * slope: centred difference in s of the determinant, descaled by the
       larger of its two log magnitudes;
@@ -469,19 +495,19 @@ def _probe(system, lams, rel_tol, stations=(0.0,)):
     scale = np.max(np.abs(triple), axis=0)
     vanished = np.sum(np.abs(triple[0]) <= VANISH_REL * scale, axis=0)
     step_class = np.array([1, 3, 2])[vanished]
-    return (Shot(*(a[:, :n] for a in shot)), matrices[:n], slope, margin, step_class,
+    return (Shot(*(a[:, :n] for a in shot)), slope, margin, step_class,
             sign[2 * n:3 * n] * sign[3 * n:] < 0)
 
 
 def det_slope(system, lam):
     """(slope, margin) of the determinant at lam: the one-lam case of _probe."""
-    slope, margin = _probe(system, [lam], DEFAULT_REL_TOL)[2:4]
+    slope, margin = _probe(system, [lam], DEFAULT_REL_TOL)[1:3]
     return float(slope[0]), float(margin[0])
 
 
 def step_classify(system, lam):
     """Step class (1, 2 or 3) of the joint at lam: the one-lam case of _probe."""
-    return int(_probe(system, [lam], DEFAULT_REL_TOL)[4][0])
+    return int(_probe(system, [lam], DEFAULT_REL_TOL)[3][0])
 
 
 def suggest_s_max(system, count):

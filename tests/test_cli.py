@@ -11,7 +11,7 @@ import pytest
 
 import conftest
 from beamspec.cli import main
-from beamspec.config import serialize_system
+from beamspec.config import serialize_system, uniform_system
 from beamspec.spectrum import DEFAULT_MODE_STATIONS
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -345,6 +345,18 @@ def test_solver_failure_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, ["spectrum", UNIFORM_M0, "--modes", "1"])
     assert code == 3
     assert "solver failure" in err
+
+
+def test_large_mass_exit_0(capsys, tmp_path):
+    # uniform M = 1e12 at six modes: exit 3 before the left pair was rebased
+    # for the modes' SVD; lam_6 = (3 pi)**4 whatever the mass
+    path = tmp_path / "heavy.json"
+    path.write_text(serialize_system(uniform_system(1e12)))
+    code, out, _ = run(capsys, ["spectrum", str(path), "--modes", "6"])
+    assert code == 0
+    header, rows = csv_rows(out)
+    lam_6 = float(rows[5][header.index("lambda")])
+    assert lam_6 == pytest.approx((3 * math.pi) ** 4, rel=1e-10, abs=0)
 
 
 def test_oracle_non_convergence_exit_3(capsys, monkeypatch):

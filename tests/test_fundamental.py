@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import beamspec.quasi as quasi
 from beamspec.config import MIRROR, eval_coeff, uniform_system, variable_system
 from beamspec.fundamental import (
     LEFT_UNIT_SHEAR,
@@ -78,6 +79,22 @@ def test_pinned_pair_is_two_integrations(lam):
             assert np.array_equal(traj.xs, alone.xs)
             assert np.array_equal(traj.states, alone.states)
             assert traj.log_scale == alone.log_scale
+
+
+def test_pinned_pair_is_one_pass(monkeypatch):
+    # both pinned solutions of a span come from one pass with an initial
+    # column per entry; their bits are two integrate calls' (see above)
+    passes = []
+    real = quasi._batch_final_states
+
+    def spy(profiles, lams, *args, **kwargs):
+        passes.append(len(lams))
+        return real(profiles, lams, *args, **kwargs)
+
+    monkeypatch.setattr(quasi, "_batch_final_states", spy)
+    left_fundamental(VARIABLE, 40.0 ** 4)
+    right_fundamental(VARIABLE, 700.0)
+    assert passes == [2, 2]
 
 
 def test_subwronskians_read_at_the_set_tolerance():

@@ -260,11 +260,14 @@ def test_batch_result_does_not_depend_on_the_batch(side):
 
 def test_sampled_entries_keep_their_bits():
     # entries past the first `sampled` lams of each profile record no
-    # interior station; nothing else about any entry changes
+    # interior station; nothing else about any entry changes, segmented
+    # (240**4 is sampled, 40**4 is not) or not
     system = variable_system()
     profiles = (system.left, mirrored(system.right))
     inits = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
     lams = [10.0, 240.0 ** 4, 3e3, 40.0 ** 4, 77.7]
+    segments = quasi._segments(profiles, np.array(lams), -1.0, 0.0)[0].reshape(2, -1)
+    assert np.all(segments[:, [0, 2, 4]] == 1) and np.all(segments[:, [1, 3]] > 1)
     stations = np.linspace(-1.0, 0.0, 33)
     every = _batch_final_states(profiles, lams, -1.0, stations, inits)
     some = _batch_final_states(profiles, lams, -1.0, stations, inits, sampled=2)
@@ -286,20 +289,128 @@ def test_sampled_out_of_range(sampled):
 
 
 def test_station_epochs_at_large_lam():
-    # the s = 40 column is orthonormalised inside the span; each station is
-    # read from the step that passed it, in that step's epoch, so its frame
-    # times R_e ... R_1 is the true state (an epoch off by one would be off
-    # by a factor of about GROWTH_BOUND)
-    s_values = [40.0, 2.0, 12.0, 25.0]
+    # s = 40 and 25 are integrated in segments, and a station inside
+    # segment j is read in epoch j (one orthonormalisation per segment
+    # chained before it); s = 14 is one segment that orthonormalises inside
+    # the span, and each station is read in the epoch of the step that
+    # passed it.  Either way its frame times R_e ... R_1 is the true state
+    # (an epoch off by one would be off by a factor of about the growth
+    # between orthonormalisations)
+    s_values = [40.0, 2.0, 14.0, 25.0]
+    lams = np.array(s_values) ** 4
     stations = np.linspace(-1.0, 0.0, 33)[1:]
-    shot = _batch_final_states(UNIFORM_LEFT, np.array(s_values) ** 4, -1.0, stations,
-                               (0.0, 1.0, 0.0, 0.0))
-    assert shot.epochs[0, -2] > 1 and np.all(np.diff(shot.epochs[0, :-1]) >= 0)
+    segments = quasi._segments((UNIFORM_LEFT,), lams, -1.0, 0.0)[0]
+    assert segments[0] > 1 and segments[3] > 1 and segments[1] == segments[2] == 1
+    shot = _batch_final_states(UNIFORM_LEFT, lams, -1.0, stations, (0.0, 1.0, 0.0, 0.0))
+    for i in (0, 3):
+        m = segments[i]
+        # the boundaries -1 + j/m strictly before each station
+        bounds = -1.0 + 1.0 * np.arange(1, m) / m
+        np.testing.assert_array_equal(
+            shot.epochs[i, :-1], np.sum(bounds[None, :] < stations[:-1, None], axis=1))
+        assert shot.epochs[i, -1] == m
+    assert shot.epochs[2, -2] > 0 and np.all(np.diff(shot.epochs[2, :-1]) >= 0)
     true = shot.frames[..., 0, :] * np.exp(quasi._station_log_det(shot))[..., None]
     for i, s in enumerate(s_values):
         for x, state in zip(stations[:-1], true[i, :-1]):
             exact = closed_form_state(s, x + 1.0)
             assert np.max(np.abs(state - exact)) <= 1e-8 * np.max(np.abs(exact)), (s, x)
+
+
+def closed_form_plane(s, tau):
+    """An orthonormal basis (4, 2) of the plane of the uniform pinned pair
+    from (0,1,0,0) and (0,0,0,1) at tau = x + 1, in balanced coordinates
+    (the state divided by 1, s, s**2 and s**3): the span of (sinh, cosh,
+    sinh, cosh), divided by cosh, and (sin, cos, -sin, -cos)."""
+    t, sn, cs = math.tanh(s * tau), math.sin(s * tau), math.cos(s * tau)
+    return np.linalg.qr(np.array([[t, sn], [1.0, cs], [t, -sn], [1.0, -cs]]))[0]
+
+
+@pytest.mark.parametrize("s", [20.0, 40.0, 10 * math.pi, 20 * math.pi])
+def test_segmented_frames_match_closed_form(s):
+    # to s = 20 pi (mode 40 of the uniform beam): one column at every
+    # station within 1e-10 of the closed form (the station test above
+    # allows 1e-8), and the pinned pair's plane within 1e-10 in balanced
+    # coordinates (one segment with stepwise orthonormalisation: 2e-10 at
+    # s = 10 pi)
+    lam = np.array([s ** 4])
+    assert quasi._segments((UNIFORM_LEFT,), lam, -1.0, 0.0)[0][0] > 1
+    stations = np.linspace(-1.0, 0.0, 33)[1:]
+    shot = _batch_final_states(UNIFORM_LEFT, lam, -1.0, stations, (0.0, 1.0, 0.0, 0.0))
+    true = shot.frames[0, :, 0] * np.exp(quasi._station_log_det(shot)[0])[:, None]
+    for x, state in zip(stations, true):
+        exact = closed_form_state(s, x + 1.0)
+        assert np.max(np.abs(state - exact)) <= 1e-10 * np.max(np.abs(exact)), x
+    shot = _batch_final_states(UNIFORM_LEFT, lam, -1.0, stations,
+                               [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)])
+    balance = np.array([1.0, s, s * s, s ** 3])[:, None]
+    for x, frame in zip(stations, shot.frames[0]):
+        got = np.linalg.qr(frame.T / balance)[0]
+        exact = closed_form_plane(s, x + 1.0)
+        assert np.linalg.norm(got - exact @ (exact.T @ got)) <= 1e-10, x
+
+
+def test_one_segment_entries_keep_their_bits(monkeypatch):
+    # an entry whose growth stays below GROWTH_BOUND is one lane, stepped as
+    # before segments existed: next to segmented entries, and sampled or
+    # not, it has the bits of a pass in which no entry is segmented
+    system = variable_system()
+    profiles = (system.left, mirrored(system.right))
+    lams = [10.0, 25.0 ** 4, 12.0 ** 4, 40.0 ** 4, 3e3]
+    segments = quasi._segments(profiles, np.array(lams), -1.0, 0.0)[0].reshape(2, -1)
+    one = segments == 1
+    assert one[:, [0, 2, 4]].all() and not one[:, [1, 3]].any()
+    stations = np.linspace(-1.0, 0.0, 33)
+    columns = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
+    shots = [_batch_final_states(profiles, lams, -1.0, stations, columns[:k], sampled=3)
+             for k in (1, 2)]
+    real = quasi._segments
+    monkeypatch.setattr(quasi, "_segments",
+                        lambda *args: (np.ones_like(real(*args)[0]), real(*args)[1]))
+    for k, shot in enumerate(shots, start=1):
+        plain = _batch_final_states(profiles, lams, -1.0, stations, columns[:k], sampled=3)
+        np.testing.assert_array_equal(shot.frames[one], plain.frames[one])
+        np.testing.assert_array_equal(shot.epochs[one], plain.epochs[one])
+        np.testing.assert_array_equal(shot.log_scale[one], plain.log_scale[one])
+        for got, want, last in zip(shot.r_factors[one], plain.r_factors[one],
+                                   plain.epochs[one][:, -1]):
+            np.testing.assert_array_equal(got[:last + 1], want[:last + 1])
+
+
+def test_segments_match_a_finer_cut(monkeypatch):
+    # segmented entries against the same pass cut into twice as many
+    # segments: the true column at every station of the sampled entries,
+    # and the 2x2 minors of the true endpoint pair of all of them, which
+    # the rel_tol of 1e-10 resolves
+    system = variable_system()
+    profiles = (system.left, mirrored(system.right))
+    lams = [40.0 ** 4, 240.0 ** 4, 25.0 ** 4]
+    stations = np.linspace(-1.0, 0.0, 33)
+    column, pair = [(0.0, 1.0, 0.0, 0.0)], [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
+    shots = [_batch_final_states(profiles, lams, -1.0, stations, inits, sampled=2)
+             for inits in (column, pair)]
+    real = quasi._segments
+
+    def finer(*args):
+        m, mu = real(*args)
+        assert np.all(m > 1)
+        return 2 * m, mu
+
+    monkeypatch.setattr(quasi, "_segments", finer)
+    fine = [_batch_final_states(profiles, lams, -1.0, stations, inits, sampled=2)
+            for inits in (column, pair)]
+    for shot in (shots[0], fine[0]):
+        assert np.all(np.isnan(shot.frames[:, 2:, :-1]))
+        assert not np.any(np.isnan(shot.frames[:, :2]))
+    got, want = (shot.frames[:, :2, :, 0] * np.exp(quasi._station_log_det(shot)[:, :2, :, None])
+                 for shot in (shots[0], fine[0]))
+    assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=-1, keepdims=True)) <= 1e-10
+    got, want = (np.array([a[..., i] * b[..., j] - a[..., j] * b[..., i]
+                           for i in range(4) for j in range(i + 1, 4)])
+                 for a, b in (np.moveaxis(shot.frames[:, :, -1], -2, 0)
+                              for shot in (shots[1], fine[1])))
+    got = got * np.exp(shots[1].log_scale - fine[1].log_scale)
+    assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=0)) <= 1e-9
 
 
 def test_dense_output_blocks_keep_the_bits(monkeypatch):

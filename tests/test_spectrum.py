@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import beamspec.quasi as quasi
 import beamspec.spectrum as spectrum
 import conftest
 from beamspec import cli, fem
@@ -380,14 +381,16 @@ def test_batched_signs_follow_the_root_count(shipped_systems, name):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_mixed_batch_matches_scalar_endpoints(side):
-    # 240**4 passes GROWTH_BOUND and ends on an orthonormal pair; 10 in the
-    # same batch is integrated as it is
+    # 240**4 grows past GROWTH_BOUND, is integrated in segments and ends on
+    # an orthonormal pair; 10 in the same batch is integrated as it is
     profile = getattr(variable_system(), side)
     if side == "left":
         x_from, inits = -1.0, [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR]
     else:
         x_from, inits = 1.0, [MIRROR * LEFT_UNIT_SLOPE, MIRROR * LEFT_UNIT_SHEAR]
     lams = [10.0, 240.0 ** 4]
+    segments = quasi._segments((profile,), np.array(lams), x_from, 0.0)[0]
+    assert segments[0] == 1 and segments[1] > 1
     shot = _batch_final_states(profile, lams, x_from, 0.0, inits)
     finals, log_scale = shot.frames[:, -1], shot.log_scale
     assert log_scale[0] == 0.0 and log_scale[1] > math.log(GROWTH_BOUND)
@@ -437,9 +440,15 @@ def test_mirrored_pass_matches_one_profile_calls(shipped_systems, name):
 
 
 def test_mirrored_pass_matches_in_mixed_batch():
-    # 240**4 passes GROWTH_BOUND and is orthonormalised; 10 in the same
-    # batch is not
-    log_r = assert_mirrored_pass_exact(variable_system(), np.array([10.0, 240.0 ** 4]))
+    # 240**4 grows past GROWTH_BOUND and is integrated in segments, in the
+    # mirror as on the right span; 10 in the same batch is one segment and
+    # is not orthonormalised
+    system = variable_system()
+    lams = np.array([10.0, 240.0 ** 4])
+    for profile, x_from in ((system.right, 1.0), (mirrored(system.right), -1.0)):
+        segments = quasi._segments((profile,), lams, x_from, 0.0)[0]
+        assert segments[0] == 1 and segments[1] > 1
+    log_r = assert_mirrored_pass_exact(system, lams)
     assert log_r[0] == 0.0 and log_r[1] > math.log(GROWTH_BOUND)
 
 
@@ -556,6 +565,24 @@ def test_first_root_below_the_scan_step(monkeypatch):
     pairs = solve_modes(system, 4)
     assert passes[1].size > 7 * 4     # the scan pass
     assert pairs[0].lam == pytest.approx(6.0 / (1e9 + 34.0 / 35.0), rel=1e-12, abs=0)
+    assert verify(system, pairs).theorem1_consistent
+
+
+def test_large_mass_keeps_the_mode_shapes():
+    # uniform M = 1e12: at lam_6 the mass term M*lam*u(0) is about 8e15, and
+    # in the left pair's columns it swamped their other rows in the modes'
+    # SVD, so mode 6 showed 6 interior sign changes (RuntimeError, exit 3);
+    # the even modes, whose u(0) = 0 leaves them alone, are (n pi/2)**4 with
+    # the shape sin(n pi (x + 1)/2) for every M
+    system = uniform_system(1e12)
+    pairs = solve_modes(system, 6)
+    for n in (2, 4, 6):
+        pair = pairs[n - 1]
+        assert pair.lam == pytest.approx((n * math.pi / 2) ** 4, rel=1e-10, abs=0)
+        x = np.concatenate([pair.xs_left, pair.xs_right])
+        u = np.concatenate([pair.mode_left[:, 0], pair.mode_right[:, 0]])
+        exact = np.sin(n * math.pi * (x + 1.0) / 2.0)
+        assert np.max(np.abs(u * (exact @ exact) / (u @ exact) - exact)) <= 1e-5, n
     assert verify(system, pairs).theorem1_consistent
 
 
