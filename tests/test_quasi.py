@@ -90,6 +90,8 @@ def test_argument_guards():
         integrate(UNIFORM_LEFT, -1.0, -1.0, 0.0, (0, 1, 0, 0))
     with pytest.raises(ValueError):
         integrate(UNIFORM_LEFT, 1.0, -1.0, 0.0, (0, 1, 0, 0), n_stations=10)
+    with pytest.raises(ValueError, match="per-entry inits"):
+        _batch_final_states(UNIFORM_LEFT, [1.0, 2.0], -1.0, 0.0, np.zeros((3, 1, 4)))
 
 
 NON_FINITE_CALLS = {
