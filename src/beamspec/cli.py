@@ -29,7 +29,8 @@ EXIT_VIOLATION = 4
 
 def _fmt(value):
     if isinstance(value, float):
-        return format(value, ".17g")
+        # adding 0.0 turns -0.0 into 0.0: a zero is written as 0
+        return format(value + 0.0, ".17g")
     return str(value)
 
 

@@ -161,7 +161,9 @@ def rho_sigma_q(coeffs, x):
     last bit); x broadcasts against the columns, e.g. x of shape (..., k)
     evaluates column j at x[..., j].  No span check: callers keep x inside
     (see in_span).  q is clamped to zero from below (the accepted
-    tiny-negative band), here and nowhere else.
+    tiny-negative band), here and nowhere else; quasi's Taylor series reads
+    q's polynomial and leaves out a q that this clamp makes zero across the
+    span.
     """
     rho, sigma, q = coeffs
     return horner(rho, x), horner(sigma, x), np.maximum(horner(q, x), 0.0)

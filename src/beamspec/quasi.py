@@ -9,33 +9,33 @@ Tu = (sigma*u'')' - q*u'.  In these variables the fourth-order equation
 and no derivative of sigma or q is ever evaluated.  u'' is recovered as
 w3/sigma when needed.
 
-One integrator steps it, _batch_final_states: the DOP853 tableau stepped
-with numpy over an axis of entries, one (coefficient set, lam) pair each;
-config.rho_sigma_q evaluates their stacked coefficient columns, and
-config.in_span checks that a pass starts and ends inside the span, and
-_dop853_tolerances maps its rel_tol to DOP853's rtol and atol.
-Each entry takes its own steps, its step error being a max over its
-components, so its result does not depend on the rest of the batch.  An
-entry integrates one column or a pair, shared or its own, and keeps it
-orthonormal past GROWTH_BOUND (stepwise orthonormalisation, Conte 1966): it
-returns every R of Y = Q R, so neither overflow nor the alignment of the
-two columns with the fastest-growing solution costs a determinant its sign
-or a mode its shape.  An entry whose a-priori growth would pass
-GROWTH_BOUND (a large lam) is integrated as segments of bounded growth
-instead, side by side in the same step loop (multiple shooting; Ascher,
-Mattheij & Russell, Numerical Solution of Boundary Value Problems for
-ODEs, 1995): a segment after the first starts from the balanced unit
-columns, and the segments are chained by QR in balanced coordinates after
-the loop, so the entry takes the steps of one segment, not of the span.  At
-each requested station the entry's frame and its epoch (the number of
-orthonormalisations so far) are recorded, read from DOP853's dense output
-inside a segment and from a step clipped to land on its end.  The dense
-output is evaluated outside the step loop, for a few steps that passed a
-station at once, and only for the entries whose stations are read.  Every
-determinant, every mode and every Trajectory comes from this integrator,
-and a point between stations is read as a station of a new pass; the
-public entry point is integrate, one solution across a span,
-overflow-safe: its true states are the stored ones times exp(log_scale).
+One integrator steps it, _batch_final_states: a Taylor-series stepper run
+with numpy over an axis of entries, one (coefficient set, lam) pair each.
+The coefficients are polynomials, so a step's Taylor coefficients follow
+from a short linear recurrence (_taylor) to an order set by rel_tol
+(_taylor_rule, through _dop853_tolerances, the one map from rel_tol to
+integrator tolerances, which the DOP853 warped reference path reads too),
+and a step spans a few e-folds; config.in_span checks that a pass starts
+and ends inside the span.  Each entry takes its own steps, so its result
+does not depend on the rest of the batch.  An entry integrates one column
+or a pair, shared or its own, and keeps it orthonormal past GROWTH_BOUND
+(stepwise orthonormalisation, Conte 1966): it returns every R of Y = Q R,
+so neither overflow nor the alignment of the two columns with the
+fastest-growing solution costs a determinant its sign or a mode its shape.
+An entry whose a-priori growth would pass GROWTH_BOUND (a large lam) is
+integrated as segments of bounded growth instead, side by side in the same
+step loop (multiple shooting; Ascher, Mattheij & Russell, Numerical
+Solution of Boundary Value Problems for ODEs, 1995): a segment after the
+first starts from the balanced unit columns, and the segments are chained
+by QR in balanced coordinates after the loop, so the entry takes the steps
+of one segment, not of the span.  At each requested station the entry's
+frame and its epoch (the number of orthonormalisations so far) are
+recorded, read from the polynomial of the step that passed it, and only
+for the entries whose stations are read.  Every determinant, every mode
+and every Trajectory comes from this integrator, and a point between
+stations is read as a station of a new pass; the public entry point is
+integrate, one solution across a span, overflow-safe: its true states are
+the stored ones times exp(log_scale).
 The solve puts both spans in one pass: the right span enters as its
 mirror on (-1, 0) (config.mirrored), whose state is (u, -u', sigma*u'',
 -Tu); those sign flips are exact, so the mirror reproduces the right
@@ -44,41 +44,33 @@ span's states bit for bit.
 
 from __future__ import annotations
 
-import importlib.util
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import repeat, zip_longest
-from pathlib import Path
 
 import numpy as np
 
 from .config import CoefficientProfile, critical_points, in_span, rho_sigma_q
 
-# The integrator orthonormalises an entry's columns once its state passes this
-# bound, and integrates an entry whose a-priori growth passes it in segments
-# (see _segments).  Both columns pick up the fastest-growing solution, so the
-# plane they span is resolved only to about eps times the growth since the
-# last orthonormalisation, and eigenvalue errors at large lam scale with the
-# bound.  Uniform M=0, refine on modes 1-40, worst error over modes 1-10 and
-# over modes 11-40: 2.0e-12 and 1.4e-12 at 1e4, 7.5e-12 and 2.4e-12 at 1e7,
-# 3.0e-11 and 6.1e-10 at 1e10 (without segments, modes 11-40 read 2.1e-12,
-# 7.5e-12 and 5.4e-9).  The shipped modes (s <= 10) grow to
-# less than 1e6, so at 1e7 they are integrated as plain pairs in one segment;
-# orthonormalising at every step instead doubled the steps of the scan.
+# The integrator orthonormalises an entry's columns before a step would carry
+# its state past this bound, and integrates an entry whose a-priori growth
+# passes it in segments (see _segments).  Both columns pick up the
+# fastest-growing solution, so the plane they span is resolved only to about
+# eps times the growth since the last orthonormalisation, and eigenvalue
+# errors at large lam scale with the bound.  Uniform M=0, refine on modes
+# 1-40, worst error over modes 1-10 and over modes 11-40: 1.4e-14 and 4.2e-15
+# at 1e4, 5.7e-13 and 3.5e-14 at 1e7, 2.0e-11 and 2.0e-11 at 1e10.  The
+# shipped modes (s <= 10) grow to less than 1e6, so at 1e7 they are
+# integrated as plain pairs in one segment.
 GROWTH_BOUND = 1e7
 REL_TOL_MIN = 1e-13
 REL_TOL_MAX = 1e-6
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_STATIONS = 129
-# steps whose dense output is evaluated together: they share its fixed
-# numpy calls, and their kept stages stay small (at 8 or more, the peak RSS
-# of repeated high-mode solves crept up pass by pass)
-_DENSE_BLOCK = 4
 
 
 class IntegrationError(RuntimeError):
-    """The adaptive integrator gave up (typically step-size underflow)."""
+    """The integrator gave up (a step too short to move x)."""
 
     def __init__(self, message, x):
         super().__init__(f"{message} (at x={x:.6g})")
@@ -129,7 +121,8 @@ def _station_log_det(shot):
 
 
 def _dop853_tolerances(rel_tol):
-    """DOP853's (rtol, atol) at rel_tol, for this module and the warped path."""
+    """DOP853's (rtol, atol) at rel_tol: the warped reference path's
+    tolerances, and the Taylor order of this module (_taylor_rule)."""
     return max(rel_tol / 10.0, 2.3e-14), rel_tol * 1e-6
 
 
@@ -170,42 +163,19 @@ def __getattr__(name):
     return solve_ivp
 
 
-# DOP853 tableau (Hairer, Norsett & Wanner), from the (private) module that
-# scipy's DOP853 solver reads.  It is executed from its file, which imports
-# numpy only: find_spec locates scipy without importing it, so neither
-# scipy.integrate nor the rest of scipy it pulls in loads.  Stages 0..11
-# make a step; stage 12 is f(x + h, y_new), which an accepted step hands on
-# as the next step's stage 0 (FSAL).  E5 and E3 give the 5th- and 3rd-order
-# error estimates from stages 0..11.  Stages 13..15 and D give the step's
-# 7th-order dense output.
-_spec = importlib.util.spec_from_file_location(
-    f"{__name__}._dop853",
-    Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
-    / "integrate" / "_ivp" / "dop853_coefficients.py")
-_dop853 = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_dop853)
-_N_STAGES = _dop853.N_STAGES
-_DOP_A = _dop853.A
-_DOP_C = _dop853.C
-_DOP_D = _dop853.D
-_DOP_E = np.stack([_dop853.E5[:_N_STAGES], _dop853.E3[:_N_STAGES]])
-
-
-def _orthonormalise(y, *carried):
+def _orthonormalise(y):
     """Gram-Schmidt of the columns y = Q R, shape (4, k, entries), k = 1 or 2.
 
     One column is just normalised.  The second column is orthogonalised
     twice, since once loses the orthogonality of nearly parallel columns.
-    Returns Q, R (entries, k, k), log det R and every array of carried
-    (same layout) mapped by R^-1; det R is positive, so determinant signs
-    stay exact.
+    Returns Q, R (entries, k, k) and log det R; det R is positive, so
+    determinant signs stay exact.
     """
     a = y[:, 0]
     r11 = np.sqrt(np.sum(a * a, axis=0))
     q1 = a / r11
     if y.shape[1] == 1:
-        return (q1[:, None], r11[:, None, None], np.log(r11),
-                *(f / r11 for f in carried))
+        return q1[:, None], r11[:, None, None], np.log(r11)
     b = y[:, 1]
     r12 = np.sum(q1 * b, axis=0)
     b = b - r12 * q1
@@ -213,84 +183,12 @@ def _orthonormalise(y, *carried):
     b = b - again * q1
     r12 = r12 + again
     r22 = np.sqrt(np.sum(b * b, axis=0))
-    mapped = []
-    for f in carried:
-        f1 = f[:, 0] / r11
-        mapped.append(np.stack([f1, (f[:, 1] - r12 * f1) / r22], axis=1))
     r = np.zeros((r11.size, 2, 2))
     r[:, 0, 0], r[:, 0, 1], r[:, 1, 1] = r11, r12, r22
-    return (np.stack([q1, b / r22], axis=1), r, np.log(r11 * r22), *mapped)
+    return np.stack([q1, b / r22], axis=1), r, np.log(r11 * r22)
 
 
 Shot = namedtuple("Shot", "frames epochs r_factors log_scale")
-
-
-def _rhs(w, div, q, lam_rho, out):
-    """f(w) into out: rows 0-2 are w[1:] / (1, sigma, 1) (div), row 3 is
-    lam*rho*w[0], and q*w[1] joins row 2 unless q is None."""
-    np.divide(w[1:], div, out=out[:3])
-    np.multiply(w[0], lam_rho, out=out[3])
-    if q is not None:
-        out[2] += w[1] * q
-
-
-def _coefficients(cols, x):
-    """The arguments of _rhs per row of points x (rows, entries), from the
-    entries' coefficient columns and lam, cols = (rho, sigma, q, lam): the
-    divisors (1, sigma, 1), q (None in a pass whose q columns are empty) and
-    lam*rho."""
-    rho, sigma, q = rho_sigma_q(cols[:3], x)
-    div = np.ones((x.shape[0], 3, 1, x.shape[1]))
-    div[:, 1, 0] = sigma
-    return zip(div, q if cols[2].size else repeat(None), cols[3] * rho)
-
-
-def _fill_stages(stages, first, y, hs, coeffs):
-    """DOP853 stages first, first + 1, ... of steps hs from y, in place, one
-    per row of coeffs (see _coefficients); the last two rows of stages are
-    scratch, and the last keeps the argument of the last stage.  Stage sums
-    use einsum, not tensordot: the BLAS matrix-vector product goes
-    multithreaded past ~1000 entries and then ran 8x slower per step on two
-    cores shared with another process."""
-    tmp, arg = stages[-2:]
-    for i, args in enumerate(coeffs, start=first):
-        np.einsum("i,i...->...", _DOP_A[i, :i], stages[:i], out=tmp)
-        np.multiply(hs, tmp, out=tmp)
-        np.add(y, tmp, out=arg)
-        _rhs(arg, *args, stages[i])
-
-
-def _dense_output(records, stations, cols, frames, epochs, row):
-    """Write the interior stations that recorded steps passed into frames
-    and epochs, each read from the dense output of its step, in the epoch of
-    that step: stages 13..15 and DOP853's interpolant for all the steps at
-    once.  A record (see _batch_final_states) holds, for a step's lanes,
-    the rows of its stage array; x and hs; and their index, first and
-    past-last station and epoch.  cols are all the lanes' (see
-    _coefficients), and lane i is row[i] of frames and epochs.  Empties
-    records.
-    """
-    kept, (x, hs), (entry, lo, hi, epoch) = (np.concatenate(a, axis=-1) for a in zip(*records))
-    records.clear()
-    y, y_new = kept[_N_STAGES + 1], kept[-1]
-    stages = np.empty((_DOP_C.size + 2,) + y.shape)
-    stages[:_N_STAGES + 1] = kept[:_N_STAGES + 1]
-    _fill_stages(stages, _N_STAGES + 1, y, hs, _coefficients(
-        tuple(c[..., entry] for c in cols), x + _DOP_C[_N_STAGES + 1:, None] * hs))
-    # the interpolant, highest power first, in Horner form in theta and
-    # 1 - theta; row `step` of each station is the step that passed it
-    dy = y_new - y
-    poly = [*(hs * np.einsum("ji,i...->j...", _DOP_D[::-1], stages[:_DOP_C.size])),
-            2.0 * dy - hs * (stages[_N_STAGES] + stages[0]), hs * stages[0] - dy, dy]
-    step = np.repeat(np.arange(lo.size), hi - lo)
-    at = lo[step] + np.arange(step.size) - np.searchsorted(step, step)
-    theta = (stations[at] - x[step]) / hs[step]
-    factors = (theta, 1.0 - theta)
-    w = poly[0][..., step] * theta
-    for j, f in enumerate(poly[1:], start=1):
-        w = (w + f[..., step]) * factors[j % 2]
-    frames[:, :, at, row[entry[step]]] = w + y[..., step]
-    epochs[at, row[entry[step]]] = epoch[step]
 
 
 def _segments(profiles, lams, x_from, x_to):
@@ -317,6 +215,70 @@ def _segments(profiles, lams, x_from, x_to):
     return np.where(exponent <= 1.0, 1, np.ceil(2.0 * exponent)).astype(int), mu
 
 
+def _taylor_rule(rel_tol):
+    """The order p of the Taylor steps at rel_tol and the share of the
+    estimated radius of convergence that a step covers (see
+    _batch_final_states): p = ceil(-ln atol) for DOP853's atol at rel_tol,
+    and the share 1/e, so that the first neglected term is about e**-(p + 1)
+    of the step's start, below atol (Jorba & Zou, Exp. Math. 14 (2005)
+    99-117, at twice their order and half their e-folds per order).  With
+    rtol in place of atol, mode 6 of variable_m1 was 2.8e-11 off."""
+    return math.ceil(-math.log(_dop853_tolerances(rel_tol)[1])), 1.0 / math.e
+
+
+def _taylor(y, poly, lam, x, order, lengths):
+    """The Taylor coefficients (order + 1, 4, k, lanes) at x of the solutions
+    from y (4, k, lanes), lane by lane.  poly (degree + 1, 3, lanes) holds the
+    lanes' ascending coefficients of rho, sigma and q about 0, lengths their
+    padded lengths (q's is 0 in a pass without q).  Shifted to x by Horner,
+    they give the recurrence, for the t**j coefficient W_j:
+
+        (j + 1) W_(j+1) = (W2_j, D_j, W4_j + (q W2)_j, lam (rho W1)_j),
+
+    D being the series of w3/sigma, D_j = (W3_j - sum_i>0 sigma_i D_(j-i)) /
+    sigma_0, and (rho W1)_j = rho_0 (W1_j + sum_i>0 (rho_i / rho_0) W1_(j-i)).
+    A lane of lower degree than the pass adds only exact zeros, so its bits
+    do not depend on the batch.
+    """
+    c = poly.copy()
+    for i in range(c.shape[0] - 1):
+        for j in range(c.shape[0] - 2, i - 1, -1):
+            c[j] += x * c[j + 1]
+    rho, sigma, q = c[:, 0], c[:, 1], c[:, 2]
+    inverse = 1.0 / sigma[0]
+    one = np.ones_like(inverse)
+    # the factors of the four rows of W_(j+1), one row per order
+    factors = (np.stack([one, inverse, one, lam * rho[0]])[:, None]
+               / np.arange(1.0, order + 1.0)[:, None, None, None])
+    rho = rho / rho[0]
+    w = np.empty((order + 1,) + y.shape)
+    w[0] = y
+    quotient = np.empty((order,) + y.shape[1:]) if lengths[1] > 1 else None
+    for j in range(order):
+        nxt = w[j, (1, 2, 3, 0)]
+        if lengths[1] > 1:
+            for i in range(1, min(j + 1, lengths[1])):
+                nxt[1] -= sigma[i] * quotient[j - i]
+            quotient[j] = nxt[1] * inverse
+        for i in range(min(j + 1, lengths[2])):
+            nxt[2] += q[i] * w[j - i, 1]
+        for i in range(1, min(j + 1, lengths[0])):
+            nxt[3] += rho[i] * w[j - i, 0]
+        np.multiply(nxt, factors[j], out=w[j + 1])
+    return w
+
+
+def _evaluate(series, t, lanes=slice(None)):
+    """The polynomials with coefficients series (p + 1, ..., lanes) of the
+    given lanes (an index into the last axis) at t, by Horner; a lane may be
+    read at several t, one order at a time."""
+    acc = series[-1][..., lanes] * t
+    for c in series[-2:0:-1]:
+        acc += c[..., lanes]
+        acc *= t
+    return acc + series[0][..., lanes]
+
+
 def _batch_final_states(profiles, lams, x_from, stations, inits,
                         rel_tol=DEFAULT_REL_TOL, sampled=None):
     """Frames of one or two initial columns at stations, for N values of lam at once.
@@ -327,32 +289,37 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     shared by every entry, or per entry (..., k, 4) with the leading axes
     of the result.  stations run in the direction of integration from
     x_from on (which may be the first) to the far end (a scalar is that end
-    alone).  Every entry takes its own adaptive DOP853 steps, advanced
+    alone).  Every entry takes its own Taylor-series steps, advanced
     together as numpy operations over an axis of lanes, so the result of one
     entry does not depend on which others share the batch; a lane's last
     step is clipped to land on its far end, where it leaves the batch.  Its
-    frames at the other stations come from the dense output of the step that
-    passed them, evaluated outside the step loop for _DENSE_BLOCK such
-    steps at once, and for the rest after the last step.
-    Only the first `sampled` lams of each profile (all by default) record
-    these interior stations; the interior frames of the rest are NaN, and
-    everything else they return is as if they were sampled.
-    The step error of a lane is DOP853's combined 5th/3rd-order estimate,
-    taken per component and maxed over all its components (an RMS would
-    average away the error of the fastest-growing one).
+    frames at the other stations are the polynomial of the step that passed
+    them.  Only the first `sampled` lams of each profile (all by default)
+    record these interior stations; the interior frames of the rest are NaN,
+    and everything else they return is as if they were sampled.
+    A step is the Taylor polynomial of order p at its start (see _taylor;
+    p from _taylor_rule).  Its length is a share (_taylor_rule) of the
+    radius of convergence estimated from the last two orders, the least
+    over j = p - 1, p and the lane's columns of (|W_0| / |W_j|)**(1/j), |.|
+    being a column's max norm in the balanced coordinates
+    diag(1, mu, mu**2, mu**3) (mu from _segments, at least 1); no step is
+    rejected.  The series reads q as its polynomial, which differs from
+    config.rho_sigma_q's clamped q by less than 1e-12 where q dips into
+    [MIN_Q, 0); a q that the clamp makes zero across the span is left out.
 
     An entry whose growth bound stays below GROWTH_BOUND (see _segments) is
-    one lane, from its initial columns; once its state passes GROWTH_BOUND
-    its columns are replaced by an orthonormal basis Q of their span
-    (Y = Q R), and an entry that did so ends on an orthonormal frame.  Any
-    other entry is m segments of bounded growth, all integrated side by side
-    (multiple shooting): segment 0 is a lane from the initial columns, and
-    each later segment is 4/k lanes from the balanced unit columns at its
-    start, diag(1, mu, sigma mu**2, sigma mu**3), in which a solution
-    growing like exp(mu x) has components of one size.  After the loop the
-    segments are chained: segment j's frame is its lanes' states times Q_j,
-    where Q_j R_j is the end of segment j - 1 in balanced coordinates, and
-    the last segment's end is orthonormalised as it stands.
+    one lane, from its initial columns; a step that would carry its state
+    past GROWTH_BOUND is taken again from an orthonormal basis Q of the
+    span of its columns (Y = Q R), and an entry that did so ends on an
+    orthonormal frame.  Any other entry is m segments of bounded growth,
+    all integrated side by side (multiple shooting): segment 0 is a lane
+    from the initial columns, and each later segment is 4/k lanes from the
+    balanced unit columns at its start, diag(1, mu, sigma mu**2,
+    sigma mu**3), in which a solution growing like exp(mu x) has components
+    of one size.  After the loop the segments are chained: segment j's
+    frame is its lanes' states times Q_j, where Q_j R_j is the end of
+    segment j - 1 in balanced coordinates, and the last segment's end is
+    orthonormalised as it stands.
 
     Returns a Shot whose leading axes ... are (N,) for one profile and
     (P, N) for P: frames (..., S, k, 4), the entry's frame at each station,
@@ -380,7 +347,7 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     if not (np.all(np.diff(stations) * direction > 0.0)
             and (stations[0] - x_from) * direction >= 0.0):
         raise ValueError("stations must run strictly from x_from to the far end")
-    rtol, atol = _dop853_tolerances(rel_tol)
+    order, share = _taylor_rule(rel_tol)
     lead = (lams.size,) if single else (len(profiles), lams.size)
     n = len(profiles) * lams.size
     inits = np.asarray(inits, dtype=float)
@@ -416,101 +383,91 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     end_epoch = np.zeros(lanes, dtype=int)
     final_log = np.zeros(lanes)
     events = []     # (entries, their epoch, R) of every orthonormalisation
-    records = []    # what the dense output needs of steps past a station
-    # every lane's coefficient columns (degree + 1, lanes; see
-    # config.rho_sigma_q; q's are empty in a pass without q) and lam
-    cols = (*(np.repeat(list(zip_longest(*c, fillvalue=0.0)), lams.size, axis=1)
-              for c in zip(*(p.coeffs for p in profiles))), np.tile(lams, len(profiles)))
-    if not any(any(p.q) for p in profiles):
-        cols = (cols[0], cols[1], np.empty((0, n)), cols[3])
-    all_cols = cols = tuple(c[..., parent] for c in cols)
-    # the balanced unit columns of the later segments' lanes
+    # every lane's coefficients (degree + 1, 3, lanes) of rho, sigma and q,
+    # zero-padded to the pass's highest degree, and lam
+    lengths = [max(len(p.coeffs[i]) for p in profiles) for i in range(3)]
+    poly = np.zeros((max(lengths), 3, len(profiles)))
+    for j, p in enumerate(profiles):
+        for i, c in enumerate(p.coeffs):
+            poly[:len(c), i, j] = c
+        if not np.any(rho_sigma_q(p.coeffs, critical_points(p.q, p.interval))[2]):
+            poly[:, 2, j] = 0.0
+    if not poly[:, 2].any():
+        lengths[2] = 0
+    poly = np.repeat(poly, lams.size, axis=2)[..., parent]
+    lam = np.tile(lams, len(profiles))[parent]
+    # the balanced unit columns of the later segments' lanes, and the scale
+    # of every lane's balanced coordinates
     rate = mu[parent[n:]]
-    sigma = rho_sigma_q(tuple(c[..., n:] for c in cols[:3]), x_start[n:])[1]
+    sigma = rho_sigma_q(tuple(poly[:, i, n:] for i in range(3)), x_start[n:])[1]
     balance = np.stack([np.ones(rate.size), rate, sigma * rate ** 2, sigma * rate ** 3])
-    # the running lanes: their index, columns, position, far end, next trial
-    # step, growth bound, next station, epoch and log scale; and, as rows of
-    # one array, the stages 0..12 of a step (stage 0 is FSAL), the state y
-    # and two scratch rows (see _fill_stages).  The arrays shrink only when
-    # lanes finish.
+    scale = np.maximum(mu[parent], 1.0) ** -np.arange(4.0)[:, None, None]
+    # the running lanes: their index, position, far end, growth bound, next
+    # station, epoch, log scale and state y; the arrays shrink only when
+    # lanes finish
     idx = np.arange(lanes)
     x = x_start
-    # first trial: the whole way on a short span, as for a hop between stations
-    h = np.minimum(0.01, np.abs(x_end - x_start))
     bound = np.where(m_lane > 1, math.inf, GROWTH_BOUND)
     # interior stations in the direction of integration, for searchsorted;
     # a later segment starts past those of the segments before it
     ahead = stations[:-1] * direction
     nxt = np.where(samples, np.where(seg > 0, np.searchsorted(
         ahead, x_start * direction, side="right"), 0), ahead.size)
-    stages = np.empty((_DOP_C.size, 4, k, lanes))
-    y, y_new = stages[_N_STAGES + 1], stages[-1]
+    y = np.zeros((4, k, lanes))
     y[..., :n] = inits.reshape(-1, k, 4).transpose(2, 1, 0)
-    y[..., n:] = 0.0
     diag = (offset % groups) * k + np.arange(k)[:, None]
     y[diag, np.arange(k)[:, None], np.arange(n, lanes)] = balance[diag, np.arange(lanes - n)]
     epoch = np.zeros(lanes, dtype=int)
     log_scale = np.zeros(lanes)
-    (args,) = _coefficients(cols, x[None])
-    _rhs(y, *args, stages[0])
     while idx.size:
+        series = _taylor(y, poly, lam, x, order, lengths)
+        norms = np.abs(series[[0, -2, -1]] * scale).max(axis=1)
+        ratio = norms[1:] / np.maximum(norms[0], 1e-300)
+        inverse_radius = np.maximum(ratio[0] ** (1.0 / (order - 1)), ratio[1] ** (1.0 / order))
+        h = share / np.maximum(inverse_radius.max(axis=0), 1e-300)
         rest = np.abs(x_end - x)
         last = h >= rest
-        h = np.where(last, rest, h)
-        hs = direction * h
-        x_hs = x + hs
-        stuck = x_hs == x
+        hs = direction * np.where(last, rest, h)
+        x_new = np.where(last, x_end, x + hs)
+        stuck = (x_new == x) & ~last
         if stuck.any():
-            # a last step may be shorter than one ulp of x: it lands on its end
-            stuck &= ~last
-            if stuck.any():
-                raise IntegrationError("step size underflow", float(x[stuck][0]))
-        # stage 12 is f(x + h, y_new) (A[12] = B, C[12] = 1), and its
-        # argument y_new stays in the last scratch row
-        _fill_stages(stages, 1, y, hs,
-                     _coefficients(cols, x + _DOP_C[1:_N_STAGES + 1, None] * hs))
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err5, err3 = np.einsum("ji,i...->j...", _DOP_E, stages[:_N_STAGES]) / scale
-        err5 *= err5
-        denom = np.sqrt(err5 + 0.01 * err3 * err3)
-        err = (err5 / np.maximum(denom, 1e-300)).max(axis=(0, 1)) * h
-        ok = err <= 1.0
-        x_new = np.where(ok, np.where(last, x_end, x_hs), x)
-        if ahead.size:
-            reached = np.searchsorted(ahead, x_new * direction, side="right")
-            passed = reached > nxt
-            if passed.any():
-                records.append((stages[..., passed], np.stack((x, hs))[:, passed],
-                               np.stack((idx, nxt, reached, epoch))[:, passed]))
-                nxt = np.maximum(nxt, reached)
-                if len(records) == _DENSE_BLOCK:
-                    _dense_output(records, stations, all_cols, frames, epochs, row)
-        x = x_new
-        np.copyto(y, y_new, where=ok)
-        np.copyto(stages[0], stages[_N_STAGES], where=ok)
-        grown = np.abs(y).max(axis=(0, 1)) > bound
+            raise IntegrationError("step size underflow", float(x[stuck][0]))
+        y_new = _evaluate(series, hs)
+        # a step that carries a lane past its bound is taken again from an
+        # orthonormal basis of its start: a step spans several e-folds, and
+        # the plane is resolved to eps times the growth between
+        # orthonormalisations
+        grown = np.abs(y_new).max(axis=(0, 1)) > bound
         if grown.any():
-            y[..., grown], r, log_det_r, stages[0][..., grown] = _orthonormalise(
-                y[..., grown], stages[0][..., grown])
+            y[..., grown], r, log_det_r = _orthonormalise(y[..., grown])
             log_scale[grown] += log_det_r
             epoch[grown] += 1
             events.append((idx[grown], epoch[grown], r))
-        h = h * np.minimum(np.maximum(0.9 * np.maximum(err, 1e-300) ** -0.125, 0.2), 10.0)
-        done = ok & last
-        if done.any():
-            ends[..., idx[done]] = y[..., done]
-            end_epoch[idx[done]] = epoch[done]
-            final_log[idx[done]] = log_scale[done]
-            keep = ~done
-            idx, x, x_end, h, bound, nxt = (a[keep] for a in (idx, x, x_end, h, bound, nxt))
-            cols = tuple(c[..., keep] for c in cols)
-            epoch, log_scale = epoch[keep], log_scale[keep]
+            series[..., grown] = _taylor(y[..., grown], poly[..., grown], lam[grown], x[grown],
+                                         order, lengths)
+            y_new[..., grown] = _evaluate(series, hs[grown], grown)
+        if ahead.size:
+            reached = np.searchsorted(ahead, x_new * direction, side="right")
+            count = np.maximum(reached - nxt, 0)
+            if count.any():
+                # every station a step passed, read from its polynomial
+                step = np.repeat(np.arange(idx.size), count)
+                at = nxt[step] + np.arange(step.size) - np.repeat(np.cumsum(count) - count, count)
+                frames[:, :, at, row[idx[step]]] = _evaluate(series, stations[at] - x[step],
+                                                             step)
+                epochs[at, row[idx[step]]] = epoch[step]
+                nxt = np.maximum(nxt, reached)
+        y, x = y_new, x_new
+        if last.any():
+            ends[..., idx[last]] = y[..., last]
+            end_epoch[idx[last]] = epoch[last]
+            final_log[idx[last]] = log_scale[last]
+            keep = ~last
+            idx, x, x_end, bound, nxt, epoch, log_scale, lam = (
+                a[keep] for a in (idx, x, x_end, bound, nxt, epoch, log_scale, lam))
             # compress, not a mask: a masked last axis would come out
             # lane-major, and every row operation after it strided
-            stages = np.compress(keep, stages, axis=-1)
-            y, y_new = stages[_N_STAGES + 1], stages[-1]
-    if records:
-        _dense_output(records, stations, all_cols, frames, epochs, row)
+            y, poly, scale = (np.compress(keep, a, axis=-1) for a in (y, poly, scale))
     frames[:, :, -1, :n], epochs[-1, :n] = ends[..., :n], end_epoch[:n]
     _chain(frames, epochs, ends, final_log, events, m, first, groups, balance, row)
     fired = np.flatnonzero(epochs[-1, :n] > 0)

@@ -10,9 +10,10 @@ fixed row order
     R4: T u(0) - T v(0) + M*lam*u(0)
 
 Eigenvalues are the zeros of its determinant.  Every determinant comes
-from one batched DOP853 pass (quasi._batch_final_states) that integrates
-the left span next to the right span mirrored onto (-1, 0); past a fixed
-growth bound each span's column pair is kept orthonormal, so the
+from one batched pass of Taylor-series steps (quasi._batch_final_states)
+that integrates the left span next to the right span mirrored onto
+(-1, 0); past a fixed growth bound each span's column pair is kept
+orthonormal (or, at large lam, integrated in chained segments), so the
 determinant is tracked as (sign, log magnitude) without the cancellation
 between the two exponentially growing columns at large lam.  solve_modes
 takes its eigenvalues from fem.seed_eigenvalues, a p-version Galerkin

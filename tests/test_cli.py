@@ -359,6 +359,38 @@ def test_large_mass_exit_0(capsys, tmp_path):
     assert lam_6 == pytest.approx((3 * math.pi) ** 4, rel=1e-10, abs=0)
 
 
+def test_zero_is_written_without_sign(capsys, tmp_path):
+    # the rebased left pair of uniform M = 1e12 gives some modes u(0) = -0.0
+    # exactly; the CSV writes a zero as 0, never -0
+    path = tmp_path / "heavy.json"
+    path.write_text(serialize_system(uniform_system(1e12)))
+    code, out, _ = run(capsys, ["spectrum", str(path), "--modes", "6"])
+    assert code == 0
+    header, rows = csv_rows(out)
+    assert len(rows) == 6
+    for row in rows:
+        for name, field in zip(header, row):
+            assert not re.fullmatch(r"-0(\.0*)?(e[-+]?\d+)?", field), (name, field)
+
+
+def test_verify_forty_modes_at_loose_tol(capsys, tmp_path):
+    # uniform M = 0 to mode 40 at the loosest --tol: every mode's sv_gap
+    # stays above DEGENERACY_GAP (modes 31-39 once read 415-920, exit 4,
+    # with their lam exact)
+    from beamspec.spectrum import DEGENERACY_GAP
+
+    out = tmp_path / "verify.json"
+    code, _, _ = run(capsys, ["verify", UNIFORM_M0, "--modes", "40", "--tol", "1e-6",
+                              "--out", str(out)])
+    report = json.loads(out.read_text())
+    assert code == 0
+    assert report["theorem1_consistent"]
+    assert min(m["sv_gap"] for m in report["simplicity"]) >= DEGENERACY_GAP
+    for m in report["simplicity"]:
+        exact = (m["n"] * math.pi / 2) ** 4
+        assert abs(m["lambda"] - exact) <= 1e-6 * exact, m["n"]
+
+
 def test_oracle_non_convergence_exit_3(capsys, monkeypatch):
     monkeypatch.setattr("beamspec.fem.MAX_STEPS", 2)
     code, out, err = run(capsys, ["oracle", UNIFORM_M0, "--modes", "2",

@@ -46,6 +46,17 @@ def test_axial_closed_form():
     assert np.max(np.abs(traj.states - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
+def test_clamped_q_is_left_out():
+    # the Taylor series reads q's polynomial; a q that config's clamp makes
+    # zero across the span integrates as q = 0, bit for bit
+    tiny = CoefficientProfile("left", rho=(1.0,), sigma=(1.0,), q=(-1e-13,))
+    pair = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
+    got, want = (_batch_final_states(p, [10.0, 3e3], -1.0, [-0.5, 0.0], pair)
+                 for p in (tiny, UNIFORM_LEFT))
+    np.testing.assert_array_equal(got.frames, want.frames)
+    np.testing.assert_array_equal(got.log_scale, want.log_scale)
+
+
 def test_lam0_linear_solution():
     traj = integrate(UNIFORM_LEFT, 0.0, -1.0, 0.0, (0, 1, 0, 0))
     np.testing.assert_allclose(traj.final_state, [1, 1, 0, 0], atol=1e-13)
@@ -66,7 +77,8 @@ def test_trajectory_stations():
     assert traj.xs[0] == -1.0 and traj.xs[-1] == 0.0
     assert np.all(np.diff(traj.xs) > 0)
     assert len(traj.xs) == 65
-    # a station read from dense output agrees with the end of its own pass
+    # a station read from its step's polynomial agrees with the end of its
+    # own pass
     mid = traj.xs[30]
     alone = integrate(UNIFORM_LEFT, 5.0, -1.0, mid, (0, 1, 0, 0), n_stations=65)
     np.testing.assert_allclose(alone.final_state, traj.states[30], rtol=1e-12)
@@ -119,24 +131,31 @@ def test_non_finite_lam_rejected(name):
         NON_FINITE_CALLS[name]()
 
 
-def test_dop853_tableau_is_scipys():
-    # quasi executes scipy's tableau file without importing scipy.integrate;
-    # the arrays must be scipy's to the bit
-    from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
-
-    assert quasi._dop853 is not scipy_tableau
-    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER",
-                 "A", "B", "C", "D", "E3", "E5"):
-        np.testing.assert_array_equal(getattr(quasi._dop853, name),
-                                      getattr(scipy_tableau, name), err_msg=name)
-    # the step takes y_new as the argument of stage 12, f(x + h, y_new)
-    np.testing.assert_array_equal(quasi._DOP_A[12, :12], quasi._dop853.B)
-    assert quasi._DOP_C[12] == 1.0
+def test_recurrence_gives_the_matrix_powers():
+    # with constant rho, sigma and q the system is w' = A w, so the Taylor
+    # coefficients at any x are A**j w0 / j!; two lanes at different x and
+    # lam, a pair of columns each
+    rho, sigma, q = 2.0, 3.0, 0.5
+    lams, xs = np.array([7.0, 40.0 ** 4]), np.array([-0.75, -0.25])
+    y = np.random.default_rng(3).normal(size=(4, 2, 2))
+    order = quasi._taylor_rule(quasi.DEFAULT_REL_TOL)[0]
+    poly = np.tile(np.array([rho, sigma, q])[None, :, None], (1, 1, 2))
+    series = quasi._taylor(y, poly, lams, xs, order, [1, 1, 1])
+    assert series.shape == (order + 1, 4, 2, 2)
+    for lane, lam in enumerate(lams):
+        a = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0 / sigma, 0.0],
+                      [0.0, q, 0.0, 1.0], [lam * rho, 0.0, 0.0, 0.0]])
+        term = y[..., lane]
+        for j in range(order + 1):
+            got = series[j, ..., lane]
+            assert np.max(np.abs(got - term)) <= 1e-14 * np.max(np.abs(term)), (lam, j)
+            term = a @ term / (j + 1)
 
 
 def test_no_call_goes_through_solve_ivp(monkeypatch):
     # one integration primitive: modes, fundamental pairs, trajectories,
-    # the gauge and the oscillation probes below all step the batched DOP853
+    # the gauge and the oscillation probes below all step the batched Taylor
+    # stepper
     def banned(*args, **kwargs):
         raise AssertionError("solve_ivp called")
 
@@ -240,8 +259,8 @@ def test_right_to_left_direction():
 def test_batch_result_does_not_depend_on_the_batch(side):
     # every lam steps on its own, so a lam integrated alone gives the same
     # bits as inside any batch (scipy's find_root needs an elementwise f);
-    # the stations are read from dense output and leave the steps, and so
-    # the last frame, as they are without them
+    # the stations are read from the polynomials of the steps and leave the
+    # steps, and so the last frame, as they are without them
     profile = getattr(variable_system(), side)
     x_from = -1.0 if side == "left" else 1.0
     inits = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
@@ -415,17 +434,46 @@ def test_segments_match_a_finer_cut(monkeypatch):
     assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=0)) <= 1e-9
 
 
-def test_dense_output_blocks_keep_the_bits(monkeypatch):
-    # the dense output is evaluated for a few recorded steps at a time; how
-    # the steps are grouped changes no frame or epoch
+def test_stations_keep_the_bits():
+    # a station is read from the polynomial of the step that passed it and
+    # changes no step: with no, few or many stations, on one-segment entries
+    # with and without orthonormalisation and on segmented ones, every last
+    # frame, R and log scale keeps its bits
     system = variable_system()
     profiles = (system.left, mirrored(system.right))
     inits = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
-    lams = [10.0, 3e3, 40.0 ** 4]
-    stations = np.linspace(-1.0, 0.0, 65)
-    shots = []
-    for block in (1, 10 ** 6):
-        monkeypatch.setattr(quasi, "_DENSE_BLOCK", block)
-        shots.append(_batch_final_states(profiles, lams, -1.0, stations, inits))
-    for a, b in zip(*shots):
-        np.testing.assert_array_equal(a, b)
+    lams = [10.0, 3e3, 13.0 ** 4, 40.0 ** 4]
+    segments = quasi._segments(profiles, np.array(lams), -1.0, 0.0)[0].reshape(2, -1)
+    assert np.all(segments[:, :3] == 1) and np.all(segments[:, 3] > 1)
+    ends = _batch_final_states(profiles, lams, -1.0, 0.0, inits)
+    assert np.all(ends.epochs[:, 2, -1] > 0) and np.all(ends.epochs[:, :2, -1] == 0)
+    for stations in ([-0.5, 0.0], np.linspace(-1.0, 0.0, 65), np.linspace(-1.0, 0.0, 257)[1:]):
+        shot = _batch_final_states(profiles, lams, -1.0, stations, inits)
+        np.testing.assert_array_equal(shot.frames[:, :, -1], ends.frames[:, :, -1])
+        np.testing.assert_array_equal(shot.epochs[:, :, -1], ends.epochs[:, :, -1])
+        np.testing.assert_array_equal(shot.r_factors, ends.r_factors)
+        np.testing.assert_array_equal(shot.log_scale, ends.log_scale)
+
+
+@pytest.mark.parametrize("s", [10 * math.pi, 20 * math.pi])
+def test_segment_matches_expm(s):
+    # one segment of a segmented entry: the four balanced unit columns, in
+    # the two pairs a segment integrates, over one segment's length; each
+    # pair's plane within 1e-12 of expm in balanced coordinates, where the
+    # system is v' = B v with B = D^-1 A D, D = diag(1, mu, mu**2, mu**3)
+    from scipy.linalg import expm
+
+    lam = np.array([s ** 4])
+    m, mu = quasi._segments((UNIFORM_LEFT,), lam, -1.0, 0.0)
+    assert m[0] > 1
+    length, mu = 1.0 / m[0], mu[0]
+    balance = mu ** np.arange(4.0)
+    b = mu * np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                       [(s / mu) ** 4, 0.0, 0.0, 0.0]])
+    exact = expm(b * length)
+    for g in (0, 2):
+        shot = _batch_final_states(UNIFORM_LEFT, lam, -1.0, -1.0 + length,
+                                   np.diag(balance)[g:g + 2])
+        got = np.linalg.qr(shot.frames[0, -1].T / balance[:, None])[0]
+        want = np.linalg.qr(exact[:, g:g + 2])[0]
+        assert np.linalg.norm(got - want @ (want.T @ got)) <= 1e-12, g
