@@ -14,15 +14,16 @@ The discrete problem is the symmetric-definite pencil K a = lam B a with
 
 config.rho_sigma_q evaluates the coefficients once, at every element's Gauss points.
 K and B have half-bandwidth 3 and are stored in band form.  A shift-invert
-subspace iteration on the pencil supplies the eigenvectors only; each
-eigenvalue is the Rayleigh quotient of its own eigenvector, summed over
-elements and Gauss points as nonnegative terms (see `solve_generalized`).
+subspace iteration on the pencil, through a block cyclic reduction of K,
+supplies the eigenvectors only; each eigenvalue is the Rayleigh quotient of
+its own eigenvector, summed over elements and Gauss points as nonnegative
+terms (see `solve_generalized`).  The module uses numpy only.
 Eigenvalues converge at fourth order in the mesh size, so two meshes give a
 Richardson-extrapolated reference.
 
 seed_eigenvalues, the seeds of spectrum.solve_modes, solves the same weak
-form with one element of degree p per span (numpy only); its eigenvalues
-converge exponentially in p.
+form with one element of degree p per span; its eigenvalues converge
+exponentially in p.
 """
 
 from __future__ import annotations
@@ -136,6 +137,10 @@ def assemble(system, elements_per_side):
         # written so that a NaN fails the check
         if not np.max(np.abs(mat - mat.swapaxes(1, 2))) <= 1e-12 * np.max(np.abs(mat)):
             raise DefinitenessError(f"{name} matrix is not symmetric")
+    try:    # B is then definite: every DOF lies in an element, and M >= 0
+        np.linalg.cholesky(b_e)
+    except np.linalg.LinAlgError as exc:
+        raise DefinitenessError("mass matrix is not positive definite") from exc
 
     # hinged ends: displacement DOFs at x = -1 and x = +1 removed; entry
     # (i, j) of an element's upper triangle lands in band column j - i
@@ -150,7 +155,6 @@ def assemble(system, elements_per_side):
     np.add.at(bb, (rows, cols - rows), b_e[:, i, j][kept])
     joint = int(np.searchsorted(free, 2 * e))   # displacement DOF at x = 0
     bb[joint, 0] += system.mass
-    _cholesky(bb, "mass")
 
     return DiscreteOperator(
         elements_per_side=e,
@@ -191,13 +195,58 @@ def _energy_sums(w, sigma, q, rho, u, du, ddu, joint):
     return strain, np.einsum("eg,egk->k", w * rho, u ** 2) + joint
 
 
-def _cholesky(band, name):
-    """Cholesky factor for cho_solve_banded; band.T is LAPACK's lower band form."""
-    from scipy.linalg import cholesky_banded   # 0.3 s to import: not on the shooting path
-    try:
-        return cholesky_banded(band.T, lower=True), True
-    except ValueError as exc:    # LinAlgError, or an entry that is not finite
-        raise DefinitenessError(f"{name} matrix is not positive definite") from exc
+def _factor(band):
+    """Block cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7
+    (1970) 627-656) of the stiffness `band`, padded by an identity DOF at each
+    end to 2x2 node blocks D_n coupled to node n + 1 by U_n: each level checks
+    and inverts the even nodes' pivots (an identity node appended to an even
+    count), and the odd nodes' Schur complements form the next.  Per level:
+    the node count, the D^-1, each odd node n + 1's gains [D_n^-1 U_n;
+    D_(n+2)^-1 U_(n+1)^T], and the same gains regrouped by even node.
+    """
+    padded = np.concatenate([[[1.0, 0, 0, 0]], band, [[1.0, 0, 0, 0]]]).reshape(-1, 2, 4)
+    diag = padded[:, [[0, 0], [0, 1]], [[0, 1], [1, 0]]]
+    upper = padded[:-1, [[0, 0], [1, 1]], [[2, 3], [1, 2]]]
+    levels = []
+    while len(diag):
+        nodes = len(diag)
+        if nodes % 2 == 0:
+            diag = np.concatenate([diag, np.eye(2)[None]])
+            upper = np.concatenate([upper, np.zeros((1, 2, 2))])
+        pivot = diag[::2]
+        det = pivot[:, 0, 0] * pivot[:, 1, 1] - pivot[:, 0, 1] ** 2
+        if not np.minimum(pivot[:, 0, 0], det).min() > 0:    # so that a NaN fails
+            raise DefinitenessError("stiffness matrix is not positive definite")
+        inverse = pivot[:, ::-1, ::-1] * [[1, -1], [-1, 1]] / det[:, None, None]
+        couple = np.concatenate([upper[::2].swapaxes(1, 2), upper[1::2]], axis=2)
+        gain = np.concatenate([inverse[:-1] @ upper[::2],
+                               inverse[1:] @ upper[1::2].swapaxes(1, 2)], axis=1)
+        diag = diag[1::2] - couple @ gain
+        upper = -(couple[:-1, :, 2:] @ gain[1:, :2])
+        down = np.zeros((len(inverse), 4, 2))
+        down[:-1, :2], down[1:, 2:] = gain[:, :2].swapaxes(1, 2), gain[:, 2:].swapaxes(1, 2)
+        levels.append((nodes, inverse, gain, down))
+    return levels
+
+
+def _solve(levels, rhs):
+    """K^-1 rhs for the columns of rhs, down and up the levels of `_factor`."""
+    columns, zero = rhs.shape[1], np.zeros((2, rhs.shape[1]))
+    x = np.concatenate([zero[:1], rhs, zero[:1]]).reshape(-1, 2, columns)
+    stack = []
+    for nodes, _, _, down in levels:
+        if nodes % 2 == 0:
+            x = np.concatenate([x, zero[None]])
+        stack.append(x)
+        t = down @ x[::2]
+        x = x[1::2] - t[:-1, :2] - t[1:, 2:]
+    for (nodes, inverse, gain, _), full in zip(levels[::-1], stack[::-1]):
+        t, even = gain @ x, inverse @ full[::2]
+        even[:-1] -= t[:, :2]
+        even[1:] -= t[:, 2:]
+        full[::2], full[1::2] = even, x
+        x = full[:nodes]
+    return x.reshape(-1, columns)[1:-1]
 
 
 def _band_product(band, x):
@@ -213,29 +262,30 @@ def _subspace(op, count):
     """B-orthonormal vectors of the `count` lowest modes and the steps taken.
 
     Subspace iteration (Bathe & Wilson) on B a = mu K a, mu = 1/lam: a step
-    takes the QR of the block, W = K^-1 B Q and the Ritz pairs (mu, z) of
-    (Q^T B W, Q^T B Q), then uses W z.  It stops when each wanted
-    |K^-1 B x - mu x|_B / mu is <= 1e-8, or <= 1e-5 and fell less than 4x
-    (the rounding floor), or when the block spans the space (one step is exact).
+    takes W = K^-1 B Q, the Ritz pairs (mu, z) of (Q^T B W, Q^T B Q) by a
+    Cholesky reduction, and W z / mu (nearly B-orthonormal) as the next
+    Q.  It stops when each wanted |K^-1 B x - mu x|_B / mu is <= 1e-8, or <=
+    1e-5 and fell less than 4x (the rounding floor), or when the block spans
+    the space (one step is exact).
     """
-    from scipy.linalg import cho_solve_banded, eigh
-
-    factor, b = _cholesky(op.stiffness, "stiffness"), op.mass_matrix
+    levels, b = _factor(op.stiffness), op.mass_matrix
     dim = len(b)
-    block = np.random.default_rng(0).standard_normal((dim, min(dim, 2 * count + 8)))
-    previous = np.inf
+    start = np.random.default_rng(0).standard_normal((dim, min(dim, 2 * count + 8)))
+    block = np.linalg.qr(start)[0]    # orthonormal, so one step is exact when count == dim
+    previous, bq = np.inf, _band_product(b, block)
     for steps in range(1, MAX_STEPS + 1):
-        q = np.linalg.qr(block)[0]
-        bq = _band_product(b, q)
-        w = cho_solve_banded(factor, bq)
-        mu, z = eigh(bq.T @ w, bq.T @ q)
-        mu, z = mu[::-1], z[:, ::-1]     # largest mu first: lowest lam first
-        vectors, block = q @ z[:, :count], w @ z
-        r = block[:, :count] - vectors * mu[:count]
-        residual = np.max(np.sqrt(np.einsum("ik,ik->k", r, _band_product(b, r))) / mu[:count])
+        w = _solve(levels, bq)
+        reduce = np.linalg.inv(np.linalg.cholesky(bq.T @ block))
+        mu, y = np.linalg.eigh(reduce @ (bq.T @ w) @ reduce.T)
+        mu, z = mu[::-1], reduce.T @ y[:, ::-1]     # largest mu first: lowest lam first
+        vectors, wz = block @ z[:, :count], w @ z
+        bwz = _band_product(b, wz)     # B r below, and the next step's B Q
+        r = wz[:, :count] - vectors * mu[:count]
+        br = bwz[:, :count] - bq @ z[:, :count] * mu[:count]
+        residual = np.max(np.sqrt(np.einsum("ik,ik->k", r, br)) / mu[:count])
         if residual <= 1e-8 or previous / 4 < residual <= 1e-5 or block.shape[1] == dim:
             return vectors, steps
-        previous = residual
+        previous, block, bq = residual, wz / mu, bwz / mu
     raise RuntimeError(f"subspace iteration did not converge in {MAX_STEPS} steps")
 
 

@@ -232,15 +232,15 @@ def test_closed_pipe_exits_quietly(tmp_path):
 
 
 def test_verify_loads_no_scipy(tmp_path):
-    # the shooting solve, its Galerkin seeds at a loose --tol, and its
+    # the shooting solve, its Galerkin seeds at a loose --tol, its
     # scan-and-refine fallback (the near-floor config, whose seeds are not
-    # certified) import numpy only; scipy loads on the first Hermite-oracle
-    # or oscillation call, which verify makes none of
+    # certified) and the Hermite oracle, through the CLI and on a 4-element
+    # mesh, import numpy only; scipy loads on the first oscillation call
     near_floor = tmp_path / "near_floor.json"
     near_floor.write_text(serialize_system(conftest.near_floor_system()))
     code = "\n".join([
         "import sys",
-        "import beamspec, beamspec.cli",
+        "import beamspec, beamspec.cli, beamspec.config, beamspec.fem",
         f"code = beamspec.cli.main(['verify', {UNIFORM_M0!r}, '--modes', '6',"
         f" '--out', {str(tmp_path / 'verify.json')!r}])",
         "assert code == 0, code",
@@ -250,6 +250,11 @@ def test_verify_loads_no_scipy(tmp_path):
         f"code = beamspec.cli.main(['spectrum', {str(near_floor)!r},"
         f" '--out', {str(tmp_path / 'near_floor.csv')!r}])",
         "assert code == 0, code",
+        f"code = beamspec.cli.main(['oracle', {UNIFORM_M0!r}, '--modes', '6',"
+        f" '--elements', '40', '--out', {str(tmp_path / 'oracle.csv')!r}])",
+        "assert code == 0, code",
+        f"system = beamspec.config.load_system({UNIFORM_M0!r})",
+        "beamspec.fem.solve_generalized(beamspec.fem.assemble(system, 4), 2)",
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))",
         "assert not loaded, loaded",
     ])

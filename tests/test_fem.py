@@ -187,6 +187,18 @@ def test_banded_solve_matches_dense_solve(system, elements, count, tol):
     assert np.max(np.abs(spec.values - reference) / reference) <= tol
 
 
+@pytest.mark.parametrize("elements", [4, 5, 40, 41, 320])
+def test_cyclic_reduction_solve_is_backward_stable(elements):
+    # 2 * elements + 1 nodes: these meshes meet even node counts on some
+    # levels, which take one appended identity node
+    op = assemble(variable_system(1.0), elements)
+    stiffness = densify(op.stiffness)
+    rhs = np.random.default_rng(elements).standard_normal((len(stiffness), 3))
+    for x in (fem._solve(fem._factor(op.stiffness), rhs), np.linalg.solve(stiffness, rhs)):
+        scale = np.linalg.norm(stiffness, np.inf) * np.abs(x).max(0) + np.abs(rhs).max(0)
+        assert np.max(np.abs(stiffness @ x - rhs).max(0) / scale) <= 1e-15
+
+
 def test_many_modes_converge_at_the_rounding_floor():
     # modes 30-40 stall near a 1e-6 residual while their eigenvalues sit at
     # the floor; a residual-only rule would not stop
@@ -218,6 +230,14 @@ def test_nan_coefficient_is_a_definiteness_error(name):
     object.__setattr__(left, name, (math.nan,))    # past the profile's own check
     with pytest.raises(DefinitenessError, match="not symmetric"):
         assemble(dataclasses.replace(UNIFORM, left=left), 8)
+
+
+def test_indefinite_stiffness_is_a_definiteness_error():
+    left = dataclasses.replace(UNIFORM.left)
+    object.__setattr__(left, "sigma", (-1.0,))    # past the profile's own check
+    op = assemble(dataclasses.replace(UNIFORM, left=left), 8)
+    with pytest.raises(DefinitenessError, match="stiffness matrix is not positive definite"):
+        solve_generalized(op, 2)
 
 
 def test_indefinite_mass_is_a_definiteness_error():
