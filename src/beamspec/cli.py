@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -115,7 +116,9 @@ def cmd_oracle(system, args):
              "rel_error_coarse", "rel_error_richardson", "order"], rows)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="beamspec",
         description="Spectral solver for two beam spans joined by a point mass",
@@ -158,8 +161,7 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     # usage errors, checked before any solve; the first that applies is reported
     for bad, message in (
         (args.modes < 1, "--modes must be >= 1"),

@@ -269,9 +269,10 @@ def _taylor(y, poly, lam, x, order, lengths):
 
 
 def _evaluate(series, t, lanes=slice(None)):
-    """The polynomials with coefficients series (p + 1, ..., lanes) of the
-    given lanes (an index into the last axis) at t, by Horner; a lane may be
-    read at several t, one order at a time."""
+    """The polynomials with coefficients series (p + 1, ...) at t, by
+    Horner, of the given lanes (an index into the last axis): the step ends
+    and the re-taken steps.  t broadcasts against series[0], so a trailing
+    axis of length 1 reads each lane at a row of points (its stations)."""
     acc = series[-1][..., lanes] * t
     for c in series[-2:0:-1]:
         acc += c[..., lanes]
@@ -294,9 +295,10 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     entry does not depend on which others share the batch; a lane's last
     step is clipped to land on its far end, where it leaves the batch.  Its
     frames at the other stations are the polynomial of the step that passed
-    them.  Only the first `sampled` lams of each profile (all by default)
-    record these interior stations; the interior frames of the rest are NaN,
-    and everything else they return is as if they were sampled.
+    them, read by one Horner pass per step over each lane's row of stations.
+    Only the first `sampled` lams of each profile (all by default) record
+    these interior stations; the interior frames of the rest are NaN, and
+    everything else they return is as if they were sampled.
     A step is the Taylor polynomial of order p at its start (see _taylor;
     p from _taylor_rule).  Its length is a share (_taylor_rule) of the
     radius of convergence estimated from the last two orders, the least
@@ -450,12 +452,16 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
             reached = np.searchsorted(ahead, x_new * direction, side="right")
             count = np.maximum(reached - nxt, 0)
             if count.any():
-                # every station a step passed, read from its polynomial
-                step = np.repeat(np.arange(idx.size), count)
-                at = nxt[step] + np.arange(step.size) - np.repeat(np.cumsum(count) - count, count)
-                frames[:, :, at, row[idx[step]]] = _evaluate(series, stations[at] - x[step],
-                                                             step)
-                epochs[at, row[idx[step]]] = epoch[step]
+                # every station a step passed, read from its polynomial; each
+                # lane's row is padded with its last station to the widest row
+                read = np.flatnonzero(count)
+                width = np.arange(count.max())
+                valid = width < count[read, None]
+                at = nxt[read, None] + np.minimum(width, count[read, None] - 1)
+                values = _evaluate(series[..., read, None], stations[at] - x[read, None])
+                lane = np.repeat(read, count[read])
+                frames[:, :, at[valid], row[idx[lane]]] = values[..., valid]
+                epochs[at[valid], row[idx[lane]]] = epoch[lane]
                 nxt = np.maximum(nxt, reached)
         y, x = y_new, x_new
         if last.any():

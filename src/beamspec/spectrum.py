@@ -40,7 +40,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .config import MIRROR, critical_points, eval_coeff, in_span, mirrored, rho_sigma_q
+from .config import MIRROR, critical_points, in_span, mirrored, rho_sigma_q
 from .fem import seed_eigenvalues
 from .fundamental import LEFT_UNIT_SHEAR, LEFT_UNIT_SLOPE, pairings
 # perfbench's tracer wraps these two names; the module itself does not call them
@@ -313,19 +313,21 @@ class Eigenpair:
 
 
 def _simpson(y, x):
-    """Composite Simpson rule over an odd number of stations x.
+    """Composite Simpson rule over an odd number of stations x, along the
+    last axis of y (any leading axes are integrated independently).
 
     scipy.integrate.simpson's formula for (possibly uneven) spacings, term
-    for term, so the result has its bits.
+    for term, so the result has its bits; a row of a C-contiguous y sums
+    as the same row alone would.
     """
     if x.size % 2 == 0:
         raise ValueError("Simpson's rule needs an odd number of stations")
     h = np.diff(x)
     h0, h1 = h[0::2], h[1::2]
     hsum, ratio = h0 + h1, h0 / h1
-    return np.sum(hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / ratio)
-                                + y[1::2] * (hsum * (hsum / (h0 * h1)))
-                                + y[2::2] * (2.0 - ratio)))
+    return np.sum(hsum / 6.0 * (y[..., :-2:2] * (2.0 - 1.0 / ratio)
+                                + y[..., 1::2] * (hsum * (hsum / (h0 * h1)))
+                                + y[..., 2::2] * (2.0 - ratio)), axis=-1)
 
 
 def eigenpair(system, lam, index=None):
@@ -385,6 +387,8 @@ def _modes(system, lams, indices, xs, shot, slopes, margins, classes):
     modes = (per_station[..., :1] * shot.frames[..., 0, :]
              + per_station[..., 1:] * shot.frames[..., 1, :])
     xs_r = -xs[::-1] + 0.0      # + 0.0: x = 0 as 0.0, not -0.0
+    rho_l, rho_r = (rho_sigma_q(side.coeffs, x)[0] for side, x in ((system.left, xs),
+                                                                   (system.right, xs_r)))
     pairs = []
     for i, (lam, index) in enumerate(zip(lams.tolist(), indices)):
         sv = svals[i]
@@ -397,8 +401,7 @@ def _modes(system, lams, indices, xs, shot, slopes, margins, classes):
             abs(c[0]) <= SIGN_CONVENTION_EPS and c[1] < 0) else 1.0
         mode_l, mode_r = modes[0, i], (modes[1, i] * MIRROR)[::-1]
         u0 = float(mode_l[-1, 0])
-        h_sq = (_simpson(rho_sigma_q(system.left.coeffs, xs)[0] * mode_l[:, 0] ** 2, xs)
-                + _simpson(rho_sigma_q(system.right.coeffs, xs_r)[0] * mode_r[:, 0] ** 2, xs_r)
+        h_sq = (_simpson(rho_l * mode_l[:, 0] ** 2, xs) + _simpson(rho_r * mode_r[:, 0] ** 2, xs_r)
                 + system.mass * u0 ** 2)
         h = sign * math.sqrt(h_sq)
         mode_l, mode_r, u0 = mode_l / h, mode_r / h, u0 / h
@@ -416,37 +419,42 @@ def _modes(system, lams, indices, xs, shot, slopes, margins, classes):
     return pairs
 
 
-def _check_same_stations(phi, psi):
-    if (len(phi.xs_left) != len(psi.xs_left)
-            or not np.allclose(phi.xs_left, psi.xs_left)
-            or not np.allclose(phi.xs_right, psi.xs_right)):
-        raise ValueError("modes must be sampled on the same stations")
+def _forms(system, pairs, i, j):
+    """H-products and energy forms of the pairs (pairs[i_k], pairs[j_k]), as
+    two arrays like i, from one Simpson rule per span, with the stations
+    checked once.  The modes are copied into one stack in station order (a
+    reversed mode_right too), so each pair sums to the bits of the pair
+    alone, in its operand order: (rho u_i) u_j + M u_i(0) u_j(0) and
+    (w3_i w3_j) / sigma + (q w2_i) w2_j.
+    """
+    for name in ("xs_left", "xs_right"):
+        grids = [getattr(p, name) for p in pairs]
+        if len({g.size for g in grids}) > 1 or not np.allclose(np.stack(grids), grids[0]):
+            raise ValueError("modes must be sampled on the same stations")
+    terms = []
+    for side, xs, mode in ((system.left, pairs[0].xs_left, "mode_left"),
+                           (system.right, pairs[0].xs_right, "mode_right")):
+        rho, sigma, q = rho_sigma_q(side.coeffs, in_span(side.interval, xs))
+        # the components (4, modes, stations), then each pair's two modes
+        stack = np.stack([getattr(p, mode) for p in pairs]).transpose(2, 0, 1)
+        a, b = stack[:, i], stack[:, j]
+        terms.extend(_simpson(np.stack([rho * a[0] * b[0], a[2] * b[2] / sigma,
+                                        q * a[1] * b[1]]), xs))
+    u0 = np.array([p.u0 for p in pairs])
+    h = terms[0] + terms[3] + system.mass * u0[i] * u0[j]
+    return h, terms[1] + terms[2] + terms[4] + terms[5]
 
 
 def h_inner(system, phi, psi):
-    """Weighted product int(rho_l u u) + int(rho_r v v) + M u(0) u(0)."""
-    _check_same_stations(phi, psi)
-    rho_l = eval_coeff(system.left, "rho", phi.xs_left)
-    rho_r = eval_coeff(system.right, "rho", phi.xs_right)
-    return float(
-        _simpson(rho_l * phi.mode_left[:, 0] * psi.mode_left[:, 0], phi.xs_left)
-        + _simpson(rho_r * phi.mode_right[:, 0] * psi.mode_right[:, 0], phi.xs_right)
-        + system.mass * phi.u0 * psi.u0
-    )
+    """Weighted product int(rho_l u u) + int(rho_r v v) + M u(0) u(0): the
+    one-pair reader of verify's Gram matrix."""
+    return float(_forms(system, (phi, psi), 0, 1)[0])
 
 
 def energy_form(system, phi, psi):
-    """int(sigma u'' u'') + int(q u' u') over both spans (u'' from w3/sigma)."""
-    _check_same_stations(phi, psi)
-    out = 0.0
-    for side, xs, m_phi, m_psi in (
-        (system.left, phi.xs_left, phi.mode_left, psi.mode_left),
-        (system.right, phi.xs_right, phi.mode_right, psi.mode_right),
-    ):
-        _, sig, q = rho_sigma_q(side.coeffs, in_span(side.interval, xs))
-        out += _simpson(m_phi[:, 2] * m_psi[:, 2] / sig, xs)
-        out += _simpson(q * m_phi[:, 1] * m_psi[:, 1], xs)
-    return float(out)
+    """int(sigma u'' u'') + int(q u' u') over both spans (u'' from w3/sigma):
+    the one-pair reader of verify's energies."""
+    return float(_forms(system, (phi, psi), 0, 1)[1])
 
 
 def _probe(system, lams, rel_tol, stations=(0.0,)):
@@ -631,17 +639,21 @@ class VerificationReport:
 
 
 def verify(system, eigenpairs):
-    """Check positivity, ordering, simplicity, sign products and orthogonality."""
+    """Check positivity, ordering, simplicity, sign products and orthogonality,
+    reading the modes as whole arrays: one _forms call gives the H-Gram
+    matrix (h_inner of every pair) and the energies behind
+    rayleigh_max_residual (energy_form of each mode with itself)."""
     if len(eigenpairs) < 2:
         raise ValueError("need at least two eigenpairs")
     n = len(eigenpairs)
     modes = tuple(pair if pair.index is not None else replace(pair, index=k + 1)
                   for k, pair in enumerate(eigenpairs))
 
+    # the pairs i <= j, mirrored into the lower triangle
+    i, j = np.triu_indices(n)
     gram = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = gram[j, i] = h_inner(system, eigenpairs[i], eigenpairs[j])
+    gram[i, j], energy = _forms(system, eigenpairs, i, j)
+    gram[j, i] = gram[i, j]
     offdiag = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
 
     lams = [p.lam for p in eigenpairs]
@@ -665,8 +677,7 @@ def verify(system, eigenpairs):
         strict_ordering=ordering,
         orthogonality=gram,
         orthogonality_max_offdiag=offdiag,
-        rayleigh_max_residual=max(abs(pair.lam - energy_form(system, pair, pair))
-                                  for pair in eigenpairs),
+        rayleigh_max_residual=max(abs(lam - e) for lam, e in zip(lams, energy[i == j].tolist())),
         products_nonvanishing=nonvanishing,
         products_constant_sign=constant_sign,
         sign_left=sign_left,

@@ -121,6 +121,20 @@ def test_modes_csv(capsys):
     assert np.max(us[at_joint]) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_cached_parser_carries_no_state(capsys):
+    # the parser is built once per process: an option given to one call is
+    # not a default of the next, and each command keeps its own format
+    code, out, _ = run(capsys, ["modes", UNIFORM_M0, "--modes", "2", "--stations", "129"])
+    assert code == 0 and "# stations_per_side: 129" in out.splitlines()
+    code, out, _ = run(capsys, ["modes", UNIFORM_M0, "--modes", "2"])
+    assert code == 0 and f"# stations_per_side: {DEFAULT_MODE_STATIONS}" in out.splitlines()
+    code, out, _ = run(capsys, ["verify", UNIFORM_M0, "--modes", "2"])
+    assert code == 0 and json.loads(out)["manifest"]["command"] == "verify"
+    code, out, _ = run(capsys, ["spectrum", UNIFORM_M0, "--modes", "2"])
+    assert code == 0 and "# command: spectrum" in out.splitlines()
+    assert csv_rows(out)[0] == ["n", "lambda", "s", "u0", "det_derivative", "sv_gap"]
+
+
 def test_modes_match_spectrum(capsys):
     # modes samples at the stations spectrum normalises at, so each mode's
     # left-span row at x = 0 carries spectrum's u0 to the last digit

@@ -455,6 +455,23 @@ def test_stations_keep_the_bits():
         np.testing.assert_array_equal(shot.log_scale, ends.log_scale)
 
 
+def test_every_station_is_read_on_its_own():
+    # a station's frame and epoch come from the polynomial of the step that
+    # passed it alone: read among 257 stations or as the only interior one,
+    # on one-segment entries with and without orthonormalisation and on
+    # segmented ones, they keep their bits
+    system = variable_system()
+    profiles = (system.left, mirrored(system.right))
+    inits = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
+    lams = [10.0, 3e3, 13.0 ** 4, 40.0 ** 4]
+    xs = np.linspace(-1.0, 0.0, 257)
+    shot = _batch_final_states(profiles, lams, -1.0, xs, inits)
+    for j in (1, 50, 128, 129, 201, 255):
+        alone = _batch_final_states(profiles, lams, -1.0, [xs[j], 0.0], inits)
+        np.testing.assert_array_equal(shot.frames[:, :, j], alone.frames[:, :, 0])
+        np.testing.assert_array_equal(shot.epochs[:, :, j], alone.epochs[:, :, 0])
+
+
 @pytest.mark.parametrize("s", [10 * math.pi, 20 * math.pi])
 def test_segment_matches_expm(s):
     # one segment of a segmented entry: the four balanced unit columns, in

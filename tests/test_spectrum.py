@@ -749,6 +749,26 @@ def test_energy_form_rayleigh(uniform_m0_modes):
         assert e > 0
 
 
+@pytest.mark.parametrize("name", ["uniform_m1", "variable_m1"])
+def test_verify_agrees_with_the_pairwise_forms(name, shipped_systems, shipped_modes):
+    # verify reads all modes as one array; h_inner and energy_form read one
+    # pair of it, so the Gram matrix is h_inner's over the pairs i <= j,
+    # mirrored, and the Rayleigh residual energy_form's, to the last bit
+    system, pairs = shipped_systems[name], shipped_modes[name]
+    report = verify(system, pairs)
+    n = len(pairs)
+    gram = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            gram[i, j] = gram[j, i] = h_inner(system, pairs[i], pairs[j])
+    assert np.array_equal(report.orthogonality, gram)
+    assert report.rayleigh_max_residual == max(abs(p.lam - energy_form(system, p, p))
+                                               for p in pairs)
+    coarse = solve_modes(system, 6, stations_per_side=129)
+    with pytest.raises(ValueError, match="modes must be sampled on the same stations"):
+        verify(system, [coarse[0], *pairs[1:]])
+
+
 def test_det_slope_margin(uniform_m0_modes):
     for pair in uniform_m0_modes:
         slope, margin = det_slope(UNIFORM, pair.lam)
