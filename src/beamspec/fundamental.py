@@ -22,8 +22,9 @@ The pinned pair is one pass with an initial column per entry, bit for
 bit two passes of quasi.integrate.  The pairings are read at given points
 from one joint pass of the pair's frames with the points as stations
 (_pair_frames).  Both run at quasi.DEFAULT_REL_TOL,
-so a set and its pairings share one tolerance.  Past quasi.GROWTH_BOUND
-the true columns are nearly parallel and their 2x2 minors cancel, so the
+so a set and its pairings share one tolerance.  A pair whose growth
+passes quasi.GROWTH_BOUND is integrated in segments (quasi._segments); its
+true columns are nearly parallel and their 2x2 minors cancel, so the
 pairings are read from the frames, whose minors times det R lose no digits.
 """
 

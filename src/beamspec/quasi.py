@@ -18,21 +18,21 @@ integrator tolerances, which the DOP853 warped reference path reads too),
 and a step spans a few e-folds; config.in_span checks that a pass starts
 and ends inside the span.  Each entry takes its own steps, so its result
 does not depend on the rest of the batch.  An entry integrates one column
-or a pair, shared or its own, and keeps it orthonormal past GROWTH_BOUND
-(stepwise orthonormalisation, Conte 1966): it returns every R of Y = Q R,
-so neither overflow nor the alignment of the two columns with the
-fastest-growing solution costs a determinant its sign or a mode its shape.
-An entry whose a-priori growth would pass GROWTH_BOUND (a large lam) is
-integrated as segments of bounded growth instead, side by side in the same
-step loop (multiple shooting; Ascher, Mattheij & Russell, Numerical
-Solution of Boundary Value Problems for ODEs, 1995): a segment after the
-first starts from the balanced unit columns, and the segments are chained
-by QR in balanced coordinates after the loop, so the entry takes the steps
-of one segment, not of the span.  At each requested station the entry's
-frame and its epoch (the number of orthonormalisations so far) are
-recorded, read from the polynomial of the step that passed it, and only
-for the entries whose stations are read.  Every determinant, every mode
-and every Trajectory comes from this integrator, and a point between
+or a pair, shared or its own.  Its growth is bounded once, before the step
+loop (_segments): an entry whose raw states stay below GROWTH_BOUND is one
+lane from its initial columns, and any other is integrated as segments of
+bounded growth, side by side in the same step loop (multiple shooting;
+Ascher, Mattheij & Russell, Numerical Solution of Boundary Value Problems
+for ODEs, 1995): a segment after the first starts from the balanced unit
+columns, and the segments are chained by QR in balanced coordinates after
+the loop, so the entry takes the steps of one segment, not of the span.
+The chain returns every R of Y = Q R, so neither overflow nor the alignment
+of the two columns with the fastest-growing solution costs a determinant
+its sign or a mode its shape.  At each requested station the entry's frame
+is recorded, read from the polynomial of the step that passed it, and only
+for the entries whose stations are read; its epoch (the number of
+orthonormalisations before it) is its segment.  Every determinant, every
+mode and every Trajectory comes from this integrator, and a point between
 stations is read as a station of a new pass; the public entry point is
 integrate, one solution across a span, overflow-safe: its true states are
 the stored ones times exp(log_scale).
@@ -52,16 +52,16 @@ import numpy as np
 
 from .config import CoefficientProfile, critical_points, in_span, rho_sigma_q
 
-# The integrator orthonormalises an entry's columns before a step would carry
-# its state past this bound, and integrates an entry whose a-priori growth
-# passes it in segments (see _segments).  Both columns pick up the
-# fastest-growing solution, so the plane they span is resolved only to about
-# eps times the growth since the last orthonormalisation, and eigenvalue
-# errors at large lam scale with the bound.  Uniform M=0, refine on modes
-# 1-40, worst error over modes 1-10 and over modes 11-40: 1.4e-14 and 4.2e-15
-# at 1e4, 5.7e-13 and 3.5e-14 at 1e7, 2.0e-11 and 2.0e-11 at 1e10.  The
-# shipped modes (s <= 10) grow to less than 1e6, so at 1e7 they are
-# integrated as plain pairs in one segment.
+# An entry whose raw states would pass this bound is integrated in segments
+# (see _segments), the only growth control of the integrator.  Both columns
+# pick up the fastest-growing solution, so the plane they span is resolved
+# only to about eps times the growth across a segment, and eigenvalue errors
+# at large lam scale with the bound.  Uniform M=0, refine and eigenpair on
+# modes 1-40, worst error over modes 1-10 and over modes 11-40: 1.4e-14 and
+# 4.2e-15 at 1e4, 5.7e-13 (mode 7, one segment) and 3.5e-14 at 1e7, 2.0e-11
+# and 6.4e-13 at 1e10.  At 1e7 a pinned pair is one segment up to s = 12.46
+# on a uniform span and s = 10.46 on the variable ones; the shipped modes
+# (s <= 9.43) grow to less than 7e5, so they are integrated as plain pairs.
 GROWTH_BOUND = 1e7
 REL_TOL_MIN = 1e-13
 REL_TOL_MAX = 1e-6
@@ -82,8 +82,8 @@ class Trajectory:
     """One solution at the stations xs of one pass, the first being its start.
 
     Stored states carry a common scaling: true value = states * exp(log_scale),
-    so they cannot overflow.  While the solution stays below GROWTH_BOUND,
-    log_scale is 0 and the states are the true ones.
+    so they cannot overflow.  An entry integrated in one segment (see
+    _segments) has log_scale 0, and its states are the true ones.
     """
 
     lam: float
@@ -144,10 +144,10 @@ def integrate(profile, lam, x_from, x_to, init, n_stations=DEFAULT_STATIONS):
     """Propagate one quasi-derivative state across the span at DEFAULT_REL_TOL,
     from x_from to x_to, as a Trajectory at n_stations equispaced stations.
 
-    Overflow-safe: the state is normalised whenever it passes GROWTH_BOUND
-    (or chained from segments, see _batch_final_states), and the true states
-    are the returned ones times exp(log_scale); log_scale stays 0 until the
-    first normalisation.
+    Overflow-safe: a solution whose growth would pass GROWTH_BOUND is
+    chained from segments (see _batch_final_states), and the true states
+    are the returned ones times exp(log_scale); log_scale is 0 for a
+    solution integrated in one segment.
     """
     if n_stations < 64:
         raise ValueError("need at least 64 stations")
@@ -197,11 +197,13 @@ def _segments(profiles, lams, x_from, x_to):
     No solution of the span grows faster than exp(mu |x|), mu**2 being the
     larger root of sigma k**4 - q k**2 = lam rho with sigma at its least and
     q and rho at their greatest over the pass (config.critical_points).  An
-    entry whose growth bound exp(mu L) over the pass of length L stays below
-    GROWTH_BOUND is one segment.  Any other is cut into the fewest equal
-    segments whose propagators are conditioned below GROWTH_BOUND: they
-    carry the decaying solutions as well, exp(-mu |x|), so a segment's
-    growth stays below the bound's square root.
+    entry is one segment if the raw states of the uniform pinned pair at
+    that rate, mu**2 exp(mu L) / 4 over the pass of length L, stay below
+    GROWTH_BOUND (tested in logs, which cannot overflow).  Any other is cut
+    into the fewest equal segments, at least two, whose propagators are
+    conditioned below GROWTH_BOUND: they carry the decaying solutions as
+    well, exp(-mu |x|), so a segment's growth stays below the bound's square
+    root.
     """
     lo, hi = sorted((x_from, x_to))
     rates = []
@@ -211,8 +213,10 @@ def _segments(profiles, lams, x_from, x_to):
         a = np.max(q) / (2.0 * np.min(sigma))
         rates.append(np.sqrt(a + np.sqrt(a * a + lams * np.max(rho) / np.min(sigma))))
     mu = np.concatenate(rates)
-    exponent = mu * (hi - lo) / math.log(GROWTH_BOUND)
-    return np.where(exponent <= 1.0, 1, np.ceil(2.0 * exponent)).astype(int), mu
+    growth = mu * (hi - lo)
+    one = growth + 2.0 * np.log(np.maximum(mu, 1.0)) - math.log(4.0) <= math.log(GROWTH_BOUND)
+    m = np.maximum(np.ceil(2.0 * growth / math.log(GROWTH_BOUND)), 2.0)
+    return np.where(one, 1, m).astype(int), mu
 
 
 def _taylor_rule(rel_tol):
@@ -268,16 +272,15 @@ def _taylor(y, poly, lam, x, order, lengths):
     return w
 
 
-def _evaluate(series, t, lanes=slice(None)):
+def _evaluate(series, t):
     """The polynomials with coefficients series (p + 1, ...) at t, by
-    Horner, of the given lanes (an index into the last axis): the step ends
-    and the re-taken steps.  t broadcasts against series[0], so a trailing
-    axis of length 1 reads each lane at a row of points (its stations)."""
-    acc = series[-1][..., lanes] * t
+    Horner.  t broadcasts against series[0], so a trailing axis of length 1
+    reads each lane at a row of points (its stations)."""
+    acc = series[-1] * t
     for c in series[-2:0:-1]:
-        acc += c[..., lanes]
+        acc += c
         acc *= t
-    return acc + series[0][..., lanes]
+    return acc + series[0]
 
 
 def _batch_final_states(profiles, lams, x_from, stations, inits,
@@ -309,30 +312,28 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     config.rho_sigma_q's clamped q by less than 1e-12 where q dips into
     [MIN_Q, 0); a q that the clamp makes zero across the span is left out.
 
-    An entry whose growth bound stays below GROWTH_BOUND (see _segments) is
-    one lane, from its initial columns; a step that would carry its state
-    past GROWTH_BOUND is taken again from an orthonormal basis Q of the
-    span of its columns (Y = Q R), and an entry that did so ends on an
-    orthonormal frame.  Any other entry is m segments of bounded growth,
-    all integrated side by side (multiple shooting): segment 0 is a lane
-    from the initial columns, and each later segment is 4/k lanes from the
-    balanced unit columns at its start, diag(1, mu, sigma mu**2,
-    sigma mu**3), in which a solution growing like exp(mu x) has components
-    of one size.  After the loop the segments are chained: segment j's
-    frame is its lanes' states times Q_j, where Q_j R_j is the end of
-    segment j - 1 in balanced coordinates, and the last segment's end is
-    orthonormalised as it stands.
+    An entry whose growth stays below GROWTH_BOUND (see _segments) is one
+    lane from its initial columns, and is never orthonormalised.  Any other
+    entry is m segments of bounded growth, all integrated side by side
+    (multiple shooting): segment 0 is a lane from the initial columns, and
+    each later segment is 4/k lanes from the balanced unit columns at its
+    start, diag(1, mu, sigma mu**2, sigma mu**3), in which a solution
+    growing like exp(mu x) has components of one size.  After the loop the
+    segments are chained: segment j's frame is its lanes' states times Q_j,
+    where Q_j R_j is the end of segment j - 1 in balanced coordinates, and
+    the last segment's end is orthonormalised as it stands.
 
     Returns a Shot whose leading axes ... are (N,) for one profile and
     (P, N) for P: frames (..., S, k, 4), the entry's frame at each station,
     one row per column; epochs (..., S), its orthonormalisations before
-    each station; r_factors (..., E + 1, k, k), the R of its j-th
-    orthonormalisation at index j (the identity at 0 and past its last);
-    log_scale (...), log det of all its R.  At a station of epoch e the true
-    columns are frame R_e ... R_1 (as 4 x k matrices), so the combination
-    of the initial columns with coefficients c_0 is frame c_e, where
-    c_j = R_j c_(j-1); the 2x2 minors of a true endpoint pair are those of
-    its last frame times exp(log_scale).
+    each station (a station's segment; m at the far end of a segmented
+    entry, 0 throughout a one-segment one); r_factors (..., E + 1, k, k),
+    the R of its j-th orthonormalisation at index j (the identity at 0 and
+    past its last); log_scale (...), log det of all its R.  At a station of
+    epoch e the true columns are frame R_e ... R_1 (as 4 x k matrices), so
+    the combination of the initial columns with coefficients c_0 is frame
+    c_e, where c_j = R_j c_(j-1); the 2x2 minors of a true endpoint pair are
+    those of its last frame times exp(log_scale).
     """
     single = isinstance(profiles, CoefficientProfile)
     if single:
@@ -378,12 +379,12 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     row = np.where(recording, np.cumsum(recording) - 1, -1)
     # layout (4 components, k columns, rows or lanes): the lane is the
     # contiguous axis, so every per-lane factor broadcasts along it; ends
-    # holds each lane's state at its far end, with its epoch and log scale
+    # holds each lane's state at its far end; the epochs and log scales are
+    # the chain's (see _chain)
     frames = np.full((4, k, stations.size, row.max() + 1), np.nan)
     epochs = np.zeros((stations.size, row.max() + 1), dtype=int)
     ends = np.empty((4, k, lanes))
-    end_epoch = np.zeros(lanes, dtype=int)
-    final_log = np.zeros(lanes)
+    final_log = np.zeros(n)
     events = []     # (entries, their epoch, R) of every orthonormalisation
     # every lane's coefficients (degree + 1, 3, lanes) of rho, sigma and q,
     # zero-padded to the pass's highest degree, and lam
@@ -399,17 +400,18 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     poly = np.repeat(poly, lams.size, axis=2)[..., parent]
     lam = np.tile(lams, len(profiles))[parent]
     # the balanced unit columns of the later segments' lanes, and the scale
-    # of every lane's balanced coordinates
+    # of every lane's balanced coordinates: the power of a full exponent
+    # array, whose bits do not depend on the number of lanes (a broadcast
+    # exponent takes numpy's buffered loop past about 2,048 lanes)
     rate = mu[parent[n:]]
     sigma = rho_sigma_q(tuple(poly[:, i, n:] for i in range(3)), x_start[n:])[1]
     balance = np.stack([np.ones(rate.size), rate, sigma * rate ** 2, sigma * rate ** 3])
-    scale = np.maximum(mu[parent], 1.0) ** -np.arange(4.0)[:, None, None]
-    # the running lanes: their index, position, far end, growth bound, next
-    # station, epoch, log scale and state y; the arrays shrink only when
-    # lanes finish
+    scale = np.power(np.tile(np.maximum(mu[parent], 1.0), (4, 1)),
+                     np.repeat(-np.arange(4.0)[:, None], lanes, axis=1))[:, None]
+    # the running lanes: their index, position, far end, next station and
+    # state y; the arrays shrink only when lanes finish
     idx = np.arange(lanes)
     x = x_start
-    bound = np.where(m_lane > 1, math.inf, GROWTH_BOUND)
     # interior stations in the direction of integration, for searchsorted;
     # a later segment starts past those of the segments before it
     ahead = stations[:-1] * direction
@@ -419,8 +421,6 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     y[..., :n] = inits.reshape(-1, k, 4).transpose(2, 1, 0)
     diag = (offset % groups) * k + np.arange(k)[:, None]
     y[diag, np.arange(k)[:, None], np.arange(n, lanes)] = balance[diag, np.arange(lanes - n)]
-    epoch = np.zeros(lanes, dtype=int)
-    log_scale = np.zeros(lanes)
     while idx.size:
         series = _taylor(y, poly, lam, x, order, lengths)
         norms = np.abs(series[[0, -2, -1]] * scale).max(axis=1)
@@ -434,20 +434,6 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
         stuck = (x_new == x) & ~last
         if stuck.any():
             raise IntegrationError("step size underflow", float(x[stuck][0]))
-        y_new = _evaluate(series, hs)
-        # a step that carries a lane past its bound is taken again from an
-        # orthonormal basis of its start: a step spans several e-folds, and
-        # the plane is resolved to eps times the growth between
-        # orthonormalisations
-        grown = np.abs(y_new).max(axis=(0, 1)) > bound
-        if grown.any():
-            y[..., grown], r, log_det_r = _orthonormalise(y[..., grown])
-            log_scale[grown] += log_det_r
-            epoch[grown] += 1
-            events.append((idx[grown], epoch[grown], r))
-            series[..., grown] = _taylor(y[..., grown], poly[..., grown], lam[grown], x[grown],
-                                         order, lengths)
-            y_new[..., grown] = _evaluate(series, hs[grown], grown)
         if ahead.size:
             reached = np.searchsorted(ahead, x_new * direction, side="right")
             count = np.maximum(reached - nxt, 0)
@@ -459,35 +445,31 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
                 valid = width < count[read, None]
                 at = nxt[read, None] + np.minimum(width, count[read, None] - 1)
                 values = _evaluate(series[..., read, None], stations[at] - x[read, None])
-                lane = np.repeat(read, count[read])
-                frames[:, :, at[valid], row[idx[lane]]] = values[..., valid]
-                epochs[at[valid], row[idx[lane]]] = epoch[lane]
+                frames[:, :, at[valid], row[idx[np.repeat(read, count[read])]]] = values[..., valid]
                 nxt = np.maximum(nxt, reached)
-        y, x = y_new, x_new
+        y, x = _evaluate(series, hs), x_new
         if last.any():
             ends[..., idx[last]] = y[..., last]
-            end_epoch[idx[last]] = epoch[last]
-            final_log[idx[last]] = log_scale[last]
             keep = ~last
-            idx, x, x_end, bound, nxt, epoch, log_scale, lam = (
-                a[keep] for a in (idx, x, x_end, bound, nxt, epoch, log_scale, lam))
+            idx, x, x_end, nxt, lam = (a[keep] for a in (idx, x, x_end, nxt, lam))
             # compress, not a mask: a masked last axis would come out
             # lane-major, and every row operation after it strided
             y, poly, scale = (np.compress(keep, a, axis=-1) for a in (y, poly, scale))
-    frames[:, :, -1, :n], epochs[-1, :n] = ends[..., :n], end_epoch[:n]
+    frames[:, :, -1, :n] = ends[..., :n]
     _chain(frames, epochs, ends, final_log, events, m, first, groups, balance, row)
-    fired = np.flatnonzero(epochs[-1, :n] > 0)
-    if fired.size:
-        frames[:, :, -1, fired], r, log_det_r = _orthonormalise(frames[:, :, -1, fired])
-        final_log[fired] += log_det_r
-        epochs[-1, fired] += 1
-        events.append((fired, epochs[-1, fired], r))
+    # a segmented entry ends on an orthonormal frame
+    segmented = np.flatnonzero(m > 1)
+    if segmented.size:
+        frames[:, :, -1, segmented], r, log_det_r = _orthonormalise(frames[:, :, -1, segmented])
+        final_log[segmented] += log_det_r
+        epochs[-1, segmented] += 1
+        events.append((segmented, epochs[-1, segmented], r))
     r_factors = np.tile(np.eye(k), (n, np.max(epochs[-1, :n], initial=0) + 1, 1, 1))
     for entries, at, r in events:
         r_factors[entries, at] = r
     return Shot(*(a.reshape(lead + a.shape[1:]) for a in
                   (frames[..., :n].transpose(3, 2, 1, 0), epochs[:, :n].T, r_factors,
-                   final_log[:n])))
+                   final_log)))
 
 
 def _combine(psi, q):

@@ -12,8 +12,8 @@ fixed row order
 Eigenvalues are the zeros of its determinant.  Every determinant comes
 from one batched pass of Taylor-series steps (quasi._batch_final_states)
 that integrates the left span next to the right span mirrored onto
-(-1, 0); past a fixed growth bound each span's column pair is kept
-orthonormal (or, at large lam, integrated in chained segments), so the
+(-1, 0); a span whose growth would pass a fixed bound is integrated in
+chained segments and ends on an orthonormal column pair, so the
 determinant is tracked as (sign, log magnitude) without the cancellation
 between the two exponentially growing columns at large lam.  solve_modes
 takes its eigenvalues from fem.seed_eigenvalues, a p-version Galerkin
@@ -84,9 +84,10 @@ def _build_matrix(left_states, right_states, mass, lam):
 def interface_matrix(system, lam):
     """The 4x4 joint-condition matrix at lam, as (matrix, col_log_scale).
 
-    Each span's two columns are its endpoint pair as integrated; once the
-    span's growth passed quasi.GROWTH_BOUND they are an orthonormal basis of
-    the same plane instead.  Either way the true determinant is
+    Each span's two columns are its endpoint pair as integrated; for a span
+    integrated in segments (growth past quasi.GROWTH_BOUND, see
+    quasi._segments) they are an orthonormal basis of the same plane
+    instead.  Either way the true determinant is
     det(matrix) * exp(sum(col_log_scale)).
     """
     _, matrices, col_log = _batch_matrices(system, np.array([float(lam)]), DEFAULT_REL_TOL)
@@ -389,6 +390,11 @@ def _modes(system, lams, indices, xs, shot, slopes, margins, classes):
     xs_r = -xs[::-1] + 0.0      # + 0.0: x = 0 as 0.0, not -0.0
     rho_l, rho_r = (rho_sigma_q(side.coeffs, x)[0] for side, x in ((system.left, xs),
                                                                    (system.right, xs_r)))
+    # the squared H-norms, one Simpson rule per span over the stacked modes:
+    # u in station order, C-contiguous, so each mode sums as it would alone
+    u = np.ascontiguousarray(modes[..., 0])
+    h_sq = (_simpson(rho_l * u[0] ** 2, xs) + _simpson(rho_r * u[1, :, ::-1] ** 2, xs_r)
+            + system.mass * u[0, :, -1] ** 2)
     pairs = []
     for i, (lam, index) in enumerate(zip(lams.tolist(), indices)):
         sv = svals[i]
@@ -400,11 +406,8 @@ def _modes(system, lams, indices, xs, shot, slopes, margins, classes):
         sign = -1.0 if c[0] < -SIGN_CONVENTION_EPS or (
             abs(c[0]) <= SIGN_CONVENTION_EPS and c[1] < 0) else 1.0
         mode_l, mode_r = modes[0, i], (modes[1, i] * MIRROR)[::-1]
-        u0 = float(mode_l[-1, 0])
-        h_sq = (_simpson(rho_l * mode_l[:, 0] ** 2, xs) + _simpson(rho_r * mode_r[:, 0] ** 2, xs_r)
-                + system.mass * u0 ** 2)
-        h = sign * math.sqrt(h_sq)
-        mode_l, mode_r, u0 = mode_l / h, mode_r / h, u0 / h
+        h = sign * math.sqrt(h_sq[i])
+        mode_l, mode_r, u0 = mode_l / h, mode_r / h, float(u[0, i, -1]) / h
         wl, wr = mode_l[-1], mode_r[0]
         residual = wl - wr
         residual[3] += system.mass * lam * wl[0]

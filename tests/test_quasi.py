@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import beamspec.quasi as quasi
+import conftest
 from beamspec.config import CoefficientProfile, mirrored, uniform_system, variable_system
 from beamspec.fundamental import left_fundamental, right_fundamental
 from beamspec.oscillation import (
@@ -310,32 +311,64 @@ def test_sampled_out_of_range(sampled):
 
 
 def test_station_epochs_at_large_lam():
-    # s = 40 and 25 are integrated in segments, and a station inside
-    # segment j is read in epoch j (one orthonormalisation per segment
-    # chained before it); s = 14 is one segment that orthonormalises inside
-    # the span, and each station is read in the epoch of the step that
-    # passed it.  Either way its frame times R_e ... R_1 is the true state
-    # (an epoch off by one would be off by a factor of about the growth
-    # between orthonormalisations)
-    s_values = [40.0, 2.0, 14.0, 25.0]
+    # s = 40, 25 and 14 are integrated in segments (s = 14 in two), and a
+    # station inside segment j is read in epoch j (one orthonormalisation
+    # per segment chained before it); s = 2 and 12 are one segment and never
+    # orthonormalise.  Either way its frame times R_e ... R_1 is the true
+    # state (an epoch off by one would be off by a factor of about the
+    # growth between orthonormalisations)
+    s_values = [40.0, 2.0, 14.0, 25.0, 12.0]
     lams = np.array(s_values) ** 4
     stations = np.linspace(-1.0, 0.0, 33)[1:]
     segments = quasi._segments((UNIFORM_LEFT,), lams, -1.0, 0.0)[0]
-    assert segments[0] > 1 and segments[3] > 1 and segments[1] == segments[2] == 1
+    np.testing.assert_array_equal(segments[1:], [1, 2, 4, 1])
+    assert segments[0] > 4
     shot = _batch_final_states(UNIFORM_LEFT, lams, -1.0, stations, (0.0, 1.0, 0.0, 0.0))
-    for i in (0, 3):
+    for i in (0, 2, 3):
         m = segments[i]
         # the boundaries -1 + j/m strictly before each station
         bounds = -1.0 + 1.0 * np.arange(1, m) / m
         np.testing.assert_array_equal(
             shot.epochs[i, :-1], np.sum(bounds[None, :] < stations[:-1, None], axis=1))
         assert shot.epochs[i, -1] == m
-    assert shot.epochs[2, -2] > 0 and np.all(np.diff(shot.epochs[2, :-1]) >= 0)
+    assert np.all(shot.epochs[[1, 4]] == 0) and np.all(shot.log_scale[[1, 4]] == 0.0)
     true = shot.frames[..., 0, :] * np.exp(quasi._station_log_det(shot))[..., None]
     for i, s in enumerate(s_values):
         for x, state in zip(stations[:-1], true[i, :-1]):
             exact = closed_form_state(s, x + 1.0)
             assert np.max(np.abs(state - exact)) <= 1e-8 * np.max(np.abs(exact)), (s, x)
+
+
+@pytest.mark.parametrize("name", sorted(conftest.SHIPPED_BUILDERS))
+def test_one_segment_pairs_stay_below_the_bound(shipped_systems, name):
+    # the only growth control is the segment count fixed before the step
+    # loop: every pinned pair that _segments leaves in one segment, for s in
+    # (0, 25], is never orthonormalised and its raw frames stay below
+    # GROWTH_BOUND at every station
+    system = shipped_systems[name]
+    profiles = (system.left, mirrored(system.right))
+    s = np.linspace(0.05, 25.0, 500)
+    one = np.all(quasi._segments(profiles, s ** 4, -1.0, 0.0)[0].reshape(2, -1) == 1, axis=0)
+    shot = _batch_final_states(profiles, s[one] ** 4, -1.0, np.linspace(-1.0, 0.0, 33),
+                               [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)])
+    assert np.all(shot.epochs == 0) and np.all(shot.log_scale == 0.0)
+    assert np.max(np.abs(shot.frames)) <= quasi.GROWTH_BOUND
+    # the ceiling: s = 12.46 on a uniform span, 10.46 on the variable ones
+    assert 10.0 < s[one].max() < 13.0
+
+
+def test_entry_bits_do_not_depend_on_the_pass_size():
+    # an entry's balanced-coordinate scale is the same power in a pass of
+    # 1,000 lanes as in one of 2,500: a broadcast exponent once took numpy's
+    # buffered loop past about 2,048 lanes and moved the last bits of 5 of
+    # these entries
+    lams = (0.02 * np.arange(1, 1001)) ** 4
+    pair = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
+    alone = _batch_final_states(variable_system().left, lams, -1.0, 0.0, pair)
+    more = _batch_final_states(variable_system().left, np.concatenate([lams, lams, lams[:500]]),
+                               -1.0, 0.0, pair)
+    np.testing.assert_array_equal(alone.frames, more.frames[:1000])
+    np.testing.assert_array_equal(alone.log_scale, more.log_scale[:1000])
 
 
 def closed_form_plane(s, tau):
@@ -352,8 +385,7 @@ def test_segmented_frames_match_closed_form(s):
     # to s = 20 pi (mode 40 of the uniform beam): one column at every
     # station within 1e-10 of the closed form (the station test above
     # allows 1e-8), and the pinned pair's plane within 1e-10 in balanced
-    # coordinates (one segment with stepwise orthonormalisation: 2e-10 at
-    # s = 10 pi)
+    # coordinates
     lam = np.array([s ** 4])
     assert quasi._segments((UNIFORM_LEFT,), lam, -1.0, 0.0)[0][0] > 1
     stations = np.linspace(-1.0, 0.0, 33)[1:]
@@ -372,15 +404,16 @@ def test_segmented_frames_match_closed_form(s):
 
 
 def test_one_segment_entries_keep_their_bits(monkeypatch):
-    # an entry whose growth stays below GROWTH_BOUND is one lane, stepped as
-    # before segments existed: next to segmented entries, and sampled or
-    # not, it has the bits of a pass in which no entry is segmented
+    # an entry whose growth stays below GROWTH_BOUND is one lane: next to
+    # segmented entries (12**4 in two segments), and sampled or not, it has
+    # the bits of a pass in which no entry is segmented
     system = variable_system()
     profiles = (system.left, mirrored(system.right))
-    lams = [10.0, 25.0 ** 4, 12.0 ** 4, 40.0 ** 4, 3e3]
+    lams = [10.0, 25.0 ** 4, 10.0 ** 4, 40.0 ** 4, 3e3, 12.0 ** 4]
     segments = quasi._segments(profiles, np.array(lams), -1.0, 0.0)[0].reshape(2, -1)
     one = segments == 1
-    assert one[:, [0, 2, 4]].all() and not one[:, [1, 3]].any()
+    assert one[:, [0, 2, 4]].all() and not one[:, [1, 3, 5]].any()
+    assert np.all(segments[:, 5] == 2)
     stations = np.linspace(-1.0, 0.0, 33)
     columns = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
     shots = [_batch_final_states(profiles, lams, -1.0, stations, columns[:k], sampled=3)
@@ -437,16 +470,19 @@ def test_segments_match_a_finer_cut(monkeypatch):
 def test_stations_keep_the_bits():
     # a station is read from the polynomial of the step that passed it and
     # changes no step: with no, few or many stations, on one-segment entries
-    # with and without orthonormalisation and on segmented ones, every last
+    # (to 10**4) and on segmented ones (13**4 in two segments), every last
     # frame, R and log scale keeps its bits
     system = variable_system()
     profiles = (system.left, mirrored(system.right))
     inits = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
-    lams = [10.0, 3e3, 13.0 ** 4, 40.0 ** 4]
+    lams = [10.0, 3e3, 10.0 ** 4, 13.0 ** 4, 40.0 ** 4]
     segments = quasi._segments(profiles, np.array(lams), -1.0, 0.0)[0].reshape(2, -1)
-    assert np.all(segments[:, :3] == 1) and np.all(segments[:, 3] > 1)
+    assert np.all(segments[:, :3] == 1) and np.all(segments[:, 3] == 2)
+    assert np.all(segments[:, 4] > 2)
     ends = _batch_final_states(profiles, lams, -1.0, 0.0, inits)
-    assert np.all(ends.epochs[:, 2, -1] > 0) and np.all(ends.epochs[:, :2, -1] == 0)
+    # a segmented entry ends in epoch m: m - 1 chainings and the last frame's
+    # orthonormalisation
+    np.testing.assert_array_equal(ends.epochs[..., -1], np.where(segments > 1, segments, 0))
     for stations in ([-0.5, 0.0], np.linspace(-1.0, 0.0, 65), np.linspace(-1.0, 0.0, 257)[1:]):
         shot = _batch_final_states(profiles, lams, -1.0, stations, inits)
         np.testing.assert_array_equal(shot.frames[:, :, -1], ends.frames[:, :, -1])
@@ -458,8 +494,7 @@ def test_stations_keep_the_bits():
 def test_every_station_is_read_on_its_own():
     # a station's frame and epoch come from the polynomial of the step that
     # passed it alone: read among 257 stations or as the only interior one,
-    # on one-segment entries with and without orthonormalisation and on
-    # segmented ones, they keep their bits
+    # on one-segment entries and on segmented ones, they keep their bits
     system = variable_system()
     profiles = (system.left, mirrored(system.right))
     inits = [(0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]

@@ -647,6 +647,17 @@ def test_refine_takes_the_first_point_with_the_ends(monkeypatch, n):
     assert abs(lam - (n * math.pi / 2) ** 4) <= 1e-10 * lam
 
 
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_two_segment_modes_match_closed_form(n):
+    # uniform M = 0 modes 8-10 (s from 12.6 to 15.7) pass the one-segment
+    # ceiling and are integrated as two segments; the high_modes benchmark's
+    # refine and eigenpair put them within 1e-13 of (n pi/2)**4
+    s = n * math.pi / 2
+    assert quasi._segments((UNIFORM.left,), np.array([s ** 4]), -1.0, 0.0)[0][0] == 2
+    lam = eigenpair(UNIFORM, refine(UNIFORM, (s - 0.05, s + 0.05)), index=n).lam
+    assert abs(lam - s ** 4) <= 1e-13 * s ** 4
+
+
 @pytest.mark.parametrize("bracket", [(0.5, 2.5), (1.58, 1.56)])
 def test_refine_wide_and_reversed_brackets(monkeypatch, bracket):
     # Newton falls back to the midpoint while its steps leave the bracket;
