@@ -17,7 +17,9 @@ K and B have half-bandwidth 3 and are stored in band form.  A shift-invert
 subspace iteration on the pencil, through a block cyclic reduction of K,
 supplies the eigenvectors only; each eigenvalue is the Rayleigh quotient of
 its own eigenvector, summed over elements and Gauss points as nonnegative
-terms (see `solve_generalized`).  The module uses numpy only.
+terms (see `solve_generalized`).  The iteration starts from the sampled
+modes of the uniform massless hinged beam, made orthonormal by one QR (see
+`_subspace`).  The module uses numpy only.
 Eigenvalues converge at fourth order in the mesh size, so two meshes give a
 Richardson-extrapolated reference.
 
@@ -50,9 +52,10 @@ class DefinitenessError(RuntimeError):
 class DiscreteOperator:
     """Assembled constrained matrices, DOF bookkeeping and quadrature data.
 
-    sigma, q (clamped) and rho hold the coefficients at the Gauss points,
-    one row per element; the element matrices were built from them and the
-    Rayleigh quotients of `solve_generalized` read them again.
+    sigma, q (clamped), rho and the Gauss weights have one row per element
+    and one column per Gauss point; shapes holds `_hermite` at those points,
+    (3, 4, elements, Gauss points).  The element matrices were built from
+    them and the Rayleigh quotients of `solve_generalized` read them again.
     """
 
     elements_per_side: int
@@ -65,6 +68,8 @@ class DiscreteOperator:
     sigma: np.ndarray
     q: np.ndarray
     rho: np.ndarray
+    weights: np.ndarray
+    shapes: np.ndarray
     point_mass: float
 
 
@@ -77,45 +82,25 @@ class OracleSpectrum:
     elements_per_side: int
 
 
-def _stack(*rows):
-    return np.stack(np.broadcast_arrays(*rows))
-
-
 def _hermite(g, h):
-    """Values, first and second derivatives of the Hermite shape functions of
-    u and u' at both ends of elements of length h at g in [0, 1], each (4, ...)."""
-    n = _stack(
+    """Values, first and second derivatives (axis 0) of the Hermite shape
+    functions of u and u' at both ends (axis 1) of elements of length h at g
+    in [0, 1]."""
+    rows = np.broadcast_arrays(
         1 - 3 * g ** 2 + 2 * g ** 3,
         h * (g - 2 * g ** 2 + g ** 3),
         3 * g ** 2 - 2 * g ** 3,
         h * (-g ** 2 + g ** 3),
-    )
-    dn = _stack(
         (-6 * g + 6 * g ** 2) / h,
         1 - 4 * g + 3 * g ** 2,
         (6 * g - 6 * g ** 2) / h,
         -2 * g + 3 * g ** 2,
-    )
-    ddn = _stack(
         (-6 + 12 * g) / h ** 2,
         (-4 + 6 * g) / h,
         (6 - 12 * g) / h ** 2,
         (-2 + 6 * g) / h,
     )
-    return n, dn, ddn
-
-
-def _quadrature(node_x):
-    """Gauss points, weights and Hermite shape functions of every element.
-
-    Returns x and w of shape (elements, Gauss points) and the values, first
-    and second derivatives of the four shape functions, each of shape
-    (4, elements, Gauss points).
-    """
-    h = np.diff(node_x)[:, None]
-    x = node_x[:-1, None] + h * _GAUSS_LOCAL
-    w = 0.5 * h * _GAUSS_WEIGHTS
-    return (x, w, *_hermite(_GAUSS_LOCAL, h))
+    return np.reshape(rows, (3, 4, *rows[0].shape))
 
 
 def assemble(system, elements_per_side):
@@ -126,7 +111,11 @@ def assemble(system, elements_per_side):
     nodes = np.concatenate([np.linspace(-1.0, 0.0, e + 1),
                             np.linspace(0.0, 1.0, e + 1)[1:]])
     ndof = 2 * len(nodes)
-    x, w, n, dn, ddn = _quadrature(nodes)
+    h = np.diff(nodes)[:, None]
+    x = nodes[:-1, None] + h * _GAUSS_LOCAL     # Gauss points of every element
+    w = 0.5 * h * _GAUSS_WEIGHTS
+    shapes = _hermite(_GAUSS_LOCAL, h)
+    n, dn, ddn = shapes
 
     rho, sigma, q = map(np.concatenate, zip(rho_sigma_q(system.left.coeffs, x[:e]),
                                             rho_sigma_q(system.right.coeffs, x[e:])))
@@ -167,6 +156,8 @@ def assemble(system, elements_per_side):
         sigma=sigma,
         q=q,
         rho=rho,
+        weights=w,
+        shapes=shapes,
         point_mass=system.mass,
     )
 
@@ -181,9 +172,8 @@ def _energies(op, vectors):
     full = np.zeros((2 * len(op.node_x), vectors.shape[1]))
     full[op.free_dofs] = vectors
     local = full[op.element_dofs]       # (elements, 4, modes)
-    _, w, n, dn, ddn = _quadrature(op.node_x)
-    u, du, ddu = (np.einsum("ieg,eik->egk", s, local) for s in (n, dn, ddn))
-    return _energy_sums(w, op.sigma, op.q, op.rho, u, du, ddu,
+    u, du, ddu = (np.einsum("ieg,eik->egk", s, local) for s in op.shapes)
+    return _energy_sums(op.weights, op.sigma, op.q, op.rho, u, du, ddu,
                         op.point_mass * vectors[op.joint_dof] ** 2)
 
 
@@ -267,15 +257,25 @@ def _subspace(op, count):
     Q.  It stops when each wanted |K^-1 B x - mu x|_B / mu is <= 1e-8, or <=
     1e-5 and fell less than 4x (the rounding floor), or when the block spans
     the space (one step is exact).
+
+    The start is u = sin(k (x+1)), u' = k cos(k (x+1)) at the nodes, k = j pi/2,
+    j <= min(dim, 2 count + 8): the uniform massless hinged beam's modes, so
+    uniform M = 0 converges in one step.  Its QR keeps Q^T B Q definite whatever
+    the sines' rank, and a block of all dim columns spans the space (one step).
     """
     levels, b = _factor(op.stiffness), op.mass_matrix
     dim = len(b)
-    start = np.random.default_rng(0).standard_normal((dim, min(dim, 2 * count + 8)))
-    block = np.linalg.qr(start)[0]    # orthonormal, so one step is exact when count == dim
+    k = np.pi / 2 * np.arange(1, min(dim, 2 * count + 8) + 1)
+    phase = np.outer(op.node_x + 1.0, k)
+    start = np.stack([np.sin(phase), k * np.cos(phase)], axis=1).reshape(-1, len(k))
+    block = np.linalg.qr(start[op.free_dofs])[0]
     previous, bq = np.inf, _band_product(b, block)
     for steps in range(1, MAX_STEPS + 1):
         w = _solve(levels, bq)
-        reduce = np.linalg.inv(np.linalg.cholesky(bq.T @ block))
+        try:
+            reduce = np.linalg.inv(np.linalg.cholesky(bq.T @ block))
+        except np.linalg.LinAlgError as exc:
+            raise DefinitenessError("the block's B-Gram matrix is not positive definite") from exc
         mu, y = np.linalg.eigh(reduce @ (bq.T @ w) @ reduce.T)
         mu, z = mu[::-1], reduce.T @ y[:, ::-1]     # largest mu first: lowest lam first
         vectors, wz = block @ z[:, :count], w @ z
@@ -342,7 +342,7 @@ def seed_eigenvalues(system, count):
                + (2 * k + 3) / (2 * k + 7) * legendre[4:],
                2 * (2 * k + 3) * (legendre[3:-1] - legendre[1:-3]),
                4 * (2 * k + 3) * (2 * k + 5) * legendre[2:-2])
-    hermite = np.stack(_hermite(g, 1.0))
+    hermite = _hermite(g, 1.0)
     # (derivative, DOF, span, g); DOFs u'(-1), u(0), u'(0), u'(+1), bubbles
     basis = np.zeros((3, 4 + 2 * m, 2, g.size))
     basis[:, :3, 0], basis[:, 1:4, 1] = hermite[:, 1:], hermite[:, [0, 1, 3]]

@@ -411,12 +411,25 @@ def test_verify_forty_modes_at_loose_tol(capsys, tmp_path):
 
 
 def test_oracle_non_convergence_exit_3(capsys, monkeypatch):
+    # variable M = 1 takes 3 steps at 20 elements; uniform M = 0 would take one
     monkeypatch.setattr("beamspec.fem.MAX_STEPS", 2)
-    code, out, err = run(capsys, ["oracle", UNIFORM_M0, "--modes", "2",
+    code, out, err = run(capsys, ["oracle", VARIABLE_M1, "--modes", "2",
                                   "--elements", "20"])
     assert code == 3
     assert out == ""
     assert "did not converge" in err
+
+
+def test_oracle_heavy_mass_exit_3(capsys, tmp_path):
+    # the FEM oracle cannot take uniform M = 1e12: the block's B-Gram matrix
+    # loses definiteness in rounding, and the failure names it
+    path = tmp_path / "heavy.json"
+    path.write_text(serialize_system(uniform_system(1e12)))
+    code, out, err = run(capsys, ["oracle", str(path), "--modes", "6",
+                                  "--elements", "20"])
+    assert code == 3
+    assert out == ""
+    assert "B-Gram matrix" in err
 
 
 def test_verification_violation_exit_4(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import conftest
 from beamspec import fem
 from beamspec.config import uniform_system, variable_system
 from beamspec.fem import DefinitenessError, assemble, compare, solve_generalized
@@ -65,7 +66,7 @@ def test_matrices_symmetric_and_definite():
 def test_band_matches_dense_assembly():
     # the dense scatter of every element matrix, then the hinged DOFs cut out
     op = assemble(variable_system(1.0), 6)
-    _, w, n, dn, ddn = fem._quadrature(op.node_x)
+    w, (n, dn, ddn) = op.weights, op.shapes
     k_e = (np.einsum("eg,ieg,jeg->eij", w * op.sigma, ddn, ddn)
            + np.einsum("eg,ieg,jeg->eij", w * op.q, dn, dn))
     b_e = np.einsum("eg,ieg,jeg->eij", w * op.rho, n, n)
@@ -248,6 +249,23 @@ def test_indefinite_mass_is_a_definiteness_error():
 
 
 def test_non_convergence_raises(monkeypatch):
+    # variable M = 1 takes 4 steps here; uniform M = 0 would take one
     monkeypatch.setattr(fem, "MAX_STEPS", 2)
     with pytest.raises(RuntimeError, match="did not converge in 2 steps"):
-        solve_generalized(assemble(UNIFORM, 40), 6)
+        solve_generalized(assemble(variable_system(1.0), 40), 6)
+
+
+def test_hinged_beam_start_steps(shipped_systems):
+    # the start block holds uniform M = 0's discrete modes: one step
+    for elements in (40, 80, 160, 320):
+        assert solve_generalized(assemble(UNIFORM, elements), 6).steps == 1
+        for name, system in shipped_systems.items():
+            assert solve_generalized(assemble(system, elements), 6).steps <= 4, name
+    # right sigma = floor + x**2 nearly vanishes at the joint, far from the
+    # start's uniform beam: the values still match the dense solve
+    for floor in (1e-6, 1e-8):
+        for elements in (40, 320):
+            op = assemble(conftest.near_floor_system(floor), elements)
+            reference = dense_values(op, 6)
+            values = solve_generalized(op, 6).values
+            assert np.max(np.abs(values - reference) / reference) <= 1e-10, (floor, elements)
