@@ -18,8 +18,8 @@ subspace iteration on the pencil, through a block cyclic reduction of K,
 supplies the eigenvectors only; each eigenvalue is the Rayleigh quotient of
 its own eigenvector, summed over elements and Gauss points as nonnegative
 terms (see `solve_generalized`).  The iteration starts from the sampled
-modes of the uniform massless hinged beam, made orthonormal by one QR (see
-`_subspace`).  The module uses numpy only.
+modes of the uniform massless hinged beam, made B-orthonormal by one QR and
+a Cholesky factor (see `_subspace`).  The module uses numpy only.
 Eigenvalues converge at fourth order in the mesh size, so two meshes give a
 Richardson-extrapolated reference.
 
@@ -248,6 +248,15 @@ def _band_product(band, x):
     return y
 
 
+def _reduction(block, bq):
+    """The inverse of the Cholesky factor of the block's B-Gram matrix
+    Q^T B Q, bq being B Q: Q times its transpose is B-orthonormal."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(bq.T @ block))
+    except np.linalg.LinAlgError as exc:
+        raise DefinitenessError("the block's B-Gram matrix is not positive definite") from exc
+
+
 def _subspace(op, count):
     """B-orthonormal vectors of the `count` lowest modes and the steps taken.
 
@@ -261,7 +270,10 @@ def _subspace(op, count):
     The start is u = sin(k (x+1)), u' = k cos(k (x+1)) at the nodes, k = j pi/2,
     j <= min(dim, 2 count + 8): the uniform massless hinged beam's modes, so
     uniform M = 0 converges in one step.  Its QR keeps Q^T B Q definite whatever
-    the sines' rank, and a block of all dim columns spans the space (one step).
+    the sines' rank, and the Cholesky factor of that B-Gram matrix makes it
+    B-orthonormal, so a block of all dim columns spans the space in one step
+    that a heavy joint mass does not spoil (for an orthonormal square Q,
+    Q^T B Q would have B's condition).
     """
     levels, b = _factor(op.stiffness), op.mass_matrix
     dim = len(b)
@@ -269,13 +281,11 @@ def _subspace(op, count):
     phase = np.outer(op.node_x + 1.0, k)
     start = np.stack([np.sin(phase), k * np.cos(phase)], axis=1).reshape(-1, len(k))
     block = np.linalg.qr(start[op.free_dofs])[0]
+    block = block @ _reduction(block, _band_product(b, block)).T
     previous, bq = np.inf, _band_product(b, block)
     for steps in range(1, MAX_STEPS + 1):
         w = _solve(levels, bq)
-        try:
-            reduce = np.linalg.inv(np.linalg.cholesky(bq.T @ block))
-        except np.linalg.LinAlgError as exc:
-            raise DefinitenessError("the block's B-Gram matrix is not positive definite") from exc
+        reduce = _reduction(block, bq)
         mu, y = np.linalg.eigh(reduce @ (bq.T @ w) @ reduce.T)
         mu, z = mu[::-1], reduce.T @ y[:, ::-1]     # largest mu first: lowest lam first
         vectors, wz = block @ z[:, :count], w @ z

@@ -21,17 +21,18 @@ does not depend on the rest of the batch.  An entry integrates one column
 or a pair, shared or its own.  Its growth is bounded once, before the step
 loop (_segments): an entry whose raw states stay below GROWTH_BOUND is one
 lane from its initial columns, and any other is integrated as segments of
-bounded growth, side by side in the same step loop (multiple shooting;
-Ascher, Mattheij & Russell, Numerical Solution of Boundary Value Problems
-for ODEs, 1995): a segment after the first starts from the balanced unit
-columns, and the segments are chained by QR in balanced coordinates after
-the loop, so the entry takes the steps of one segment, not of the span.
-The chain returns every R of Y = Q R, so neither overflow nor the alignment
-of the two columns with the fastest-growing solution costs a determinant
-its sign or a mode its shape.  At each requested station the entry's frame
-is recorded, read from the polynomial of the step that passed it, and only
-for the entries whose stations are read; its epoch (the number of
-orthonormalisations before it) is its segment.  Every determinant, every
+bounded growth, one lane each, side by side in the same step loop (multiple
+shooting; Ascher, Mattheij & Russell, Numerical Solution of Boundary Value
+Problems for ODEs, 1995): a segment after the first carries the four
+balanced unit columns, and the segments are chained by QR in balanced
+coordinates after the loop, so the entry takes the steps of one segment,
+not of the span.  The chain returns every R of Y = Q R, so neither overflow
+nor the alignment of the two columns with the fastest-growing solution
+costs a determinant its sign or a mode its shape.  Each station is read
+from the polynomial of the step that passed it, by the lane of its
+segment, into its entry's one slot, with the segment as its epoch (the
+number of orthonormalisations before it), and only for the entries whose
+stations are read.  Every determinant, every
 mode and every Trajectory comes from this integrator, and a point between
 stations is read as a station of a new pass; the public entry point is
 integrate, one solution across a span, overflow-safe: its true states are
@@ -298,7 +299,7 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     entry does not depend on which others share the batch; a lane's last
     step is clipped to land on its far end, where it leaves the batch.  Its
     frames at the other stations are the polynomial of the step that passed
-    them, read by one Horner pass per step over each lane's row of stations.
+    them, read by one Horner pass per step over the stations it passed.
     Only the first `sampled` lams of each profile (all by default) record
     these interior stations; the interior frames of the rest are NaN, and
     everything else they return is as if they were sampled.
@@ -314,14 +315,17 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
 
     An entry whose growth stays below GROWTH_BOUND (see _segments) is one
     lane from its initial columns, and is never orthonormalised.  Any other
-    entry is m segments of bounded growth, all integrated side by side
-    (multiple shooting): segment 0 is a lane from the initial columns, and
-    each later segment is 4/k lanes from the balanced unit columns at its
-    start, diag(1, mu, sigma mu**2, sigma mu**3), in which a solution
-    growing like exp(mu x) has components of one size.  After the loop the
-    segments are chained: segment j's frame is its lanes' states times Q_j,
-    where Q_j R_j is the end of segment j - 1 in balanced coordinates, and
-    the last segment's end is orthonormalised as it stands.
+    entry is m segments of bounded growth, one lane each, all integrated
+    side by side (multiple shooting): segment 0 from the initial columns
+    (in such a pass every segment 0 has 4 - k more, zero, which never
+    shorten a step), each later one from the four balanced unit columns at
+    its start, diag(1, mu, sigma mu**2, sigma mu**3), in which a solution
+    growing like exp(mu x) has components of one size.  A lane writes the
+    stations it passes, which lie in no other segment, into its entry's
+    slot, with its segment as their epoch.  After the loop the segments are
+    chained: a station of segment j > 0 takes the unit columns' states
+    times Q_j, where Q_j R_j is the end of segment j - 1 in balanced
+    coordinates, and the last segment's end is orthonormalised as it stands.
 
     Returns a Shot whose leading axes ... are (N,) for one profile and
     (P, N) for P: frames (..., S, k, 4), the entry's frame at each station,
@@ -359,33 +363,27 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     inits = np.atleast_2d(inits)
     k = inits.shape[-2]
     # the lanes: the n entries' segments 0, then segments 1 .. m - 1 of each
-    # entry in turn, each as 4/k lanes (group g holds columns g*k, ...)
+    # entry in turn, one lane each; in a pass with a later segment every lane
+    # carries four columns, segment 0's last 4 - k zero
     m, mu = _segments(profiles, lams, x_from, x_to)
-    groups = 4 // k
-    extra = (m - 1) * groups
-    first = n + np.cumsum(extra) - extra     # each entry's first lane of segment 1
-    offset = np.arange(np.sum(extra)) - np.repeat(first - n, extra)
-    parent = np.concatenate([np.arange(n), np.repeat(np.arange(n), extra)])
-    seg = np.concatenate([np.zeros(n, dtype=int), 1 + offset // groups])
+    first = n + np.cumsum(m - 1) - (m - 1)     # each entry's lane of segment 1
+    parent = np.concatenate([np.arange(n), np.repeat(np.arange(n), m - 1)])
+    seg = np.concatenate([np.zeros(n, dtype=int),
+                          np.arange(parent.size - n) - np.repeat(first - n - 1, m - 1)])
     m_lane = m[parent]
     x_start = x_from + (x_to - x_from) * seg / m_lane
     x_end = np.where(seg + 1 == m_lane, x_to, x_from + (x_to - x_from) * (seg + 1) / m_lane)
     lanes = parent.size
-    # the lanes that record interior stations, each in its row of frames
-    # and epochs: every entry's segment 0 and the later segments of the
-    # sampled entries (an entry that is not sampled starts past them all)
+    columns = k if lanes == n else 4
+    # the sampled entries' lanes write the stations they pass into their
+    # entry's slot, with their segment as the epoch; layout (4 components,
+    # columns, stations, entries or lanes): the lane is the contiguous axis,
+    # so every per-lane factor broadcasts along it; ends holds each lane's
+    # state at its far end
     samples = np.tile(np.arange(lams.size) < sampled, len(profiles))[parent]
-    recording = samples | (seg == 0)
-    row = np.where(recording, np.cumsum(recording) - 1, -1)
-    # layout (4 components, k columns, rows or lanes): the lane is the
-    # contiguous axis, so every per-lane factor broadcasts along it; ends
-    # holds each lane's state at its far end; the epochs and log scales are
-    # the chain's (see _chain)
-    frames = np.full((4, k, stations.size, row.max() + 1), np.nan)
-    epochs = np.zeros((stations.size, row.max() + 1), dtype=int)
-    ends = np.empty((4, k, lanes))
-    final_log = np.zeros(n)
-    events = []     # (entries, their epoch, R) of every orthonormalisation
+    frames = np.full((4, columns, stations.size, n), np.nan)
+    epochs = np.zeros((stations.size, n), dtype=int)
+    ends = np.empty((4, columns, lanes))
     # every lane's coefficients (degree + 1, 3, lanes) of rho, sigma and q,
     # zero-padded to the pass's highest degree, and lam
     lengths = [max(len(p.coeffs[i]) for p in profiles) for i in range(3)]
@@ -417,10 +415,9 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
     ahead = stations[:-1] * direction
     nxt = np.where(samples, np.where(seg > 0, np.searchsorted(
         ahead, x_start * direction, side="right"), 0), ahead.size)
-    y = np.zeros((4, k, lanes))
-    y[..., :n] = inits.reshape(-1, k, 4).transpose(2, 1, 0)
-    diag = (offset % groups) * k + np.arange(k)[:, None]
-    y[diag, np.arange(k)[:, None], np.arange(n, lanes)] = balance[diag, np.arange(lanes - n)]
+    y = np.zeros((4, columns, lanes))
+    y[:, :k, :n] = inits.reshape(-1, k, 4).transpose(2, 1, 0)
+    y[..., n:] = np.eye(4)[:, :columns, None] * balance[:, None]
     while idx.size:
         series = _taylor(y, poly, lam, x, order, lengths)
         norms = np.abs(series[[0, -2, -1]] * scale).max(axis=1)
@@ -439,13 +436,15 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
             count = np.maximum(reached - nxt, 0)
             if count.any():
                 # every station a step passed, read from its polynomial; each
-                # lane's row is padded with its last station to the widest row
+                # lane's are padded with its last one to the most any lane passed
                 read = np.flatnonzero(count)
                 width = np.arange(count.max())
                 valid = width < count[read, None]
                 at = nxt[read, None] + np.minimum(width, count[read, None] - 1)
                 values = _evaluate(series[..., read, None], stations[at] - x[read, None])
-                frames[:, :, at[valid], row[idx[np.repeat(read, count[read])]]] = values[..., valid]
+                lane = idx[np.repeat(read, count[read])]
+                frames[:, :, at[valid], parent[lane]] = values[..., valid]
+                epochs[at[valid], parent[lane]] = seg[lane]
                 nxt = np.maximum(nxt, reached)
         y, x = _evaluate(series, hs), x_new
         if last.any():
@@ -455,55 +454,53 @@ def _batch_final_states(profiles, lams, x_from, stations, inits,
             # compress, not a mask: a masked last axis would come out
             # lane-major, and every row operation after it strided
             y, poly, scale = (np.compress(keep, a, axis=-1) for a in (y, poly, scale))
-    frames[:, :, -1, :n] = ends[..., :n]
-    _chain(frames, epochs, ends, final_log, events, m, first, groups, balance, row)
-    # a segmented entry ends on an orthonormal frame
-    segmented = np.flatnonzero(m > 1)
-    if segmented.size:
-        frames[:, :, -1, segmented], r, log_det_r = _orthonormalise(frames[:, :, -1, segmented])
-        final_log[segmented] += log_det_r
-        epochs[-1, segmented] += 1
-        events.append((segmented, epochs[-1, segmented], r))
-    r_factors = np.tile(np.eye(k), (n, np.max(epochs[-1, :n], initial=0) + 1, 1, 1))
-    for entries, at, r in events:
-        r_factors[entries, at] = r
+    # an entry's far end is its last segment's
+    frames[:, :, -1] = ends[..., np.where(m > 1, first + m - 2, np.arange(n))]
+    epochs[-1] = m - 1
+    r_factors, log_scale = _chain(frames, epochs, ends, m, first, balance, k)
     return Shot(*(a.reshape(lead + a.shape[1:]) for a in
-                  (frames[..., :n].transpose(3, 2, 1, 0), epochs[:, :n].T, r_factors,
-                   final_log)))
+                  (frames[:, :k].transpose(3, 2, 1, 0), epochs.T, r_factors, log_scale)))
 
 
 def _combine(psi, q):
-    """The states psi (4, 4, ..., entries) of the balanced unit columns times
-    the columns q (4, k, entries): the states of q, (4, k, ..., entries)."""
-    q = q.reshape(q.shape[:2] + (1,) * (psi.ndim - 3) + q.shape[2:])
+    """The states psi (4, 4, entries) of the balanced unit columns times the
+    columns q (4, k, entries): the states of q, (4, k, entries)."""
     out = psi[:, 0, None] * q[0]
     for b in range(1, 4):
         out += psi[:, b, None] * q[b]
     return out
 
 
-def _chain(frames, epochs, ends, final_log, events, m, first, groups, balance, row):
-    """Chain the segments of the entries with m > 1, in place (see
-    _batch_final_states): lane e (e < m.size) is entry e's segment 0, whose
-    far end frames and epochs hold in their last station, first[e] +
-    (j - 1)*groups + g is its segment j's group g, ends holds every lane's
-    state at its far end, balance (4, lanes - m.size) the later lanes'
-    balanced unit columns, and row[i] the row of frames where lane i
-    recorded its stations (-1 if it recorded none).  Leaves the last
-    segment's end, in epoch m - 1, in the last station.
+def _chain(frames, epochs, ends, m, first, balance, k):
+    """Chain the segments of the entries with m > 1 into frames of their k
+    initial columns, in place (see _batch_final_states), and return their
+    r_factors and log_scale.  Lane e (e < m.size) is entry e's segment 0
+    and first[e] + j - 1 its segment j, ends holds every lane's state at its
+    far end, balance (4, lanes - m.size) the later lanes' balanced unit
+    columns, and frames the states of those columns at every station of
+    epoch j > 0, the last one included.  Leaves each segmented entry's
+    orthonormalised far end, in epoch m, in the last station.
     """
     n = m.size
-    for j in range(1, np.max(m, initial=1)):
+    top = np.max(m, initial=1)
+    if top == 1:
+        return np.tile(np.eye(k), (n, 1, 1, 1)), np.zeros(n)
+    r_factors = np.tile(np.eye(k), (n, top + 1, 1, 1))
+    log_scale = np.zeros(n)
+    qs = np.zeros((4, k, top, n))     # each entry's Q_j, in balanced coordinates
+    end = ends[:, :k, :n].copy()      # each entry's end of segment j - 1
+    for j in range(1, top):
         e = np.flatnonzero(m > j)
-        lane = first[e] + (j - 1) * groups + np.arange(groups)[:, None]
-        q, r, log_det_r = _orthonormalise(frames[:, :, -1, e] / balance[:, None, lane[0] - n])
-        final_log[e] += log_det_r
-        events.append((e, j, r))
-        frames[:, :, -1, e] = _combine(np.concatenate([ends[..., g] for g in lane], axis=1), q)
-        epochs[-1, e] = j
-        sampled = row[lane[0]] >= 0
-        psi = np.concatenate([frames[..., :-1, row[g]] for g in lane[:, sampled]], axis=1)
-        seg = _combine(psi, q[..., sampled])
-        at, of = np.nonzero(~np.isnan(seg[0, 0]))
-        frames[:, :, at, e[sampled][of]] = seg[:, :, at, of]
-        epochs[at, e[sampled][of]] = j
+        lane = first[e] + j - 1
+        qs[:, :, j, e], r_factors[e, j], log_det_r = _orthonormalise(
+            end[..., e] / balance[:, None, lane - n])
+        log_scale[e] += log_det_r
+        end[..., e] = _combine(ends[..., lane], qs[:, :, j, e])
+    at, of = np.nonzero(epochs > 0)
+    frames[:, :k, at, of] = _combine(frames[:, :, at, of], qs[:, :, epochs[at, of], of])
+    segmented = np.flatnonzero(m > 1)
+    frames[:, :k, -1, segmented], r, log_det_r = _orthonormalise(frames[:, :k, -1, segmented])
+    r_factors[segmented, m[segmented]] = r
+    log_scale[segmented] += log_det_r
+    epochs[-1, segmented] += 1
+    return r_factors, log_scale

@@ -220,6 +220,18 @@ def test_oracle_modes_beyond_fem_dimension_is_usage_error(capsys, monkeypatch):
     assert "modes" in err
 
 
+@pytest.mark.parametrize("masses, message", [
+    ("0,x", "bad --mass-list value: '0,x'"),
+    ("0,-1", "--mass-list needs nonnegative numbers"),
+])
+def test_bad_mass_list_is_usage_error(capsys, monkeypatch, masses, message):
+    monkeypatch.setattr("beamspec.cli.solve_modes", fail_if_solved)
+    code, out, err = run(capsys, ["sweep", UNIFORM_M0, "--mass-list", masses])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("tol", ["1e-3", "1e-14", "nan"])
 def test_tol_out_of_range_is_usage_error(capsys, tol):
     code, out, err = run(capsys, ["spectrum", UNIFORM_M0, "--tol", tol])
@@ -421,15 +433,31 @@ def test_oracle_non_convergence_exit_3(capsys, monkeypatch):
 
 
 def test_oracle_heavy_mass_exit_3(capsys, tmp_path):
-    # the FEM oracle cannot take uniform M = 1e12: the block's B-Gram matrix
-    # loses definiteness in rounding, and the failure names it
+    # at 320 elements the FEM oracle cannot take uniform M = 1e12: the
+    # block's B-Gram matrix loses definiteness in rounding, and the failure
+    # names it
     path = tmp_path / "heavy.json"
     path.write_text(serialize_system(uniform_system(1e12)))
     code, out, err = run(capsys, ["oracle", str(path), "--modes", "6",
-                                  "--elements", "20"])
+                                  "--elements", "320"])
     assert code == 3
     assert out == ""
     assert "B-Gram matrix" in err
+
+
+def test_oracle_heavy_mass_at_20_elements(capsys, tmp_path):
+    # the B-orthonormal start keeps the iteration's B-Gram matrices near the
+    # identity: uniform M = 1e12 converges to the shooting values (from the
+    # QR'd start the B-Gram matrix lost definiteness here)
+    path = tmp_path / "heavy.json"
+    path.write_text(serialize_system(uniform_system(1e12)))
+    code, out, _ = run(capsys, ["oracle", str(path), "--modes", "6",
+                                "--elements", "20"])
+    assert code == 0
+    header, rows = csv_rows(out)
+    for row in rows:
+        fields = dict(zip(header, row))
+        assert float(fields["rel_error_richardson"]) <= 1e-7, fields["n"]
 
 
 def test_verification_violation_exit_4(capsys, monkeypatch):

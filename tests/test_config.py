@@ -149,6 +149,7 @@ def test_q_defaults_to_zero():
     ("[]", "top-level"),
     ('{"left": {}, "right": {}}', "missing key 'M'"),
     ('{"M": 1, "right": {"rho": [1], "sigma": [1]}}', "missing key 'left'"),
+    ('{"M": 1, "left": [1], "right": {"rho": [1], "sigma": [1]}}', "'left' must be an object"),
     ('{"M": 1, "left": {"rho": [1], "sigma": [1]}, "right": {"rho": [1], "sigma": [1]}, "bogus": 1}',
      "unknown key 'bogus'"),
     ('{"M": 1, "left": {"rho": [1], "sigma": [1], "nu": [1]}, "right": {"rho": [1], "sigma": [1]}}',
@@ -166,6 +167,14 @@ def test_schema_violations(doc, fragment):
     with pytest.raises(ConfigError, match=fragment) as exc_info:
         parse_system(doc)
     assert not isinstance(exc_info.value, ConstraintError) or "nonpositive" in str(exc_info.value)
+
+
+def test_sides_are_checked():
+    with pytest.raises(ConfigError, match="side must be 'left' or 'right'"):
+        CoefficientProfile("middle", rho=(1.0,), sigma=(1.0,))
+    system = uniform_system()
+    with pytest.raises(ConfigError, match="profiles must carry sides"):
+        BeamSystem(system.right, system.left, 1.0)
 
 
 def test_non_utf8_document_is_a_config_error(tmp_path):

@@ -174,12 +174,22 @@ def test_guards():
         solve_generalized(op, 17)
     with pytest.raises(ValueError):
         solve_generalized(op, 0)
+    spec = solve_generalized(op, 3)
+    with pytest.raises(ValueError, match="shorter than the shooting list"):
+        compare([1.0, 2.0, 3.0, 4.0], spec, spec)
 
 
 @pytest.mark.parametrize("system, elements, count, tol", [
     (variable_system(1.0), 80, 6, 1e-11),
     (uniform_system(10.0), 320, 6, 1e-11),
     (uniform_system(10.0), 4, 16, 1e-10),     # count == dim: one exact step
+    # count == dim under a heavy joint mass: the B-orthonormal start keeps
+    # the step's B-Gram matrix near the identity, where an orthonormal
+    # square start gives it B's condition (2.7e-5, 3.2e-2 and values out of
+    # order at M = 100, 300, 1000)
+    (uniform_system(100.0), 8, 32, 1e-8),
+    (uniform_system(300.0), 8, 32, 1e-8),
+    (uniform_system(1000.0), 8, 32, 1e-8),
 ])
 def test_banded_solve_matches_dense_solve(system, elements, count, tol):
     op = assemble(system, elements)

@@ -105,6 +105,10 @@ def test_argument_guards():
         integrate(UNIFORM_LEFT, 1.0, -1.0, 0.0, (0, 1, 0, 0), n_stations=10)
     with pytest.raises(ValueError, match="per-entry inits"):
         _batch_final_states(UNIFORM_LEFT, [1.0, 2.0], -1.0, 0.0, np.zeros((3, 1, 4)))
+    with pytest.raises(ValueError, match="must differ"):
+        integrate(UNIFORM_LEFT, 1.0, -0.5, -0.5, (0, 1, 0, 0))
+    with pytest.raises(ValueError, match="stations must run"):
+        _batch_final_states(UNIFORM_LEFT, [1.0], -0.5, [-0.6, 0.0], np.eye(4)[:1])
 
 
 NON_FINITE_CALLS = {
