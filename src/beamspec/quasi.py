@@ -40,7 +40,8 @@ the stored ones times exp(log_scale).
 The solve puts both spans in one pass: the right span enters as its
 mirror on (-1, 0) (config.mirrored), whose state is (u, -u', sigma*u'',
 -Tu); those sign flips are exact, so the mirror reproduces the right
-span's states bit for bit.
+span's states bit for bit, and a mirror-symmetric system, whose mirror is
+its left span, integrates that span once.
 """
 
 from __future__ import annotations
@@ -260,7 +261,10 @@ def _taylor(y, poly, lam, x, order, lengths):
     w[0] = y
     quotient = np.empty((order,) + y.shape[1:]) if lengths[1] > 1 else None
     for j in range(order):
-        nxt = w[j, (1, 2, 3, 0)]
+        # W_(j+1) is built in place: the rows of W_j shifted, updated, scaled
+        nxt = w[j + 1]
+        nxt[:3] = w[j, 1:]
+        nxt[3] = w[j, 0]
         if lengths[1] > 1:
             for i in range(1, min(j + 1, lengths[1])):
                 nxt[1] -= sigma[i] * quotient[j - i]
@@ -269,7 +273,7 @@ def _taylor(y, poly, lam, x, order, lengths):
             nxt[2] += q[i] * w[j - i, 1]
         for i in range(1, min(j + 1, lengths[0])):
             nxt[3] += rho[i] * w[j - i, 0]
-        np.multiply(nxt, factors[j], out=w[j + 1])
+        nxt *= factors[j]
     return w
 
 

@@ -12,10 +12,11 @@ fixed row order
 Eigenvalues are the zeros of its determinant.  Every determinant comes
 from one batched pass of Taylor-series steps (quasi._batch_final_states)
 that integrates the left span next to the right span mirrored onto
-(-1, 0); a span whose growth would pass a fixed bound is integrated in
-chained segments and ends on an orthonormal column pair, so the
-determinant is tracked as (sign, log magnitude) without the cancellation
-between the two exponentially growing columns at large lam.  solve_modes
+(-1, 0), or that span once if the system is mirror-symmetric; a span
+whose growth would pass a fixed bound is integrated in chained segments
+and ends on an orthonormal column pair, so the determinant is tracked as
+(sign, log magnitude) without the cancellation between the two
+exponentially growing columns at large lam.  solve_modes
 takes its eigenvalues from fem.seed_eigenvalues, a p-version Galerkin
 solve, or, if a seed is not certified, refines scan's brackets.  Either
 way one batched pass with stations builds every mode with its simplicity
@@ -135,14 +136,21 @@ def _batch_matrices(system, lams, rel_tol, stations=(0.0,), sampled=None):
     span and from the same pinned data (the mirror of the right span's unit
     slope and unit shear at x = +1); sign flips are exact, so its states
     equal those of the right span integrated from x = +1 to the last bit.
-    Returns (shot, matrices, col_log): the Shot of the left and the
+    A mirror-symmetric system, whose mirrored right span is its left span,
+    integrates that one profile and repeats its Shot for the right span: an
+    entry's bits do not depend on its batch, so they are the two-profile
+    pass's.  Returns (shot, matrices, col_log): the Shot of the left and the
     mirrored right span (leading axes (2, N)), the joint matrices (N, 4, 4)
     from their last frames, and per-column log scales (N, 4), each column
     carrying half of its span's log scale.  Only the first `sampled` lams
     (all by default) record the interior stations.
     """
-    shot = _batch_final_states((system.left, mirrored(system.right)), lams, -1.0,
-                               stations, [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR], rel_tol, sampled)
+    right = mirrored(system.right)
+    profiles = (system.left,) if right == system.left else (system.left, right)
+    shot = _batch_final_states(profiles, lams, -1.0, stations,
+                               [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR], rel_tol, sampled)
+    if len(profiles) == 1:
+        shot = Shot._make(np.concatenate([a, a]) for a in shot)
     matrices = _build_matrix(shot.frames[0, :, -1], shot.frames[1, :, -1] * MIRROR,
                              system.mass, lams)
     return shot, matrices, np.repeat(shot.log_scale.T / 2.0, 2, axis=-1)

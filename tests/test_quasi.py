@@ -5,13 +5,15 @@ import pytest
 
 import beamspec.quasi as quasi
 import conftest
-from beamspec.config import CoefficientProfile, mirrored, uniform_system, variable_system
+from beamspec.config import (MAX_DEGREE, CoefficientProfile, mirrored, uniform_system,
+                             variable_system)
 from beamspec.fundamental import left_fundamental, right_fundamental
 from beamspec.oscillation import (
     BoundaryVariant,
     dim_check,
     leighton_nehari_transform,
     positivity_propagation,
+    random_profile,
     simple_zero_scan,
     transform_identity_residual,
 )
@@ -155,6 +157,66 @@ def test_recurrence_gives_the_matrix_powers():
             got = series[j, ..., lane]
             assert np.max(np.abs(got - term)) <= 1e-14 * np.max(np.abs(term)), (lam, j)
             term = a @ term / (j + 1)
+
+
+def gathered_taylor(y, poly, lam, x, order, lengths):
+    """_taylor's recurrence with W_(j+1) gathered from W_j by a fancy index
+    and scaled into its slot by np.multiply: the reference of the in-place
+    build."""
+    c = poly.copy()
+    for i in range(c.shape[0] - 1):
+        for j in range(c.shape[0] - 2, i - 1, -1):
+            c[j] += x * c[j + 1]
+    rho, sigma, q = c[:, 0], c[:, 1], c[:, 2]
+    inverse = 1.0 / sigma[0]
+    one = np.ones_like(inverse)
+    factors = (np.stack([one, inverse, one, lam * rho[0]])[:, None]
+               / np.arange(1.0, order + 1.0)[:, None, None, None])
+    rho = rho / rho[0]
+    w = np.empty((order + 1,) + y.shape)
+    w[0] = y
+    quotient = np.empty((order,) + y.shape[1:]) if lengths[1] > 1 else None
+    for j in range(order):
+        nxt = w[j, (1, 2, 3, 0)]
+        if lengths[1] > 1:
+            for i in range(1, min(j + 1, lengths[1])):
+                nxt[1] -= sigma[i] * quotient[j - i]
+            quotient[j] = nxt[1] * inverse
+        for i in range(min(j + 1, lengths[2])):
+            nxt[2] += q[i] * w[j - i, 1]
+        for i in range(1, min(j + 1, lengths[0])):
+            nxt[3] += rho[i] * w[j - i, 0]
+        np.multiply(nxt, factors[j], out=w[j + 1])
+    return w
+
+
+@pytest.mark.parametrize("with_q", [True, False])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_taylor_in_place_matches_gathered_recurrence(k, with_q):
+    # random_profile lanes, their coefficients extended by small random
+    # terms to the pass's degree, at every degree up to MAX_DEGREE and at
+    # the Taylor orders of both ends of the tolerance range
+    rng = np.random.default_rng(33 + k + 10 * with_q)
+    lanes = 5
+    for degree in range(MAX_DEGREE + 1):
+        poly = np.zeros((degree + 1, 3, lanes))
+        for lane in range(lanes):
+            profile = random_profile(rng, side="left")
+            for i, c in enumerate((profile.rho, profile.sigma, profile.q)):
+                c = c[:degree + 1]
+                tail = rng.uniform(-0.05, 0.05, degree + 1 - len(c)) * c[0]
+                poly[:, i, lane] = np.concatenate([c, tail])
+        if not with_q:
+            poly[:, 2] = 0.0
+        lengths = [degree + 1, degree + 1, degree + 1 if with_q else 0]
+        y = rng.normal(size=(4, k, lanes))
+        lam = (rng.uniform(0.0, 60.0, lanes)) ** 4
+        x = rng.uniform(-1.0, 0.0, lanes)
+        for rel_tol in (quasi.REL_TOL_MIN, quasi.REL_TOL_MAX):
+            order = quasi._taylor_rule(rel_tol)[0]
+            got = quasi._taylor(y, poly, lam, x, order, lengths)
+            want = gathered_taylor(y, poly, lam, x, order, lengths)
+            assert np.array_equal(got, want), (degree, rel_tol)
 
 
 def test_no_call_goes_through_solve_ivp(monkeypatch):

@@ -12,7 +12,8 @@ import beamspec.quasi as quasi
 import beamspec.spectrum as spectrum
 import conftest
 from beamspec import cli, fem
-from beamspec.config import (MIRROR, eval_coeff, mirrored, serialize_system, uniform_system,
+from beamspec.config import (MIRROR, BeamSystem, CoefficientProfile, eval_coeff, load_system,
+                             mirrored, parse_system, serialize_system, uniform_system,
                              variable_system)
 from beamspec.fundamental import LEFT_UNIT_SHEAR, LEFT_UNIT_SLOPE
 from beamspec.quasi import DEFAULT_REL_TOL, GROWTH_BOUND, _batch_final_states
@@ -42,6 +43,7 @@ UNIFORM = uniform_system()
 UNIFORM_M1 = uniform_system(1.0)
 PI4 = math.pi ** 4
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def reference_lams():
@@ -450,6 +452,80 @@ def test_mirrored_pass_matches_in_mixed_batch():
         assert segments[0] == 1 and segments[1] > 1
     log_r = assert_mirrored_pass_exact(system, lams)
     assert log_r[0] == 0.0 and log_r[1] > math.log(GROWTH_BOUND)
+
+
+def assert_same_bits(got, want, what=""):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+# rho = sigma = q = 1 + x**2 on both spans: mirror-symmetric, the mirrored
+# right span carrying -0.0 as its odd coefficient
+SYMMETRIC_VARIABLE = BeamSystem(*(CoefficientProfile(side, (1.0, 0.0, 1.0), (1.0, 0.0, 1.0),
+                                                     (1.0, 0.0, 1.0))
+                                  for side in ("left", "right")), 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(conftest.SHIPPED_BUILDERS))
+def test_mirror_symmetric_systems_integrate_one_profile(monkeypatch, shipped_systems, name):
+    # a uniform system's mirrored right span is its left span, so every pass
+    # integrates that one profile; the variable systems' spans differ
+    system = shipped_systems[name]
+    counts = []
+    real = spectrum._batch_final_states
+
+    def spy(profiles, lams, *args):
+        counts.append(len(profiles))
+        return real(profiles, lams, *args)
+
+    monkeypatch.setattr(spectrum, "_batch_final_states", spy)
+    verify(system, solve_modes(system, 3))
+    char_det(system, 50.0)
+    assert counts and set(counts) == {1 if name.startswith("uniform") else 2}
+
+
+@pytest.mark.parametrize("system", [UNIFORM, SYMMETRIC_VARIABLE],
+                         ids=["uniform_m0", "symmetric_variable"])
+def test_symmetric_pass_matches_the_two_profile_pass(system):
+    # the one-profile pass, repeated for the right span, has the bits of the
+    # pass that integrates the left and the mirrored right span side by side,
+    # with stations, sampled or not, at an unsegmented and a segmented lam
+    right = mirrored(system.right)
+    assert right == system.left
+    if system is SYMMETRIC_VARIABLE:
+        assert math.copysign(1.0, right.rho[1]) == -1.0
+    lams = np.array([3.0, 60.0, 5.0]) ** 4
+    segments = quasi._segments((system.left,), lams, -1.0, 0.0)[0]
+    assert segments[0] == 1 and segments[1] > 1
+    stations = np.linspace(-1.0, 0.0, 129)
+    for sampled in (None, 1):
+        shot, matrices, col_log = spectrum._batch_matrices(system, lams, DEFAULT_REL_TOL,
+                                                           stations, sampled)
+        ref = _batch_final_states((system.left, right), lams, -1.0, stations,
+                                  [LEFT_UNIT_SLOPE, LEFT_UNIT_SHEAR], DEFAULT_REL_TOL, sampled)
+        for field, got, want in zip(ref._fields, shot, ref):
+            assert_same_bits(got, want, (field, sampled))
+        assert_same_bits(matrices, spectrum._build_matrix(
+            ref.frames[0, :, -1], ref.frames[1, :, -1] * MIRROR, system.mass, lams))
+        assert_same_bits(col_log, np.repeat(ref.log_scale.T / 2.0, 2, axis=-1))
+
+
+def test_mirror_twin_matches_the_symmetric_solve():
+    # uniform M = 0 with the right span's sigma written [1, 0] is the same
+    # beam as another profile, so it takes the two-profile pass; its 40 modes
+    # and their report have the bits of the shipped config's one-profile pass
+    doc = json.loads((CONFIGS / "uniform_m0.json").read_text())
+    doc["right"]["sigma"] = [1.0, 0.0]
+    system, twin = load_system(CONFIGS / "uniform_m0.json"), parse_system(json.dumps(doc))
+    assert mirrored(system.right) == system.left and mirrored(twin.right) != twin.left
+    pairs, twin_pairs = solve_modes(system, 40), solve_modes(twin, 40)
+    for a, b in zip(pairs, twin_pairs, strict=True):
+        for field in dataclasses.fields(a):
+            assert_same_bits(getattr(a, field.name), getattr(b, field.name), (a.index, field.name))
+    report, twin_report = verify(system, pairs), verify(twin, twin_pairs)
+    assert json.dumps(report.to_dict()) == json.dumps(twin_report.to_dict())
+    assert_same_bits(report.orthogonality, twin_report.orthogonality)
 
 
 def test_reported_lams_are_certified_seeds(shipped_systems, shipped_modes):
